@@ -170,17 +170,23 @@ let file_arg =
 let engine_arg =
   let parse s =
     match String.lowercase_ascii s with
-    | "full" -> Ok Pipeline.Concrete_full
-    | "stubborn" -> Ok Pipeline.Concrete_stubborn
+    | "full" | "concrete/full" -> Ok Pipeline.Concrete_full
+    | "stubborn" | "concrete/stubborn" -> Ok Pipeline.Concrete_stubborn
     | "abstract" -> Ok (Pipeline.Abstract (Analyzer.Intervals, Machine.Control))
-    | _ -> Error (`Msg "engine must be full, stubborn, or abstract")
+    | _ ->
+        Error
+          (`Msg
+             "engine must be full (concrete/full), stubborn \
+              (concrete/stubborn), or abstract")
   in
   let print ppf e = Pipeline.pp_engine ppf e in
   Arg.(
     value
     & opt (conv (parse, print)) Pipeline.Concrete_full
     & info [ "engine"; "e" ] ~docv:"ENGINE"
-        ~doc:"Exploration engine: $(b,full), $(b,stubborn) or $(b,abstract).")
+        ~doc:
+          "Exploration engine: $(b,full) (also $(b,concrete/full)), \
+           $(b,stubborn) (also $(b,concrete/stubborn)) or $(b,abstract).")
 
 let domain_arg =
   let parse s =
@@ -336,7 +342,7 @@ let chaos_arg =
     & info [ "chaos" ] ~docv:"SPEC"
         ~doc:
           "Install a deterministic fault plan before running, e.g. \
-           $(b,crash\\@space.pop:100,kill\\@worker1:5,seed=7).  Overrides \
+           $(b,crash@space.pop:100,kill@worker1:5,seed=7).  Overrides \
            the $(b,COBEGIN_CHAOS) environment variable.  The canonical \
            plan is echoed on stderr so any chaos run is replayable.")
 
@@ -1061,10 +1067,12 @@ let serve_cmd =
               spans;
             }
         in
-        Format.eprintf "serving on %s (pool %d, cache %d entries%s)@." socket
-          pool (max 1 cache_cap)
-          (match cache_dir with Some d -> ", disk tier " ^ d | None -> "");
-        match Serve.run t with
+        let on_listening () =
+          Format.eprintf "serving on %s (pool %d, cache %d entries%s)@."
+            socket pool (max 1 cache_cap)
+            (match cache_dir with Some d -> ", disk tier " ^ d | None -> "")
+        in
+        match Serve.run ~on_listening t with
         | () -> finish 0
         | exception Unix.Unix_error (err, fn, arg) ->
             Format.eprintf "serve: %s: %s %s@." fn (Unix.error_message err)

@@ -12,8 +12,6 @@ open Cobegin_lang
 open Cobegin_semantics
 open Cobegin_explore
 module Metrics = Cobegin_obs.Metrics
-module Probe = Cobegin_obs.Probe
-module Journal = Cobegin_obs.Journal
 
 (* Telemetry: process pairs examined for conflicts vs pairs that produced
    at least one anomaly.  No-ops (one branch) while telemetry is off. *)
@@ -60,121 +58,80 @@ let stmt_label_of (p : Proc.t) =
 
 type result = { races : RaceSet.t; status : Budget.status }
 
-(* Scan every reachable configuration for co-enabled conflicting pairs.
-   The scan degrades gracefully: when the configuration budget fires it
-   stops admitting new configurations but still scans everything already
-   queued, so the reported races are those of a reachable prefix. *)
-let find ?(max_configs = 200_000) ?budget ?probe ctx : result =
-  let budget =
-    match budget with Some b -> b | None -> Budget.create ~max_configs ()
+(* synchronization operations (lock/unlock/await) contend by design;
+   their accesses are not anomalies *)
+let is_sync (p : Proc.t) =
+  match Proc.next_stmt p with
+  | Some { Ast.kind = Ast.Sacquire _ | Ast.Srelease _ | Ast.Sawait _; _ } ->
+      true
+  | _ -> false
+
+(* The pair scan of one configuration: every two enabled processes whose
+   next-action footprints conflict.  Flushes are left out — a flush
+   publishes a write already charged (and scanned) at its issue point —
+   but the exploration still fires them: under TSO/PSO flush
+   interleavings reach configurations (stale reads) the process-only
+   view would miss. *)
+let scan ctx races c enabled =
+  let with_fp =
+    List.filter_map
+      (function
+        | Step.Arun p when not (is_sync p) ->
+            Some (p, Step.action_footprint ctx c p)
+        | Step.Arun _ | Step.Aflush _ -> None)
+      enabled
   in
+  let rec pairs = function
+    | [] -> ()
+    | (p1, f1) :: rest ->
+        List.iter
+          (fun (p2, f2) ->
+            let w1 = f1.Step.fwrites and w2 = f2.Step.fwrites in
+            let r1 = f1.Step.freads and r2 = f2.Step.freads in
+            let module LS = Value.LocSet in
+            Metrics.incr m_pairs_scanned;
+            let ww = LS.inter w1 w2 in
+            let rw = LS.union (LS.inter w1 r2) (LS.inter w2 r1) in
+            if not (LS.is_empty ww && LS.is_empty rw) then
+              Metrics.incr m_pairs_confirmed;
+            let add ~ww locs =
+              LS.iter
+                (fun loc ->
+                  races :=
+                    RaceSet.add
+                      (make ~stmt1:(stmt_label_of p1)
+                         ~stmt2:(stmt_label_of p2) ~loc ~write_write:ww)
+                      !races)
+                locs
+            in
+            add ~ww:true ww;
+            add ~ww:false rw)
+          rest;
+        pairs rest
+  in
+  pairs with_fp
+
+(* Full expansion with the pair scan as the kernel's visitor.  The
+   visitor sees every admitted configuration — popped, or drained from
+   the frontier when the budget stops the run — so the races reported
+   are exactly those of the admitted configurations. *)
+let scanned ?max_configs ?budget ?probe ~site ~log ctx =
   let races = ref RaceSet.empty in
-  let module Tbl = Space.ConfigTbl in
-  let visited = Tbl.create 1024 in
-  let queue = Queue.create () in
-  let trunc = ref None in
-  let stop = ref None in
-  let steps = ref 0 in
-  let c0 = Step.init ctx in
-  Tbl.add visited c0 ();
-  Queue.add c0 queue;
-  while !stop = None && not (Queue.is_empty queue) do
-    (match Budget.check budget ~configs:(Tbl.length visited)
-             ~transitions:!steps
-     with
-    | Some (Budget.Configs _ as r) ->
-        (* keep draining the queue; just stop admitting new configs *)
-        if !trunc = None then trunc := Some r
-    | Some r -> stop := Some r
-    | None -> ());
-    if !stop = None then begin
-    Fault.hit "races.pop";
-    if Journal.enabled () && !steps mod Space.journal_every = 0 then
-      Journal.emit ~level:Journal.Debug "races.progress"
-        [
-          ("pops", Journal.Int !steps);
-          ("configurations", Journal.Int (Tbl.length visited));
-          ("races", Journal.Int (RaceSet.cardinal !races));
-        ];
-    (match probe with
-    | None -> ()
-    | Some p ->
-        Probe.tick p ~configurations:(Tbl.length visited)
-          ~frontier:(Queue.length queue) ~transitions:!steps);
-    incr steps;
-    let c = Queue.pop queue in
-    if not (Config.is_error c) then begin
-      let enabled = Step.enabled_processes ctx c in
-      (* synchronization operations (lock/unlock/await) contend by
-         design; their accesses are not anomalies *)
-      let is_sync (p : Proc.t) =
-        match Proc.next_stmt p with
-        | Some { Ast.kind = Ast.Sacquire _ | Ast.Srelease _ | Ast.Sawait _; _ }
-          ->
-            true
-        | _ -> false
-      in
-      let with_fp =
-        List.filter_map
-          (fun p ->
-            if is_sync p then None
-            else Some (p, Step.action_footprint ctx c p))
-          enabled
-      in
-      let rec pairs = function
-        | [] -> ()
-        | (p1, f1) :: rest ->
-            List.iter
-              (fun (p2, f2) ->
-                let w1 = f1.Step.fwrites and w2 = f2.Step.fwrites in
-                let r1 = f1.Step.freads and r2 = f2.Step.freads in
-                let module LS = Value.LocSet in
-                Metrics.incr m_pairs_scanned;
-                let ww = LS.inter w1 w2 in
-                let rw = LS.union (LS.inter w1 r2) (LS.inter w2 r1) in
-                if not (LS.is_empty ww && LS.is_empty rw) then
-                  Metrics.incr m_pairs_confirmed;
-                let add ~ww locs =
-                  LS.iter
-                    (fun loc ->
-                      races :=
-                        RaceSet.add
-                          (make ~stmt1:(stmt_label_of p1)
-                             ~stmt2:(stmt_label_of p2) ~loc ~write_write:ww)
-                          !races)
-                    locs
-                in
-                add ~ww:true ww;
-                add ~ww:false rw)
-              rest;
-            pairs rest
-      in
-      pairs with_fp;
-      (* Traverse over the full action alternatives — under TSO/PSO
-         flush interleavings reach configurations (stale reads) the
-         process-only view would miss.  The pair scan above stays on
-         statement-level accesses: a flush publishes a write already
-         charged (and scanned) at its issue point. *)
-      List.iter
-        (fun a ->
-          let c', _ = Step.fire_action ctx c a in
-          let d' = Config.digest c' in
-          if not (Tbl.mem_digest visited d') then
-            match Budget.config_guard budget ~configs:(Tbl.length visited)
-            with
-            | Some r -> if !trunc = None then trunc := Some r
-            | None ->
-                Tbl.add_digest visited d' ();
-                Queue.add c' queue)
-        (Step.enabled_actions ctx c)
-    end
-    end
-  done;
-  {
-    races = !races;
-    status =
-      Budget.status_of (match !stop with Some _ -> !stop | None -> !trunc);
-  }
+  let r =
+    Space.generate ?max_configs ?budget ?probe ~visit:(scan ctx races) ~log
+      ~site ~admit:Space.no_revisits ~expand:Space.all_actions ctx
+      (Space.start ctx ())
+  in
+  (r, !races)
+
+let explore ?budget ?probe ctx =
+  scanned ?budget ?probe ~site:"space" ~log:true ctx
+
+let find ?(max_configs = 200_000) ?budget ?probe ctx : result =
+  let r, races =
+    scanned ~max_configs ?budget ?probe ~site:"races" ~log:false ctx
+  in
+  { races; status = r.Space.status }
 
 let pp_race ppf r =
   Format.fprintf ppf "s%d %s s%d on %a"

@@ -39,9 +39,23 @@ val find :
   Step.ctx ->
   result
 (** Scan every reachable configuration for co-enabled conflicting
-    pairs.  At budget exhaustion the scan finishes the configurations
-    already discovered and reports the races of that prefix.  [probe]
-    is ticked once per worklist pop. *)
+    pairs: {!Cobegin_explore.Space.generate} with full expansion and the
+    pair scan as its visitor.  The budget ([budget], or [max_configs],
+    default 200 000 configurations) counts fired transitions like every
+    other engine; at exhaustion the reported races are exactly those of
+    the admitted configurations.  [probe] is ticked once per worklist
+    pop. *)
+
+val explore :
+  ?budget:Budget.t ->
+  ?probe:Cobegin_obs.Probe.t ->
+  Step.ctx ->
+  Cobegin_explore.Space.result * RaceSet.t
+(** {!Cobegin_explore.Space.full} with the pair scan of {!find} as its
+    visitor: one BFS yields both the exploration result and the race
+    set, equal to what {!find} reports under the same budget.  Used by
+    the pipeline's sequential full engine so that [--races] costs no
+    second pass. *)
 
 val pp_race : Format.formatter -> race -> unit
 val pp : Format.formatter -> RaceSet.t -> unit

@@ -20,7 +20,8 @@
 
    Resource governance (Budget): one budget — configuration count,
    transition count, wall-clock deadline, heap watermark — governs the
-   engine run and the race scan; exhaustion yields a partial report
+   engine run and the race scan (one and the same BFS for the
+   sequential full engine); exhaustion yields a partial report
    tagged [Truncated], never an exception.  Each section-5/7 analysis
    runs under a per-stage guard, so a crashing stage contributes an
    empty result plus a structured diagnostic instead of aborting the
@@ -254,24 +255,29 @@ let empty_log =
   { Event.accesses = []; allocs = []; precise_pstrings = true }
 
 (* Run the chosen engine under [budget], returning stats, the unified
-   log, and the completion status.  [spans] reaches the parallel
-   engine so each worker domain records its own trace lane. *)
+   log, the completion status, and the race set when the race scan ran
+   as the exploration's visitor.  [spans] reaches the parallel engine
+   so each worker domain records its own trace lane. *)
 let run_engine ~budget ?probe ?spans (opts : options) prog :
-    exploration_stats * Event.log * Budget.status =
+    exploration_stats * Event.log * Budget.status * Race.RaceSet.t option =
   match opts.engine with
   | Concrete_full | Concrete_stubborn ->
       let ctx = Step.make_ctx ~model:opts.memory_model prog in
-      let result =
+      (* jobs > 1 runs the multi-domain engine; jobs <= 1 is the
+         sequential engine, byte-for-byte, and there the race scan rides
+         along as the BFS's visitor.  The stubborn strategy keeps
+         mutable selection state, so it stays sequential whatever
+         [jobs] says, and its persistent sets drop co-enabled pairs, so
+         its races come from a standalone full pass. *)
+      let result, races =
         match opts.engine with
-        | Concrete_full ->
-            (* jobs > 1 runs the multi-domain engine; jobs <= 1 is the
-               sequential engine, byte-for-byte.  The stubborn strategy
-               keeps mutable selection state, so it stays sequential
-               whatever [jobs] says. *)
-            if opts.jobs > 1 then
-              Parallel.full ~jobs:opts.jobs ~budget ?probe ?spans ctx
-            else Space.full ~budget ?probe ctx
-        | _ -> Stubborn.explore ~budget ?probe ctx
+        | Concrete_full when opts.jobs > 1 ->
+            (Parallel.full ~jobs:opts.jobs ~budget ?probe ?spans ctx, None)
+        | Concrete_full when opts.find_races ->
+            let result, races = Race.explore ~budget ?probe ctx in
+            (result, Some races)
+        | Concrete_full -> (Space.full ~budget ?probe ctx, None)
+        | _ -> (Stubborn.explore ~budget ?probe ctx, None)
       in
       ( {
           configurations = result.Space.stats.Space.configurations;
@@ -282,7 +288,8 @@ let run_engine ~budget ?probe ?spans (opts : options) prog :
           errors = result.Space.stats.Space.errors;
         },
         Event.of_concrete result.Space.log,
-        result.Space.status )
+        result.Space.status,
+        races )
   | Abstract (domain, folding) ->
       let summary = Analyzer.analyze ~domain ~folding ~budget ?probe prog in
       ( {
@@ -294,16 +301,15 @@ let run_engine ~budget ?probe ?spans (opts : options) prog :
           errors = summary.Analyzer.errors;
         },
         Event.of_abstract summary.Analyzer.log,
-        summary.Analyzer.status )
+        summary.Analyzer.status,
+        None )
 
-(* [stage_hook] is an instrumentation/fault-injection seam: it is called
-   with the stage name inside each guard, so tests can force a stage to
-   crash and observe the diagnostic.  [spans] records one wall-clock span
-   per stage (nested under whatever span is already open in the
-   recorder); [probe] is ticked by the engines and the race scan, with
-   the pipeline's budget attached for headroom reporting. *)
-let analyze ?(options = default_options) ?(stage_hook = fun _ -> ()) ?spans
-    ?probe (prog : Ast.program) : report =
+(* [spans] records one wall-clock span per stage (nested under whatever
+   span is already open in the recorder); [probe] is ticked by the
+   engines and the race scan, with the pipeline's budget attached for
+   headroom reporting. *)
+let analyze ?(options = default_options) ?spans ?probe (prog : Ast.program)
+    : report =
   check_model_support options;
   Check.check_exn prog;
   let prog = transform options prog in
@@ -393,7 +399,6 @@ let analyze ?(options = default_options) ?(stage_hook = fun _ -> ()) ?spans
       :: !failures
   in
   let run_body name f =
-    stage_hook name;
     Fault.hit ("pipeline." ^ name);
     if Journal.enabled () then
       Journal.emit ~level:Journal.Debug "pipeline.stage"
@@ -450,7 +455,8 @@ let analyze ?(options = default_options) ?(stage_hook = fun _ -> ()) ?spans
      sequential engine (jobs N -> 1), then retries sequentially, and
      only then gives up — returning empty stats tagged
      [Truncated (Crash _)], never a fabricated [Complete].  One budget
-     spans all rungs, so the ladder honors the end-to-end time box. *)
+     spans all rungs, so the ladder honors the end-to-end time box.
+     Each rung that runs the race visitor starts a fresh race set. *)
   let empty_stats =
     {
       configurations = 0;
@@ -461,7 +467,7 @@ let analyze ?(options = default_options) ?(stage_hook = fun _ -> ()) ?spans
       errors = 0;
     }
   in
-  let stats, log, status =
+  let stats, log, status, explored_races =
     let ladder =
       (if options.jobs > 1 then [ options; { options with jobs = 1 } ]
        else [ options ])
@@ -492,7 +498,8 @@ let analyze ?(options = default_options) ?(stage_hook = fun _ -> ()) ?spans
                     empty_log,
                     Budget.Truncated
                       (Budget.Crash
-                         ("exploration: " ^ Printexc.to_string e)) )
+                         ("exploration: " ^ Printexc.to_string e)),
+                    None )
               | Retry | Degrade_jobs _ ->
                   Metrics.incr m_retries;
                   go (attempt + 1) rest))
@@ -516,6 +523,9 @@ let analyze ?(options = default_options) ?(stage_hook = fun _ -> ()) ?spans
   let gc_plan =
     stage "ctgc" ~default:[] (fun () -> Ctgc.deallocation_plan lifetimes)
   in
+  (* When the exploration ran the race scan as its visitor, this stage
+     only hands the set over; otherwise (stubborn, jobs > 1, or an
+     exploration that gave up) it runs a standalone full pass. *)
   let races, status =
     if options.find_races then
       match options.engine with
@@ -525,8 +535,11 @@ let analyze ?(options = default_options) ?(stage_hook = fun _ -> ()) ?spans
               ~default:
                 { Race.races = Race.RaceSet.empty; status = Budget.Complete }
               (fun () ->
-                Race.find ~budget ?probe
-                  (Step.make_ctx ~model:options.memory_model prog))
+                match explored_races with
+                | Some races -> { Race.races; status }
+                | None ->
+                    Race.find ~budget ?probe
+                      (Step.make_ctx ~model:options.memory_model prog))
           in
           (* a races give-up must not masquerade as a complete scan:
              tag the status with the crash instead of the default *)
@@ -589,8 +602,8 @@ let analyze ?(options = default_options) ?(stage_hook = fun _ -> ()) ?spans
     telemetry;
   }
 
-let analyze_source ?options ?stage_hook ?spans ?probe src =
-  analyze ?options ?stage_hook ?spans ?probe (load_source src)
+let analyze_source ?options ?spans ?probe src =
+  analyze ?options ?spans ?probe (load_source src)
 
 (* Parallelization report for segment-shaped programs (Figure 8). *)
 let parallelization (r : report) : Parallelize.report =

@@ -233,7 +233,6 @@ val load_file : string -> Ast.program
 
 val analyze :
   ?options:options ->
-  ?stage_hook:(string -> unit) ->
   ?spans:Cobegin_obs.Span.t ->
   ?probe:Cobegin_obs.Probe.t ->
   Ast.program ->
@@ -242,10 +241,14 @@ val analyze :
     [report.status] — and never aborts on an analysis-stage crash —
     check [report.stage_failures].  Raises [Invalid_argument] when
     [options.memory_model] is not {!Step.Sc} and the engine is
-    [Abstract] or [interfere] is set (SC-only analyses).  [stage_hook] is called with each
-    stage's name just before the stage body runs; an exception it
-    raises is attributed to that stage (a fault-injection seam used by
-    the tests).
+    [Abstract] or [interfere] is set (SC-only analyses).  Each stage
+    hits the fault site [pipeline.<stage>] just before its body runs,
+    so a {!Fault} plan can crash any one of them.
+
+    With [options.find_races] and the sequential full engine
+    ([jobs <= 1]), the race scan runs as a visitor of the exploration's
+    BFS and the [races] stage only hands the set over; the stubborn
+    engine and [jobs > 1] keep a standalone full race pass.
 
     Telemetry: when [spans] is given, every stage runs under a
     wall-clock span named after it, and [report.telemetry] lists the
@@ -257,7 +260,6 @@ val analyze :
 
 val analyze_source :
   ?options:options ->
-  ?stage_hook:(string -> unit) ->
   ?spans:Cobegin_obs.Span.t ->
   ?probe:Cobegin_obs.Probe.t ->
   string ->

@@ -1,18 +1,18 @@
 (* Checkpointed state-space generation (see checkpoint.mli).
 
-   The engine is Space.explore's BFS loop, iteration for iteration —
-   the determinism contract depends on it: a pop-count cadence picks
-   the same save points on every run, and a resumed run replays the
-   exact suffix of an uninterrupted one, so the final counts are
-   identical.
+   The engine is Space.generate with full expansion and a boundary hook
+   that saves the kernel state — the determinism contract depends on
+   it: a pop-count cadence picks the same save points on every run, and
+   a resumed run replays the exact suffix of an uninterrupted one, so
+   the final counts are identical.
 
    On-disk format: a magic string, then a Marshal'd header (format
    version + full-width hash of the marshaled program), then a
-   Marshal'd payload.  The payload stores the visited set as digests
-   plus a snapshot of the intern pools behind them (Intern.snapshot):
-   digests are ids into process-local pools, so the restoring process
-   re-interns the snapshotted representations and remaps every saved
-   digest (Config.digest_of_ids) before use.  Frontier and terminal
+   Marshal'd payload: a snapshot of the intern pools and the kernel
+   state.  The visited set is keyed by digests, which are ids into
+   process-local pools, so the restoring process re-interns the
+   snapshotted representations and re-keys every saved digest
+   (Config.digest_of_ids) before use.  Frontier and terminal
    configurations are marshaled structurally — they are pure data.
 
    Writes go to a temp file renamed into place, so a crash mid-write
@@ -20,7 +20,6 @@
 
 open Cobegin_semantics
 module Metrics = Cobegin_obs.Metrics
-module Probe = Cobegin_obs.Probe
 module Journal = Cobegin_obs.Journal
 
 let m_saves = Metrics.counter "checkpoint.saves"
@@ -41,27 +40,15 @@ let default_cadence = { every_configs = 4096; every_s = None }
 
 let magic = "COBEGIN-CKPT\n"
 
-(* Version 2: configurations may carry per-process store buffers
-   (TSO/PSO), and the identity hash binds the memory model alongside
-   the program.  Version-1 files are refused with [Corrupt]. *)
-let version = 2
+(* Version 3: the payload is the kernel state (Space.state) itself.
+   Version 2 added per-process store buffers (TSO/PSO) and bound the
+   memory model into the identity hash.  Older files are refused with
+   [Corrupt]. *)
+let version = 3
 
 type header = { hd_version : int; hd_program_hash : int }
 
-(* The in-flight state of the BFS between two pops: everything
-   Space.explore keeps in locals. *)
-type payload = {
-  ck_pools : Intern.snapshot;
-  ck_visited : Config.digest list;
-  ck_frontier : Config.t list; (* queue front first *)
-  ck_finals : Config.t list;
-  ck_deadlocks : Config.t list;
-  ck_errors : Config.t list;
-  ck_transitions : int;
-  ck_max_frontier : int;
-  ck_accesses : Step.access list list; (* reverse firing order *)
-  ck_allocs : Step.alloc list list;
-}
+type payload = { ck_pools : Intern.snapshot; ck_state : unit Space.state }
 
 (* The identity a checkpoint is bound to: resuming under a different
    program — or the same program under a different memory model —
@@ -71,35 +58,19 @@ let program_hash (ctx : Step.ctx) =
     (Cobegin_hash.hash_string (Marshal.to_string ctx.Step.prog []))
     (Cobegin_hash.hash_string (Step.model_name ctx.Step.model))
 
-type live = {
-  visited : unit Config.Digest_tbl.t;
-  queue : Config.t Queue.t;
-  mutable finals : Config.t list;
-  mutable deadlocks : Config.t list;
-  mutable errors : Config.t list;
-  mutable transitions : int;
-  mutable max_frontier : int;
-  mutable accesses : Step.access list list;
-  mutable allocs : Step.alloc list list;
-}
+(* What the journal events of a save and a restore report. *)
+let progress_fields (st : unit Space.state) =
+  [
+    ("configurations", Journal.Int (Space.ConfigTbl.length st.Space.visited));
+    ("frontier", Journal.Int (Queue.length st.Space.queue));
+    ("transitions", Journal.Int st.Space.transitions);
+  ]
 
-let save ~path ctx live =
+let save ~path ctx st =
   Fault.hit "checkpoint.save";
   let t0 = Unix.gettimeofday () in
   let payload =
-    {
-      ck_pools = Intern.snapshot (Intern.global ());
-      ck_visited =
-        Config.Digest_tbl.fold (fun d () acc -> d :: acc) live.visited [];
-      ck_frontier = List.of_seq (Queue.to_seq live.queue);
-      ck_finals = live.finals;
-      ck_deadlocks = live.deadlocks;
-      ck_errors = live.errors;
-      ck_transitions = live.transitions;
-      ck_max_frontier = live.max_frontier;
-      ck_accesses = live.accesses;
-      ck_allocs = live.allocs;
-    }
+    { ck_pools = Intern.snapshot (Intern.global ()); ck_state = st }
   in
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
@@ -120,12 +91,7 @@ let save ~path ctx live =
     (int_of_float ((Unix.gettimeofday () -. t0) *. 1000.));
   if Journal.enabled () then
     Journal.emit "checkpoint.saved"
-      [
-        ("path", Journal.Str path);
-        ("configurations", Journal.Int (List.length payload.ck_visited));
-        ("frontier", Journal.Int (List.length payload.ck_frontier));
-        ("transitions", Journal.Int payload.ck_transitions);
-      ]
+      (("path", Journal.Str path) :: progress_fields st)
 
 let load_payload ~path ctx : payload =
   let ic =
@@ -154,25 +120,7 @@ let load_payload ~path ctx : payload =
       try (Marshal.from_channel ic : payload)
       with End_of_file | Failure _ -> raise (Corrupt "truncated payload"))
 
-let fresh ctx =
-  let visited = Config.Digest_tbl.create 1024 in
-  let queue = Queue.create () in
-  let c0 = Step.init ctx in
-  Config.Digest_tbl.replace visited (Config.digest c0) ();
-  Queue.add c0 queue;
-  {
-    visited;
-    queue;
-    finals = [];
-    deadlocks = [];
-    errors = [];
-    transitions = 0;
-    max_frontier = 0;
-    accesses = [];
-    allocs = [];
-  }
-
-let live_of_payload (p : payload) =
+let state_of_payload (p : payload) =
   let t0 = Unix.gettimeofday () in
   let rm = Intern.restore (Intern.global ()) p.ck_pools in
   let remap_digest (d : Config.digest) =
@@ -184,152 +132,60 @@ let live_of_payload (p : payload) =
         (if d.Config.d_error < 0 then -1
          else rm.Intern.rm_errors.(d.Config.d_error))
   in
-  let visited = Config.Digest_tbl.create 1024 in
-  List.iter
-    (fun d -> Config.Digest_tbl.replace visited (remap_digest d) ())
-    p.ck_visited;
-  let queue = Queue.create () in
-  List.iter (fun c -> Queue.add c queue) p.ck_frontier;
+  let saved = p.ck_state in
+  let visited = Space.ConfigTbl.create 1024 in
+  Config.Digest_tbl.iter
+    (fun d () -> Space.ConfigTbl.add_digest visited (remap_digest d) ())
+    saved.Space.visited;
+  let st = { saved with Space.visited } in
   Metrics.incr m_restores;
   Metrics.observe h_restore_ms
     (int_of_float ((Unix.gettimeofday () -. t0) *. 1000.));
   if Journal.enabled () then
-    Journal.emit "checkpoint.restored"
-      [
-        ("configurations", Journal.Int (List.length p.ck_visited));
-        ("frontier", Journal.Int (List.length p.ck_frontier));
-        ("transitions", Journal.Int p.ck_transitions);
-      ];
-  {
-    visited;
-    queue;
-    finals = p.ck_finals;
-    deadlocks = p.ck_deadlocks;
-    errors = p.ck_errors;
-    transitions = p.ck_transitions;
-    max_frontier = p.ck_max_frontier;
-    accesses = p.ck_accesses;
-    allocs = p.ck_allocs;
-  }
+    Journal.emit "checkpoint.restored" (progress_fields st);
+  st
 
-(* Space.explore's loop with a save every [cadence.every_configs] pops
-   (and every [every_s] seconds, when set).  The save sits at the
-   iteration boundary, before the pop it precedes, so "resume from the
-   last save" replays whole iterations — never half-fired expansions. *)
-let run ?(max_configs = 1_000_000) ?budget ?probe ~cadence ~path ctx live :
-    Space.result =
-  let budget =
-    match budget with Some b -> b | None -> Budget.create ~max_configs ()
-  in
-  let stop = ref None in
+(* Full expansion with a save every [cadence.every_configs] pops (and
+   every [every_s] seconds, when set).  The save is the kernel's
+   boundary hook, before the pop it precedes, so "resume from the last
+   save" replays whole iterations — never half-fired expansions.  A
+   truncated run also saves its final pre-drain state, so it can be
+   resumed later with a larger budget; the drain classifies the
+   frontier without popping it, and a resumed run re-classifies those
+   same configurations itself. *)
+let run ?max_configs ?budget ?probe ~cadence ~path ctx st : Space.result =
   let since_save = ref 0 in
   let last_save = ref (Unix.gettimeofday ()) in
-  while !stop = None && not (Queue.is_empty live.queue) do
-    match
-      Budget.check budget
-        ~configs:(Config.Digest_tbl.length live.visited)
-        ~transitions:live.transitions
-    with
-    | Some r -> stop := Some r
-    | None -> (
-        let time_due =
-          match cadence.every_s with
-          | Some s -> Unix.gettimeofday () -. !last_save >= s
-          | None -> false
-        in
-        (if !since_save >= cadence.every_configs || time_due then begin
-           save ~path ctx live;
-           since_save := 0;
-           last_save := Unix.gettimeofday ()
-         end);
-        incr since_save;
-        Fault.hit "checkpoint.pop";
-        (match probe with
-        | None -> ()
-        | Some p ->
-            Probe.tick p
-              ~configurations:(Config.Digest_tbl.length live.visited)
-              ~frontier:(Queue.length live.queue)
-              ~transitions:live.transitions);
-        live.max_frontier <- max live.max_frontier (Queue.length live.queue);
-        let c = Queue.pop live.queue in
-        if Config.is_error c then live.errors <- c :: live.errors
-        else if Config.all_terminated c then live.finals <- c :: live.finals
-        else
-          match Step.enabled_actions ctx c with
-          | [] -> live.deadlocks <- c :: live.deadlocks
-          | _ ->
-              let rec fire_each = function
-                | [] -> ()
-                | a :: rest ->
-                    live.transitions <- live.transitions + 1;
-                    let c', evs = Step.fire_action ctx c a in
-                    live.accesses <- evs.Step.accesses :: live.accesses;
-                    live.allocs <- evs.Step.allocs :: live.allocs;
-                    let d' = Config.digest c' in
-                    (if Config.Digest_tbl.mem live.visited d' then ()
-                     else
-                       match
-                         Budget.config_guard budget
-                           ~configs:(Config.Digest_tbl.length live.visited)
-                       with
-                       | Some r -> stop := Some r
-                       | None ->
-                           Config.Digest_tbl.replace live.visited d' ();
-                           Queue.add c' live.queue);
-                    if !stop = None then fire_each rest
-              in
-              fire_each (Step.enabled_actions ctx c))
-  done;
-  (* Save the pure in-flight state on truncation — the run can be
-     resumed later with a larger budget.  Before the drain: the drain
-     classifies the frontier without popping it, and a resumed run
-     will re-classify those same configurations itself. *)
-  if !stop <> None then save ~path ctx live;
-  let finals = ref live.finals
-  and deadlocks = ref live.deadlocks
-  and errors = ref live.errors in
-  if !stop <> None then
-    Queue.iter
-      (fun c ->
-        if Config.is_error c then errors := c :: !errors
-        else if Config.all_terminated c then finals := c :: !finals
-        else
-          match Step.enabled_actions ctx c with
-          | [] -> deadlocks := c :: !deadlocks
-          | _ -> ())
-      live.queue;
-  {
-    Space.status = Budget.status_of !stop;
-    stats =
-      {
-        Space.configurations = Config.Digest_tbl.length live.visited;
-        transitions = live.transitions;
-        max_frontier = live.max_frontier;
-        finals = List.length !finals;
-        deadlocks = List.length !deadlocks;
-        errors = List.length !errors;
-      };
-    final_configs = !finals;
-    deadlock_configs = !deadlocks;
-    error_configs = !errors;
-    log =
-      {
-        Step.accesses = List.concat (List.rev live.accesses);
-        Step.allocs = List.concat (List.rev live.allocs);
-      };
-  }
+  let boundary st =
+    let time_due =
+      match cadence.every_s with
+      | Some s -> Unix.gettimeofday () -. !last_save >= s
+      | None -> false
+    in
+    if !since_save >= cadence.every_configs || time_due then begin
+      save ~path ctx st;
+      since_save := 0;
+      last_save := Unix.gettimeofday ()
+    end;
+    incr since_save
+  in
+  let r =
+    Space.generate ?max_configs ?budget ?probe ~boundary ~site:"checkpoint"
+      ~admit:Space.no_revisits ~expand:Space.all_actions ctx st
+  in
+  if not (Budget.is_complete r.Space.status) then save ~path ctx st;
+  r
 
 let full ?max_configs ?budget ?probe ?(cadence = default_cadence) ~path ctx =
-  run ?max_configs ?budget ?probe ~cadence ~path ctx (fresh ctx)
+  run ?max_configs ?budget ?probe ~cadence ~path ctx (Space.start ctx ())
 
 let resume ?max_configs ?budget ?probe ?(cadence = default_cadence) ~path ctx
     =
-  let live = live_of_payload (load_payload ~path ctx) in
+  let st = state_of_payload (load_payload ~path ctx) in
   (* The caller's budget typically dates from process startup, and its
      deadline is an absolute instant fixed at creation — by the time
      the snapshot above is loaded and re-interned, part (or all) of a
      --timeout grant would already be spent.  A resumed run gets the
      full timeout from the point the BFS actually restarts. *)
   Option.iter Budget.refresh_deadline budget;
-  run ?max_configs ?budget ?probe ~cadence ~path ctx live
+  run ?max_configs ?budget ?probe ~cadence ~path ctx st

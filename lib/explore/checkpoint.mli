@@ -1,13 +1,14 @@
 (** Checkpointed state-space generation: {!Space.full} that survives
     being killed.
 
-    The engine is the sequential full-interleaving BFS, iteration for
-    iteration, plus a cadenced serialization of the in-flight state —
-    visited set (as interned digests plus a snapshot of the intern
-    pools behind them, see {!Cobegin_semantics.Intern.snapshot}),
-    frontier, terminal configurations, transition counter and event
-    log — to [path].  Writes are atomic (temp file + rename): a crash
-    mid-write leaves the previous checkpoint intact.
+    The engine is {!Space.generate} with full expansion and a boundary
+    hook that serializes the kernel state ({!Space.state}: visited
+    set, frontier, terminal configurations, transition counter and
+    event log) to [path], together with a snapshot of the intern pools
+    behind the visited set's digests (see
+    {!Cobegin_semantics.Intern.snapshot}).  Writes are atomic (temp
+    file + rename): a crash mid-write leaves the previous checkpoint
+    intact.
 
     {b Determinism contract.}  The BFS is deterministic and saves sit
     at iteration boundaries, so a checkpoint is the exact state of the
@@ -22,11 +23,10 @@
     produced it (a full-width hash of the marshaled AST, combined with
     the model name, is stored in the header); resuming under a
     different program or model, a different format version, or a torn
-    file raises {!Corrupt}.  Format version 2: configurations may carry
-    per-process store buffers (TSO/PSO) and the identity hash binds the
-    model — version-1 files are refused.  Telemetry: [checkpoint.saves] /
-    [checkpoint.restores] counters, [checkpoint.save_ms] /
-    [checkpoint.restore_ms] histograms. *)
+    file raises {!Corrupt}.  Format version 3: the payload is the
+    kernel state itself; older files are refused.  Telemetry:
+    [checkpoint.saves] / [checkpoint.restores] counters,
+    [checkpoint.save_ms] / [checkpoint.restore_ms] histograms. *)
 
 open Cobegin_semantics
 

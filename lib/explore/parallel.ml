@@ -80,13 +80,11 @@ let rec atomic_max cell v =
 (* Per-worker accumulators: mutated only by the owning domain, read by
    the main domain after the join. *)
 type acc = {
-  mutable finals : Config.t list;
-  mutable deadlocks : Config.t list;
-  mutable errors : Config.t list;
+  terminals : Space.terminals;
   mutable evlogs : Step.events list; (* reverse firing order *)
 }
 
-let new_acc () = { finals = []; deadlocks = []; errors = []; evlogs = [] }
+let new_acc () = { terminals = Space.no_terminals (); evlogs = [] }
 
 (* Total order on digests, for schedule-independent terminal lists.
    Compares the flat int tuple; two digests compare equal iff the
@@ -197,47 +195,44 @@ let explore ?(max_configs = 1_000_000) ?budget ?probe ?spans ~jobs ctx
                   end)
       in
       let process c =
-        if Config.is_error c then acc.errors <- c :: acc.errors
-        else if Config.all_terminated c then acc.finals <- c :: acc.finals
-        else
-          match Step.enabled_actions ctx c with
-          | [] -> acc.deadlocks <- c :: acc.deadlocks
-          | _ ->
-              let rec fire_each = function
-                | [] -> ()
-                | a :: rest ->
-                    Atomic.incr transitions;
-                    Metrics.incr m_transitions;
-                    let c', evs = Step.fire_action ctx c a in
-                    acc.evlogs <- evs :: acc.evlogs;
-                    let d' = Config.digest c' in
-                    let shard = shard_of shards d' in
-                    let verdict =
-                      Mutex.protect shard.s_lock (fun () ->
-                          if Config.Digest_tbl.mem shard.s_tbl d' then `Dup
-                          else
-                            match
-                              Budget.config_guard budget
-                                ~configs:(Atomic.get admitted)
-                            with
-                            | Some r -> `Stop r
-                            | None ->
-                                Config.Digest_tbl.replace shard.s_tbl d' ();
-                                Atomic.incr admitted;
-                                `Fresh)
-                    in
-                    (match verdict with
-                    | `Dup -> Metrics.incr m_digest_hits
-                    | `Stop r -> latch r
-                    | `Fresh ->
-                        Metrics.incr m_admitted;
-                        Atomic.incr pending;
-                        atomic_max max_frontier
-                          (Atomic.fetch_and_add queued 1 + 1);
-                        wq_push my c');
-                    if Atomic.get stop = None then fire_each rest
-              in
-              fire_each (expand c)
+        match Space.classify ctx acc.terminals c with
+        | [] -> ()
+        | _ ->
+            let rec fire_each = function
+              | [] -> ()
+              | a :: rest ->
+                  Atomic.incr transitions;
+                  Metrics.incr m_transitions;
+                  let c', evs = Step.fire_action ctx c a in
+                  acc.evlogs <- evs :: acc.evlogs;
+                  let d' = Config.digest c' in
+                  let shard = shard_of shards d' in
+                  let verdict =
+                    Mutex.protect shard.s_lock (fun () ->
+                        if Config.Digest_tbl.mem shard.s_tbl d' then `Dup
+                        else
+                          match
+                            Budget.config_guard budget
+                              ~configs:(Atomic.get admitted)
+                          with
+                          | Some r -> `Stop r
+                          | None ->
+                              Config.Digest_tbl.replace shard.s_tbl d' ();
+                              Atomic.incr admitted;
+                              `Fresh)
+                  in
+                  (match verdict with
+                  | `Dup -> Metrics.incr m_digest_hits
+                  | `Stop r -> latch r
+                  | `Fresh ->
+                      Metrics.incr m_admitted;
+                      Atomic.incr pending;
+                      atomic_max max_frontier
+                        (Atomic.fetch_and_add queued 1 + 1);
+                      wq_push my c');
+                  if Atomic.get stop = None then fire_each rest
+            in
+            fire_each (expand c)
       in
       let rec loop () =
         if not (stopping ()) then begin
@@ -309,56 +304,38 @@ let explore ?(max_configs = 1_000_000) ?budget ?probe ?spans ~jobs ctx
              })
           bt
     | None -> ());
-    let finals = ref [] and deadlocks = ref [] and errors = ref [] in
+    let merged = Space.no_terminals () in
     Array.iter
-      (fun a ->
-        finals := a.finals @ !finals;
-        deadlocks := a.deadlocks @ !deadlocks;
-        errors := a.errors @ !errors)
+      (fun { terminals = t; _ } ->
+        merged.finals <- t.finals @ merged.finals;
+        merged.deadlocks <- t.deadlocks @ merged.deadlocks;
+        merged.errors <- t.errors @ merged.errors)
       accs;
-    (* Truncation drain, mirroring Space.explore: classify the
-       admitted-but-unpopped frontier so a Truncated report doesn't
-       undercount terminals.  Each configuration was admitted (and so
-       enqueued) exactly once, hence counted at most once here. *)
-    if Atomic.get stop <> None then
-      Array.iter
-        (fun wq ->
-          Queue.iter
-            (fun c ->
-              if Config.is_error c then errors := c :: !errors
-              else if Config.all_terminated c then finals := c :: !finals
-              else
-                match Step.enabled_actions ctx c with
-                | [] -> deadlocks := c :: !deadlocks
-                | _ -> ())
-            wq.q)
-        queues;
-    let finals = sort_by_digest !finals
-    and deadlocks = sort_by_digest !deadlocks
-    and errors = sort_by_digest !errors in
+    (* Each configuration was admitted (and so enqueued) exactly once,
+       hence drained at most once. *)
+    let t =
+      if Atomic.get stop = None then merged
+      else
+        Space.drain ctx merged
+          (Seq.concat_map (fun wq -> Queue.to_seq wq.q) (Array.to_seq queues))
+    in
+    t.finals <- sort_by_digest t.finals;
+    t.deadlocks <- sort_by_digest t.deadlocks;
+    t.errors <- sort_by_digest t.errors;
     let logs =
       List.concat_map (fun a -> List.rev a.evlogs) (Array.to_list accs)
     in
-    {
-      Space.status = Budget.status_of (Atomic.get stop);
-      stats =
-        {
-          Space.configurations = Atomic.get admitted;
-          transitions = Atomic.get transitions;
-          max_frontier = Atomic.get max_frontier;
-          finals = List.length finals;
-          deadlocks = List.length deadlocks;
-          errors = List.length errors;
-        };
-      final_configs = finals;
-      deadlock_configs = deadlocks;
-      error_configs = errors;
-      log =
+    Space.assemble
+      ~status:(Budget.status_of (Atomic.get stop))
+      ~configurations:(Atomic.get admitted)
+      ~transitions:(Atomic.get transitions)
+      ~max_frontier:(Atomic.get max_frontier)
+      ~log:
         {
           Step.accesses = List.concat_map (fun e -> e.Step.accesses) logs;
           Step.allocs = List.concat_map (fun e -> e.Step.allocs) logs;
-        };
-    }
+        }
+      t
   end
 
 let full ?max_configs ?budget ?probe ?spans ~jobs ctx =

@@ -21,7 +21,6 @@
 open Cobegin_semantics
 module LS = Value.LocSet
 module Metrics = Cobegin_obs.Metrics
-module Probe = Cobegin_obs.Probe
 
 (* Telemetry: transitions skipped because the process slept.  No-op (one
    branch) while telemetry is disabled. *)
@@ -39,184 +38,78 @@ type stats = {
 
 let new_stats () = { pruned_by_sleep = 0; explored_transitions = 0 }
 
+module PidSet = Set.Make (struct
+  type t = Value.pid
+
+  let compare = Value.compare_pid
+end)
+
 (* Exploration with persistent sets + sleep sets.  The visited table maps
    a configuration to the sleep set (pids) it was first reached with; a
    revisit with a *smaller* sleep set must be re-expanded (standard sleep
    set algorithm), which we approximate by re-expanding when the recorded
    set is not a subset of the new one. *)
-let explore ?(max_configs = 1_000_000) ?budget ?probe ?stats ctx :
-    Space.result =
-  let budget =
-    match budget with Some b -> b | None -> Budget.create ~max_configs ()
-  in
+let explore ?max_configs ?budget ?probe ?stats ctx : Space.result =
   let mctx = Mayaccess.make_ctx ctx.Step.prog in
-  let module PidSet = Set.Make (struct
-    type t = Value.pid
-
-    let compare = Value.compare_pid
-  end) in
-  let visited : PidSet.t Space.ConfigTbl.t = Space.ConfigTbl.create 1024 in
-  let queue = Queue.create () in
-  let finals = ref [] and deadlocks = ref [] and errors = ref [] in
-  let transitions = ref 0 and max_frontier = ref 0 in
-  let accesses = ref [] and allocs = ref [] in
-  let stop = ref None in
-  let pops = ref 0 in
-  let c0 = Step.init ctx in
-  Space.ConfigTbl.add visited c0 PidSet.empty;
-  Queue.add (c0, PidSet.empty) queue;
-  while !stop = None && not (Queue.is_empty queue) do
-    match
-      Budget.check budget
-        ~configs:(Space.ConfigTbl.length visited)
-        ~transitions:!transitions
-    with
-    | Some r -> stop := Some r
-    | None -> (
-    Fault.hit "sleep.pop";
-    incr pops;
-    if
-      Cobegin_obs.Journal.enabled ()
-      && !pops mod Space.journal_every = 0
-    then
-      Cobegin_obs.Journal.emit ~level:Cobegin_obs.Journal.Debug
-        "sleep.progress"
-        [
-          ("pops", Cobegin_obs.Journal.Int !pops);
-          ( "configurations",
-            Cobegin_obs.Journal.Int (Space.ConfigTbl.length visited) );
-          ("frontier", Cobegin_obs.Journal.Int (Queue.length queue));
-          ("transitions", Cobegin_obs.Journal.Int !transitions);
-        ];
-    (match probe with
-    | None -> ()
-    | Some p ->
-        Probe.tick p
-          ~configurations:(Space.ConfigTbl.length visited)
-          ~frontier:(Queue.length queue) ~transitions:!transitions);
-    max_frontier := max !max_frontier (Queue.length queue);
-    let c, sleep = Queue.pop queue in
-    if Config.is_error c then errors := c :: !errors
-    else if Config.all_terminated c then finals := c :: !finals
-    else begin
-      match Step.enabled_actions ctx c with
-      | [] -> deadlocks := c :: !deadlocks
-      | _ ->
-          (* The sleep-set bookkeeping tracks processes by pid, which
-             is only meaningful while a process has exactly one action
-             alternative — under TSO/PSO a pid covers both a statement
-             step and buffer flushes, so sleep pruning is disabled
-             there (sleep sets stay empty; the stubborn layer already
-             degenerated to full expansion). *)
-          let sc = ctx.Step.model = Step.Sc in
-          let chosen = Stubborn.choose_expansion mctx ctx c in
-          let awake =
-            if sc then
-              List.filter
-                (fun a -> not (PidSet.mem (Step.action_pid a) sleep))
-                chosen
-            else chosen
+  (* The sleep-set bookkeeping tracks processes by pid, which is only
+     meaningful while a process has exactly one action alternative —
+     under TSO/PSO a pid covers both a statement step and buffer
+     flushes, so sleep pruning is disabled there (sleep sets stay
+     empty; the stubborn layer already degenerated to full expansion). *)
+  let sc = ctx.Step.model = Step.Sc in
+  let expand c sleep _enabled =
+    let chosen = Stubborn.choose_expansion mctx ctx c in
+    let awake =
+      if sc then
+        List.filter (fun a -> not (PidSet.mem (Step.action_pid a) sleep)) chosen
+      else chosen
+    in
+    let pruned = List.length chosen - List.length awake in
+    Option.iter
+      (fun s -> s.pruned_by_sleep <- s.pruned_by_sleep + pruned)
+      stats;
+    if Metrics.enabled () then Metrics.add m_pruned pruned;
+    (* successor sleeps: inherited sleepers still independent of the
+       fired action, plus earlier awake siblings independent of it (SC
+       only — see above); if everything chosen is asleep the state is
+       fully covered by earlier permutations: nothing fires *)
+    let keep_sleeping fp_a pid =
+      match Config.find_proc pid c with
+      | None -> false
+      | Some q -> independent fp_a (Step.action_footprint ctx c q)
+    in
+    let rec annotate earlier = function
+      | [] -> []
+      | a :: rest ->
+          let fp_a = Step.action_footprint_of ctx c a in
+          let sleep' =
+            if not sc then PidSet.empty
+            else
+              PidSet.union
+                (PidSet.filter (keep_sleeping fp_a) sleep)
+                (PidSet.of_list
+                   (List.filter_map
+                      (fun (b, fb) ->
+                        if independent fp_a fb then Some (Step.action_pid b)
+                        else None)
+                      earlier))
           in
-          Option.iter
-            (fun s ->
-              s.pruned_by_sleep <-
-                s.pruned_by_sleep + (List.length chosen - List.length awake))
-            stats;
-          if Metrics.enabled () then
-            Metrics.add m_pruned (List.length chosen - List.length awake);
-          (* if everything chosen is asleep the state is fully covered by
-             earlier permutations: nothing to do *)
-          let footprints =
-            List.map (fun a -> (a, Step.action_footprint_of ctx c a)) awake
-          in
-          let rec expand earlier = function
-            | [] -> ()
-            | (a, fp_a) :: rest ->
-                incr transitions;
-                Option.iter
-                  (fun s ->
-                    s.explored_transitions <- s.explored_transitions + 1)
-                  stats;
-                let c', evs = Step.fire_action ctx c a in
-                accesses := evs.Step.accesses :: !accesses;
-                allocs := evs.Step.allocs :: !allocs;
-                (* successor sleeps: inherited sleepers still independent
-                   of the fired action, plus earlier awake siblings
-                   independent of it (SC only — see above) *)
-                let sleep' =
-                  if not sc then PidSet.empty
-                  else
-                    let keep_sleeping pid =
-                      match Config.find_proc pid c with
-                      | None -> false
-                      | Some q ->
-                          independent fp_a (Step.action_footprint ctx c q)
-                    in
-                    PidSet.union
-                      (PidSet.filter keep_sleeping sleep)
-                      (PidSet.of_list
-                         (List.filter_map
-                            (fun (b, fb) ->
-                              if independent fp_a fb then
-                                Some (Step.action_pid b)
-                              else None)
-                            earlier))
-                in
-                let d' = Config.digest c' in
-                (match Space.ConfigTbl.find_digest visited d' with
-                | None -> (
-                    match
-                      Budget.config_guard budget
-                        ~configs:(Space.ConfigTbl.length visited)
-                    with
-                    | Some r -> stop := Some r
-                    | None ->
-                        Space.ConfigTbl.add_digest visited d' sleep';
-                        Queue.add (c', sleep') queue)
-                | Some recorded ->
-                    (* revisit with strictly fewer sleepers: re-expand *)
-                    if not (PidSet.subset recorded sleep') then begin
-                      let merged = PidSet.inter recorded sleep' in
-                      Space.ConfigTbl.add_digest visited d' merged;
-                      Queue.add (c', merged) queue
-                    end);
-                (* stop firing siblings once the budget stops the run *)
-                if !stop = None then expand ((a, fp_a) :: earlier) rest
-          in
-          expand [] footprints
-    end)
-  done;
-  (* On truncation, classify the admitted-but-unpopped frontier exactly
-     as the pop would have (no expansion, no new transitions), so a
-     Truncated report doesn't undercount terminals — mirrors
-     Space.explore. *)
-  if !stop <> None then
-    Queue.iter
-      (fun (c, _sleep) ->
-        if Config.is_error c then errors := c :: !errors
-        else if Config.all_terminated c then finals := c :: !finals
-        else
-          match Step.enabled_actions ctx c with
-          | [] -> deadlocks := c :: !deadlocks
-          | _ -> ())
-      queue;
-  {
-    Space.status = Budget.status_of !stop;
-    stats =
-      {
-        Space.configurations = Space.ConfigTbl.length visited;
-        transitions = !transitions;
-        max_frontier = !max_frontier;
-        finals = List.length !finals;
-        deadlocks = List.length !deadlocks;
-        errors = List.length !errors;
-      };
-    final_configs = !finals;
-    deadlock_configs = !deadlocks;
-    error_configs = !errors;
-    log =
-      {
-        Step.accesses = List.concat (List.rev !accesses);
-        Step.allocs = List.concat (List.rev !allocs);
-      };
-  }
+          (a, sleep') :: annotate ((a, fp_a) :: earlier) rest
+    in
+    annotate [] awake
+  in
+  (* revisit with strictly fewer sleepers: re-expand *)
+  let admit recorded sleep' =
+    if PidSet.subset recorded sleep' then None
+    else Some (PidSet.inter recorded sleep')
+  in
+  let r =
+    Space.generate ?max_configs ?budget ?probe ~site:"sleep" ~admit ~expand
+      ctx (Space.start ctx PidSet.empty)
+  in
+  Option.iter
+    (fun s ->
+      s.explored_transitions <-
+        s.explored_transitions + r.Space.stats.Space.transitions)
+    stats;
+  r

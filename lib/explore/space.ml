@@ -1,9 +1,11 @@
 (* The state-space generation engine (paper section 2).
 
-   Breadth-first generation of the configuration graph under a pluggable
-   *expansion strategy*: the full strategy fires every enabled process at
-   every configuration; the stubborn strategy (Stubborn) fires only a
-   persistent subset.  The engine accumulates:
+   Breadth-first generation of the configuration graph.  [generate] is
+   the one sequential BFS of the explicit-state engines: the full and
+   stubborn strategies, the sleep-set engine, checkpointed runs and the
+   race scan are all parameters of it — a per-state annotation, an
+   expansion, an admission policy for revisits, a visitor and an
+   iteration-boundary hook.  The engine accumulates:
 
      - counts (configurations, transitions, frontier width),
      - terminal configurations: final (all processes done), deadlocks,
@@ -22,8 +24,8 @@ module Journal = Cobegin_obs.Journal
    more than ~0.4% of iterations. *)
 let journal_every = 256
 
-(* Telemetry handles: process-global, shared with Sleep (same loop
-   shape) and no-ops (one branch) while telemetry is disabled. *)
+(* Telemetry handles: process-global, no-ops (one branch) while
+   telemetry is disabled. *)
 let m_expansions = Metrics.counter "space.expansions"
 let m_transitions = Metrics.counter "space.transitions"
 let m_digest_hits = Metrics.counter "space.digest_hits"
@@ -68,135 +70,192 @@ module ConfigTbl = struct
   let find_digest = Config.Digest_tbl.find_opt
 end
 
-(* [expand c] returns the actions to fire at [c]; it must return a
-   subset of the enabled actions, and must be non-empty whenever some
-   action is enabled.  Exhausting the budget stops the generation
-   cleanly: everything visited so far is returned, tagged truncated. *)
-let explore ?(max_configs = 1_000_000) ?budget ?probe ctx ~expand : result =
+type terminals = {
+  mutable finals : Config.t list;
+  mutable deadlocks : Config.t list;
+  mutable errors : Config.t list;
+}
+
+let no_terminals () = { finals = []; deadlocks = []; errors = [] }
+
+let classify ctx t c =
+  if Config.is_error c then begin
+    t.errors <- c :: t.errors;
+    []
+  end
+  else if Config.all_terminated c then begin
+    t.finals <- c :: t.finals;
+    []
+  end
+  else
+    match Step.enabled_actions ctx c with
+    | [] ->
+        t.deadlocks <- c :: t.deadlocks;
+        []
+    | actions -> actions
+
+(* Budget truncation leaves admitted configurations in the frontier
+   that were never popped; without this pass a Truncated report
+   undercounts finals/deadlocks/errors — every one of them counted as a
+   configuration but none as a terminal.  Classify them (no expansion,
+   no new transitions, no new admissions) into a copy, so the caller's
+   record still holds the pre-drain state. *)
+let drain ?(visit = fun _ _ -> ()) ctx t configs =
+  let t = { finals = t.finals; deadlocks = t.deadlocks; errors = t.errors } in
+  Seq.iter (fun c -> visit c (classify ctx t c)) configs;
+  t
+
+let assemble ~status ~configurations ~transitions ~max_frontier ~log t =
+  {
+    status;
+    stats =
+      {
+        configurations;
+        transitions;
+        max_frontier;
+        finals = List.length t.finals;
+        deadlocks = List.length t.deadlocks;
+        errors = List.length t.errors;
+      };
+    final_configs = t.finals;
+    deadlock_configs = t.deadlocks;
+    error_configs = t.errors;
+    log;
+  }
+
+type 'a state = {
+  visited : 'a ConfigTbl.t;
+  queue : (Config.t * 'a) Queue.t;
+  terminals : terminals;
+  mutable transitions : int;
+  mutable max_frontier : int;
+  mutable accesses : Step.access list list; (* reverse firing order *)
+  mutable allocs : Step.alloc list list;
+}
+
+let start ctx a =
+  let visited = ConfigTbl.create 1024 and queue = Queue.create () in
+  let c0 = Step.init ctx in
+  ConfigTbl.add visited c0 a;
+  Queue.add (c0, a) queue;
+  {
+    visited;
+    queue;
+    terminals = no_terminals ();
+    transitions = 0;
+    max_frontier = 0;
+    accesses = [];
+    allocs = [];
+  }
+
+let no_revisits _ _ = None
+let all_actions _ () actions = List.map (fun a -> (a, ())) actions
+
+let generate ?(max_configs = 1_000_000) ?budget ?probe
+    ?(visit = fun _ _ -> ()) ?(boundary = ignore) ?(log = true) ~site ~admit
+    ~expand ctx st : result =
   let budget =
     match budget with Some b -> b | None -> Budget.create ~max_configs ()
   in
-  let visited = ConfigTbl.create 1024 in
-  let queue = Queue.create () in
-  let finals = ref [] and deadlocks = ref [] and errors = ref [] in
-  let transitions = ref 0 and max_frontier = ref 0 in
-  let accesses = ref [] and allocs = ref [] in
+  let pop_site = site ^ ".pop" and progress = site ^ ".progress" in
+  let configurations () = ConfigTbl.length st.visited in
   let stop = ref None in
   let pops = ref 0 in
-  let c0 = Step.init ctx in
-  ConfigTbl.add visited c0 ();
-  Queue.add c0 queue;
-  while !stop = None && not (Queue.is_empty queue) do
+  (* Fire [(action, annotation)] pairs in order; break out as soon as
+     the budget stops the run: the remaining successors must not fire,
+     or transitions and event logs inflate past the stop. *)
+  let rec fire_each c = function
+    | [] -> ()
+    | (action, a') :: rest ->
+        st.transitions <- st.transitions + 1;
+        if log then Metrics.incr m_transitions;
+        let c', evs = Step.fire_action ctx c action in
+        if log then begin
+          st.accesses <- evs.Step.accesses :: st.accesses;
+          st.allocs <- evs.Step.allocs :: st.allocs
+        end;
+        let d' = Config.digest c' in
+        (match ConfigTbl.find_digest st.visited d' with
+        | Some recorded -> (
+            match admit recorded a' with
+            | None -> if log then Metrics.incr m_digest_hits
+            | Some merged ->
+                ConfigTbl.add_digest st.visited d' merged;
+                Queue.add (c', merged) st.queue)
+        | None -> (
+            match Budget.config_guard budget ~configs:(configurations ()) with
+            | Some r -> stop := Some r
+            | None ->
+                if log then Metrics.incr m_admitted;
+                ConfigTbl.add_digest st.visited d' a';
+                Queue.add (c', a') st.queue));
+        if !stop = None then fire_each c rest
+  in
+  while !stop = None && not (Queue.is_empty st.queue) do
     match
-      Budget.check budget ~configs:(ConfigTbl.length visited)
-        ~transitions:!transitions
+      Budget.check budget ~configs:(configurations ())
+        ~transitions:st.transitions
     with
     | Some r -> stop := Some r
     | None -> (
-        Fault.hit "space.pop";
+        boundary st;
+        Fault.hit pop_site;
         incr pops;
         if Journal.enabled () && !pops mod journal_every = 0 then
-          Journal.emit ~level:Journal.Debug "space.progress"
+          Journal.emit ~level:Journal.Debug progress
             [
               ("pops", Journal.Int !pops);
-              ("configurations", Journal.Int (ConfigTbl.length visited));
-              ("frontier", Journal.Int (Queue.length queue));
-              ("transitions", Journal.Int !transitions);
+              ("configurations", Journal.Int (configurations ()));
+              ("frontier", Journal.Int (Queue.length st.queue));
+              ("transitions", Journal.Int st.transitions);
             ];
         (match probe with
         | None -> ()
         | Some p ->
-            Probe.tick p
-              ~configurations:(ConfigTbl.length visited)
-              ~frontier:(Queue.length queue) ~transitions:!transitions);
-        Metrics.incr m_expansions;
-        if Metrics.enabled () then begin
-          Metrics.set g_frontier (Queue.length queue);
-          Metrics.set g_visited (ConfigTbl.length visited)
+            Probe.tick p ~configurations:(configurations ())
+              ~frontier:(Queue.length st.queue) ~transitions:st.transitions);
+        if log then begin
+          Metrics.incr m_expansions;
+          if Metrics.enabled () then begin
+            Metrics.set g_frontier (Queue.length st.queue);
+            Metrics.set g_visited (configurations ())
+          end
         end;
-        max_frontier := max !max_frontier (Queue.length queue);
-        let c = Queue.pop queue in
-        if Config.is_error c then errors := c :: !errors
-        else if Config.all_terminated c then finals := c :: !finals
-        else
-          match Step.enabled_actions ctx c with
-          | [] -> deadlocks := c :: !deadlocks
-          | _ ->
-              (* break out of the expansion as soon as the budget stops
-                 the run: the remaining successors must not fire, or
-                 transitions and event logs inflate past the stop *)
-              let rec fire_each = function
-                | [] -> ()
-                | a :: rest ->
-                    incr transitions;
-                    Metrics.incr m_transitions;
-                    let c', evs = Step.fire_action ctx c a in
-                    accesses := evs.Step.accesses :: !accesses;
-                    allocs := evs.Step.allocs :: !allocs;
-                    let d' = Config.digest c' in
-                    (if ConfigTbl.mem_digest visited d' then
-                       Metrics.incr m_digest_hits
-                     else
-                       match
-                         Budget.config_guard budget
-                           ~configs:(ConfigTbl.length visited)
-                       with
-                       | Some r -> stop := Some r
-                       | None ->
-                           Metrics.incr m_admitted;
-                           ConfigTbl.add_digest visited d' ();
-                           Queue.add c' queue);
-                    if !stop = None then fire_each rest
-              in
-              fire_each (expand c))
+        st.max_frontier <- max st.max_frontier (Queue.length st.queue);
+        let c, a = Queue.pop st.queue in
+        let enabled = classify ctx st.terminals c in
+        visit c enabled;
+        match enabled with [] -> () | _ -> fire_each c (expand c a enabled))
   done;
-  (* Budget truncation: the frontier still holds admitted configurations
-     that were never popped, so without this pass a Truncated report
-     undercounts finals/deadlocks/errors — every one of them counted as
-     a configuration but none as a terminal.  Classify them (no
-     expansion, no new transitions, no new admissions). *)
-  if !stop <> None then
-    Queue.iter
-      (fun c ->
-        if Config.is_error c then errors := c :: !errors
-        else if Config.all_terminated c then finals := c :: !finals
-        else
-          match Step.enabled_actions ctx c with
-          | [] -> deadlocks := c :: !deadlocks
-          | _ -> ())
-      queue;
+  let terminals =
+    if !stop = None then st.terminals
+    else drain ~visit ctx st.terminals (Seq.map fst (Queue.to_seq st.queue))
+  in
   if Journal.enabled () then
-    Journal.emit "space.done"
+    Journal.emit (site ^ ".done")
       [
-        ("configurations", Journal.Int (ConfigTbl.length visited));
-        ("transitions", Journal.Int !transitions);
+        ("configurations", Journal.Int (configurations ()));
+        ("transitions", Journal.Int st.transitions);
         ("complete", Journal.Bool (!stop = None));
       ];
-  {
-    status = Budget.status_of !stop;
-    stats =
+  assemble ~status:(Budget.status_of !stop) ~configurations:(configurations ())
+    ~transitions:st.transitions ~max_frontier:st.max_frontier
+    ~log:
       {
-        configurations = ConfigTbl.length visited;
-        transitions = !transitions;
-        max_frontier = !max_frontier;
-        finals = List.length !finals;
-        deadlocks = List.length !deadlocks;
-        errors = List.length !errors;
-      };
-    final_configs = !finals;
-    deadlock_configs = !deadlocks;
-    error_configs = !errors;
-    log =
-      {
-        Step.accesses = List.concat (List.rev !accesses);
-        Step.allocs = List.concat (List.rev !allocs);
-      };
-  }
+        Step.accesses = List.concat (List.rev st.accesses);
+        Step.allocs = List.concat (List.rev st.allocs);
+      }
+    terminals
+
+let explore ?max_configs ?budget ?probe ctx ~expand : result =
+  generate ?max_configs ?budget ?probe ~site:"space" ~admit:no_revisits
+    ~expand:(fun c () _ -> List.map (fun a -> (a, ())) (expand c))
+    ctx (start ctx ())
 
 (* Ordinary (full interleaving) generation. *)
 let full ?max_configs ?budget ?probe ctx =
-  explore ?max_configs ?budget ?probe ctx ~expand:(fun c ->
-      Step.enabled_actions ctx c)
+  generate ?max_configs ?budget ?probe ~site:"space" ~admit:no_revisits
+    ~expand:all_actions ctx (start ctx ())
 
 (* Canonical set of final stores, for strategy comparisons.  Keyed on
    the hash-consed store id — an int compare per element instead of

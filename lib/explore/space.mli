@@ -2,11 +2,11 @@
 
     Breadth-first construction of the configuration graph of a program
     under a pluggable {e expansion strategy}: [full] fires every enabled
-    process at every configuration; {!Stubborn} and {!Sleep} plug reduced
-    strategies into {!explore}.  The engine accumulates configuration and
-    transition counts, the terminal configurations (final, deadlocked,
-    erroneous) and the merged instrumentation log consumed by the
-    analyses of Cobegin_analysis. *)
+    process at every configuration; {!Stubborn} and {!Sleep} plug
+    reduced strategies into the kernel, {!generate}.  The engine
+    accumulates configuration and transition counts, the terminal
+    configurations (final, deadlocked, erroneous) and the merged
+    instrumentation log consumed by the analyses of Cobegin_analysis. *)
 
 open Cobegin_semantics
 
@@ -49,10 +49,126 @@ module ConfigTbl : sig
 end
 
 val journal_every : int
-(** Sampling period of the journal breadcrumbs: the engines emit one
-    Debug progress event per this many worklist pops (shared by the
-    Space-shaped loops in {!Sleep} and {!Checkpoint}), so an enabled
-    journal costs the ring lock on ~0.4% of iterations. *)
+(** Sampling period of the journal breadcrumbs: {!generate} emits one
+    Debug [<site>.progress] event per this many worklist pops, so an
+    enabled journal costs the ring lock on ~0.4% of iterations. *)
+
+(** {1 The exploration kernel}
+
+    {!generate} is the one sequential BFS of the explicit-state
+    engines.  {!explore}, {!full}, {!Stubborn.explore}, {!Sleep.explore},
+    {!Checkpoint.full}/[resume] and [Race.find] are calls to it that
+    differ only in its parameters.  {!Parallel} keeps its own worker
+    loop but shares {!classify}, {!drain} and {!assemble}. *)
+
+(** Terminal configurations classified so far. *)
+type terminals = {
+  mutable finals : Config.t list;
+  mutable deadlocks : Config.t list;
+  mutable errors : Config.t list;
+}
+
+val no_terminals : unit -> terminals
+
+val classify : Step.ctx -> terminals -> Config.t -> Step.action list
+(** [classify ctx t c] records [c] in [t] when it is terminal (an error,
+    all processes terminated, or nothing enabled) and returns [[]];
+    otherwise it returns the enabled actions of [c]. *)
+
+val drain :
+  ?visit:(Config.t -> Step.action list -> unit) ->
+  Step.ctx ->
+  terminals ->
+  Config.t Seq.t ->
+  terminals
+(** The truncation drain: classify the admitted-but-unpopped frontier
+    (no expansion, no new transitions, no admissions) into a copy of
+    [t], so terminal configurations sitting in the queue still count
+    toward [finals]/[deadlocks]/[errors].  [t] itself is left as it
+    was.  [visit] runs once per drained configuration with what
+    {!classify} returned. *)
+
+val assemble :
+  status:Budget.status ->
+  configurations:int ->
+  transitions:int ->
+  max_frontier:int ->
+  log:Step.events ->
+  terminals ->
+  result
+
+(** The kernel state between two pops.  It is plain data, so
+    {!Checkpoint} marshals it as is (after re-keying the digests of
+    [visited] on restore). *)
+type 'a state = {
+  visited : 'a ConfigTbl.t;
+      (** every admitted configuration with its annotation *)
+  queue : (Config.t * 'a) Queue.t;  (** the frontier, front first *)
+  terminals : terminals;  (** classified popped configurations *)
+  mutable transitions : int;
+  mutable max_frontier : int;
+  mutable accesses : Step.access list list;  (** reverse firing order *)
+  mutable allocs : Step.alloc list list;
+}
+
+val start : Step.ctx -> 'a -> 'a state
+(** A fresh state: the initial configuration admitted and queued with
+    the given annotation. *)
+
+val no_revisits : 'a -> 'a -> 'a option
+(** The admission policy of every engine but {!Sleep}: a configuration
+    is expanded once. *)
+
+val all_actions :
+  Config.t -> unit -> Step.action list -> (Step.action * unit) list
+(** Full expansion: fire every enabled action. *)
+
+val generate :
+  ?max_configs:int ->
+  ?budget:Budget.t ->
+  ?probe:Cobegin_obs.Probe.t ->
+  ?visit:(Config.t -> Step.action list -> unit) ->
+  ?boundary:('a state -> unit) ->
+  ?log:bool ->
+  site:string ->
+  admit:('a -> 'a -> 'a option) ->
+  expand:(Config.t -> 'a -> Step.action list -> (Step.action * 'a) list) ->
+  Step.ctx ->
+  'a state ->
+  result
+(** [generate ~site ~admit ~expand ctx st] runs the BFS from [st] until
+    the frontier is empty or the budget stops it.  Its parameters:
+
+    - the annotation ['a] kept with each visited configuration ([unit],
+      or {!Sleep}'s set of sleeping processes);
+    - [expand c a enabled] returns the actions to fire at the popped
+      non-terminal configuration [c] (annotation [a], enabled actions
+      [enabled]), each with the annotation its successor is offered
+      under.  The actions must be a subset of [enabled]; returning
+      none fires nothing (only an empty [enabled] makes a deadlock);
+    - [admit recorded offered], consulted when a successor was already
+      visited: [Some a] re-records it with [a] and queues it again,
+      [None] drops the revisit ({!no_revisits});
+    - [visit c enabled] runs exactly once per popped or drained queue
+      entry, with [enabled = []] at terminal configurations.  With an
+      admission policy that never re-queues, that is once per admitted
+      configuration: [stats.configurations] times;
+    - [boundary st] runs at each iteration boundary, after the budget
+      check and before the pop, with the state a resumed run would
+      restart from.
+
+    [site] names the run in the fault plan ([<site>.pop], hit once per
+    pop) and in the journal ([<site>.progress], sampled every
+    {!journal_every} pops, and [<site>.done]).  [log] (default [true])
+    keeps the merged event log and counts the run in the [space.*]
+    metrics; [Race.find] turns it off, since its pass re-walks a space
+    whose exploration is accounted for elsewhere and reads no events.
+
+    The budget is [budget], or a fresh one bounding the visited set to
+    [max_configs] (default one million).  Never raises on exhaustion:
+    the partial result comes back tagged [Truncated _], with the
+    frontier classified by {!drain}; [st] then holds the pre-drain
+    state.  [probe] is ticked once per pop. *)
 
 val explore :
   ?max_configs:int ->
@@ -65,15 +181,16 @@ val explore :
     configuration exactly the actions [expand] returns.  [expand] must
     return a subset of the enabled actions, non-empty whenever any
     action is enabled (under {!Step.Sc} actions are exactly the enabled
-    processes; under TSO/PSO they also include buffer flushes).  When [budget] is given it governs the run
-    ([max_configs] is then ignored); otherwise [max_configs] (default
-    one million) bounds the visited set.  Never raises on exhaustion:
-    the partial result comes back with [status = Truncated _], and the
-    admitted-but-unexpanded frontier is still {e classified} — terminal
-    configurations sitting in the queue count toward
-    [finals]/[deadlocks]/[errors] (without firing anything).  When
-    [probe] is given it is ticked once per worklist pop — the same
-    cadence as [Budget.check] — so long runs emit live progress. *)
+    processes; under TSO/PSO they also include buffer flushes).  When
+    [budget] is given it governs the run ([max_configs] is then
+    ignored); otherwise [max_configs] (default one million) bounds the
+    visited set.  Never raises on exhaustion: the partial result comes
+    back with [status = Truncated _], and the admitted-but-unexpanded
+    frontier is still {e classified} — terminal configurations sitting
+    in the queue count toward [finals]/[deadlocks]/[errors] (without
+    firing anything).  When [probe] is given it is ticked once per
+    worklist pop — the same cadence as [Budget.check] — so long runs
+    emit live progress. *)
 
 val full :
   ?max_configs:int ->

@@ -309,7 +309,7 @@ let rec worker_loop t q lock cond =
       serve_connection t fd;
       worker_loop t q lock cond
 
-let run t =
+let run ?(on_listening = ignore) t =
   (try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore)
    with Invalid_argument _ -> ());
   (try Unix.unlink t.cfg.socket with Unix.Unix_error _ -> ());
@@ -321,6 +321,7 @@ let run t =
   @@ fun () ->
   Unix.bind sock (Unix.ADDR_UNIX t.cfg.socket);
   Unix.listen sock 64;
+  on_listening ();
   let q = Queue.create () in
   let lock = Mutex.create () in
   let cond = Condition.create () in

@@ -87,9 +87,10 @@ val handle_line : t -> string -> string * bool
     the daemon to shut down.  This is the whole protocol — {!run} is
     only sockets around it — and what the tests drive directly. *)
 
-val run : t -> unit
-(** Bind the socket (unlinking any stale one), spawn the worker pool,
-    and serve until a shutdown request.  Removes the socket file on
+val run : ?on_listening:(unit -> unit) -> t -> unit
+(** Bind the socket (unlinking any stale one), call [on_listening] once
+    it accepts connections, spawn the worker pool, and serve until a
+    shutdown request.  Removes the socket file on
     the way out.  SIGPIPE is ignored (a client hanging up mid-response
     must not kill the daemon). *)
 

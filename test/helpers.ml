@@ -40,6 +40,14 @@ let check_string = Alcotest.(check string)
 
 let case name f = Alcotest.test_case name `Quick f
 
+(* Install a fault plan for the duration of [f]; counters reset on
+   install so cases cannot leak hits into each other. *)
+let with_chaos spec f =
+  (match Fault.parse spec with
+  | Ok plan -> Fault.install plan
+  | Error e -> Alcotest.failf "bad test chaos spec %S: %s" spec e);
+  Fun.protect ~finally:Fault.clear f
+
 (* A minimal JSON validity checker (the container ships no JSON
    library): recursive descent over the grammar, accepting iff the whole
    input is one well-formed value.  Shared by the obs and report suites

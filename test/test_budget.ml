@@ -86,10 +86,10 @@ let stage_isolation_tests =
     case "a crashing stage yields a diagnostic, not an abort" (fun () ->
         let boom = "injected fault" in
         let report =
-          Pipeline.analyze
-            ~stage_hook:(fun stage ->
-              if stage = "lifetimes" then failwith boom)
-            (parse Cobegin_models.Figures.fig2)
+          with_chaos "crash@pipeline.lifetimes:1" (fun () ->
+              Pipeline.analyze
+                ~options:{ Pipeline.default_options with retries = 0 }
+                (parse Cobegin_models.Figures.fig2))
         in
         match report.Pipeline.stage_failures with
         | [ f ] ->
@@ -112,10 +112,10 @@ let stage_isolation_tests =
         | _ -> Alcotest.fail "expected exactly one stage failure");
     case "a crashing exploration still yields a report" (fun () ->
         let report =
-          Pipeline.analyze
-            ~stage_hook:(fun stage ->
-              if stage = "exploration" then failwith "engine down")
-            (parse Cobegin_models.Figures.fig2)
+          with_chaos "crash@pipeline.exploration:1" (fun () ->
+              Pipeline.analyze
+                ~options:{ Pipeline.default_options with retries = 0 }
+                (parse Cobegin_models.Figures.fig2))
         in
         check_bool "failure recorded" true
           (List.exists

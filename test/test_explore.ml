@@ -388,7 +388,51 @@ let mayaccess_tests =
           (Mayaccess.conflicts_footprint c.Sem.Config.store fp summary));
   ]
 
+(* The kernel's visitor contract: with an admission policy that never
+   re-queues, it runs once per admitted configuration — popped, or
+   drained from the frontier of a truncated run. *)
+let visitor_tests =
+  let visits ?max_configs expand src =
+    let ctx = ctx_of src in
+    let n = ref 0 in
+    let r =
+      Space.generate ?max_configs ~visit:(fun _ _ -> incr n) ~site:"space"
+        ~admit:Space.no_revisits ~expand:(expand ctx) ctx
+        (Space.start ctx ())
+    in
+    (!n, r)
+  in
+  let full _ = Space.all_actions in
+  let stubborn ctx =
+    let mctx = Mayaccess.make_ctx ctx.Cobegin_semantics.Step.prog in
+    fun c () _ ->
+      List.map (fun a -> (a, ())) (Stubborn.choose_expansion mctx ctx c)
+  in
+  [
+    case "the visitor runs once per configuration, complete or truncated"
+      (fun () ->
+        List.iter
+          (fun (name, src) ->
+            List.iter
+              (fun (strategy, expand) ->
+                let n, r = visits expand src in
+                let configs = r.Space.stats.Space.configurations in
+                check_int (name ^ " " ^ strategy) configs n;
+                List.iter
+                  (fun max_configs ->
+                    let n, r = visits ~max_configs expand src in
+                    let label =
+                      Printf.sprintf "%s %s at %d" name strategy max_configs
+                    in
+                    check_bool (label ^ " truncated") false
+                      (Budget.is_complete r.Space.status);
+                    check_int label r.Space.stats.Space.configurations n)
+                  (List.filter (fun m -> m < configs) [ 2; 5; configs / 2 ]))
+              [ ("full", full); ("stubborn", stubborn) ])
+          Cobegin_models.Corpus.all);
+  ]
+
 let suite =
   count_tests @ all_figures_agree @ property_tests @ composition_tests
   @ forktree_tests @ trace_tests @ sleep_tests @ replay_tests
-  @ mayaccess_tests
+  @ mayaccess_tests @ visitor_tests

@@ -18,14 +18,6 @@ open Cobegin_explore
 open Cobegin_core
 open Helpers
 
-(* Install a plan for the duration of [f]; counters reset on install so
-   cases cannot leak hits into each other. *)
-let with_chaos spec f =
-  (match Fault.parse spec with
-  | Ok plan -> Fault.install plan
-  | Error e -> Alcotest.failf "bad test chaos spec %S: %s" spec e);
-  Fun.protect ~finally:Fault.clear f
-
 (* Run [f] on a spawned domain and fail the test if it does not finish
    within [seconds] — the no-hang guarantee of the harness is exactly
    what this file exists to check, so waiting forever is not an option. *)

@@ -106,11 +106,11 @@ let lint_stage_tests =
         check_bool "no static report" true (report.Pipeline.static = None));
     case "a crashing lint stage degrades, not aborts" (fun () ->
         let report =
-          Pipeline.analyze
-            ~options:{ Pipeline.default_options with lint = true }
-            ~stage_hook:(fun s ->
-              if s = "static-lint" then failwith "injected")
-            (parse Cobegin_models.Figures.mutex)
+          with_chaos "crash@pipeline.static-lint:1" (fun () ->
+              Pipeline.analyze
+                ~options:
+                  { Pipeline.default_options with lint = true; retries = 0 }
+                (parse Cobegin_models.Figures.mutex))
         in
         check_bool "static report absent" true (report.Pipeline.static = None);
         check_bool "failure recorded" true
@@ -252,6 +252,91 @@ let model_support_tests =
           (report.Pipeline.stats.Pipeline.errors > 0));
   ]
 
+(* The sequential full engine runs the race scan as a visitor of its own
+   BFS; the stubborn engine keeps a standalone full pass.  Both must
+   report exactly what a standalone Race.find reports under the same
+   budget — race set and status — complete or truncated. *)
+let race_fold_tests =
+  let module Race = Cobegin_analysis.Race in
+  let module Step = Cobegin_semantics.Step in
+  let pipeline ?(engine = Pipeline.Concrete_full) ?(max_configs = 500_000)
+      ?(model = Step.Sc) prog =
+    let r =
+      Pipeline.analyze
+        ~options:
+          {
+            Pipeline.default_options with
+            engine;
+            find_races = true;
+            max_configs;
+            memory_model = model;
+          }
+        prog
+    in
+    (Option.get r.Pipeline.races, r.Pipeline.status)
+  in
+  let standalone ?(max_configs = 500_000) ?(model = Step.Sc) prog =
+    let r = Race.find ~max_configs (Step.make_ctx ~model prog) in
+    (r.Race.races, r.Race.status)
+  in
+  let same (r1, s1) (r2, s2) = Race.RaceSet.equal r1 r2 && s1 = s2 in
+  [
+    case "folded races equal Race.find on the corpus under sc/tso/pso"
+      (fun () ->
+        List.iter
+          (fun (name, src) ->
+            let prog = parse src in
+            List.iter
+              (fun model ->
+                check_bool
+                  (Printf.sprintf "%s under %s" name (Step.model_name model))
+                  true
+                  (same (pipeline ~model prog) (standalone ~model prog)))
+              [ Step.Sc; Step.Tso; Step.Pso ])
+          Cobegin_models.Corpus.all);
+    case "folded races equal the stubborn engine's standalone pass"
+      (fun () ->
+        List.iter
+          (fun (name, src) ->
+            let prog = parse src in
+            check_bool name true
+              (same (pipeline prog)
+                 (pipeline ~engine:Pipeline.Concrete_stubborn prog)))
+          Cobegin_models.Corpus.all;
+        let fig5 = parse Cobegin_models.Figures.fig5 in
+        List.iter
+          (fun max_configs ->
+            let folded = pipeline ~max_configs fig5 in
+            let label = Printf.sprintf "fig5 at max_configs %d" max_configs in
+            check_bool (label ^ ": stubborn") true
+              (same folded
+                 (pipeline ~engine:Pipeline.Concrete_stubborn ~max_configs
+                    fig5));
+            check_bool (label ^ ": Race.find") true
+              (same folded (standalone ~max_configs fig5)))
+          [ 5; 50; 200 ]);
+    case "the stubborn engine's races cover what its persistent sets skip"
+      (fun () ->
+        (* the looping process is a singleton persistent set at every
+           step, so the stubborn exploration never reaches the two
+           poised writes of x; its standalone full pass still does *)
+        let prog =
+          parse
+            "proc main() { var x = 0; cobegin { var t = 0; while (true) { \
+             t = 1 - t; } } { var a = 0; x = 1; } { var b = 0; x = 2; } \
+             coend; }"
+        in
+        let stubborn = pipeline ~engine:Pipeline.Concrete_stubborn prog in
+        check_bool "a write/write race on x" true
+          (Race.RaceSet.exists (fun r -> r.Race.write_write) (fst stubborn));
+        check_bool "same as the full engine" true
+          (same stubborn (pipeline prog)));
+    qtest ~count:30 "random programs: folded races equal Race.find" seed_gen
+      (fun seed ->
+        let prog = random_program seed in
+        same (pipeline prog) (standalone prog));
+  ]
+
 let suite =
   integration_tests @ lint_stage_tests @ stubborn_vs_full_analysis
-  @ exit_code_tests @ model_support_tests
+  @ exit_code_tests @ model_support_tests @ race_fold_tests
