@@ -8,11 +8,11 @@
 
    On-disk format: a magic string, then a Marshal'd header (format
    version + full-width hash of the marshaled program), then a
-   Marshal'd payload: a snapshot of the intern pools and the kernel
-   state.  The visited set is keyed by digests, which are ids into
-   process-local pools, so the restoring process re-interns the
-   snapshotted representations and re-keys every saved digest
-   (Config.digest_of_ids) before use.  Frontier and terminal
+   Marshal'd payload: the intern-pool entries the visited set uses and
+   the kernel state.  The visited set is keyed by digests, which are
+   ids into process-local pools, so the restoring process re-interns
+   the snapshotted components and re-keys every saved digest
+   (Config.digest_of_ids) before use.  Frontier, terminal and remainder
    configurations are marshaled structurally — they are pure data.
 
    Writes go to a temp file renamed into place, so a crash mid-write
@@ -40,11 +40,14 @@ let default_cadence = { every_configs = 4096; every_s = None }
 
 let magic = "COBEGIN-CKPT\n"
 
-(* Version 3: the payload is the kernel state (Space.state) itself.
-   Version 2 added per-process store buffers (TSO/PSO) and bound the
-   memory model into the identity hash.  Older files are refused with
-   [Corrupt]. *)
-let version = 3
+(* Version 4: the intern snapshot holds the live processes, stores and
+   counter maps the visited set uses (not the whole pools), and the
+   kernel state keeps the remainder of an expansion a configuration
+   budget cut short.  Version 3 made the payload the kernel state
+   (Space.state) itself.  Version 2 added per-process store buffers
+   (TSO/PSO) and bound the memory model into the identity hash.  Older
+   files are refused with [Corrupt]. *)
+let version = 4
 
 type header = { hd_version : int; hd_program_hash : int }
 
@@ -66,12 +69,24 @@ let progress_fields (st : unit Space.state) =
     ("transitions", Journal.Int st.Space.transitions);
   ]
 
+(* The pool entries the visited set's digests use. *)
+let snapshot (st : unit Space.state) =
+  let procs = ref [] and stores = ref [] and counters = ref [] in
+  let errors = ref [] in
+  Config.Digest_tbl.iter
+    (fun (d : Config.digest) () ->
+      procs := Array.fold_left (fun l i -> i :: l) !procs d.d_procs;
+      stores := d.d_store :: !stores;
+      counters := d.d_counters :: !counters;
+      if d.d_error >= 0 then errors := d.d_error :: !errors)
+    st.Space.visited;
+  Intern.snapshot (Intern.global ()) ~procs:!procs ~stores:!stores
+    ~counters:!counters ~errors:!errors
+
 let save ~path ctx st =
   Fault.hit "checkpoint.save";
   let t0 = Unix.gettimeofday () in
-  let payload =
-    { ck_pools = Intern.snapshot (Intern.global ()); ck_state = st }
-  in
+  let payload = { ck_pools = snapshot st; ck_state = st } in
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
   (try
@@ -152,7 +167,9 @@ let state_of_payload (p : payload) =
    truncated run also saves its final pre-drain state, so it can be
    resumed later with a larger budget; the drain classifies the
    frontier without popping it, and a resumed run re-classifies those
-   same configurations itself. *)
+   same configurations itself.  When a configuration budget stopped
+   the run in the middle of an expansion, that state carries the
+   expansion's remainder, and the resumed run fires it first. *)
 let run ?max_configs ?budget ?probe ~cadence ~path ctx st : Space.result =
   let since_save = ref 0 in
   let last_save = ref (Unix.gettimeofday ()) in

@@ -4,8 +4,8 @@
     The engine is {!Space.generate} with full expansion and a boundary
     hook that serializes the kernel state ({!Space.state}: visited
     set, frontier, terminal configurations, transition counter and
-    event log) to [path], together with a snapshot of the intern pools
-    behind the visited set's digests (see
+    event log) to [path], together with the intern-pool entries behind
+    the visited set's digests (see
     {!Cobegin_semantics.Intern.snapshot}).  Writes are atomic (temp
     file + rename): a crash mid-write leaves the previous checkpoint
     intact.
@@ -17,14 +17,19 @@
     final statistics — configurations, transitions, max_frontier,
     finals, deadlocks, errors — and identical final stores, as the run
     that was never killed.  A truncated run also saves its final state,
-    so it can be resumed under a larger budget.
+    so it can be resumed under a larger budget; when a configuration
+    budget cut an expansion short, the state keeps the unfired remainder
+    ({!Space.remainder}) and the resumed run fires it first, so it too
+    ends with the uninterrupted run's statistics.
 
     A checkpoint is bound to the program {e and memory model} that
     produced it (a full-width hash of the marshaled AST, combined with
     the model name, is stored in the header); resuming under a
     different program or model, a different format version, or a torn
-    file raises {!Corrupt}.  Format version 3: the payload is the
-    kernel state itself; older files are refused.  Telemetry:
+    file raises {!Corrupt}.  Format version 4: the payload is the
+    kernel state itself, with its remainder, and the live processes,
+    stores and counter maps its digests use; older files are
+    refused.  Telemetry:
     [checkpoint.saves] / [checkpoint.restores] counters,
     [checkpoint.save_ms] / [checkpoint.restore_ms] histograms. *)
 

@@ -197,7 +197,7 @@ let explore ?(max_configs = 1_000_000) ?budget ?probe ?spans ~jobs ctx
       let process c =
         match Space.classify ctx acc.terminals c with
         | [] -> ()
-        | _ ->
+        | enabled ->
             let rec fire_each = function
               | [] -> ()
               | a :: rest ->
@@ -232,7 +232,7 @@ let explore ?(max_configs = 1_000_000) ?budget ?probe ?spans ~jobs ctx
                       wq_push my c');
                   if Atomic.get stop = None then fire_each rest
             in
-            fire_each (expand c)
+            fire_each (expand c enabled)
       in
       let rec loop () =
         if not (stopping ()) then begin
@@ -339,5 +339,5 @@ let explore ?(max_configs = 1_000_000) ?budget ?probe ?spans ~jobs ctx
   end
 
 let full ?max_configs ?budget ?probe ?spans ~jobs ctx =
-  explore ?max_configs ?budget ?probe ?spans ~jobs ctx ~expand:(fun c ->
-      Step.enabled_actions ctx c)
+  explore ?max_configs ?budget ?probe ?spans ~jobs ctx
+    ~expand:(fun _ enabled -> enabled)

@@ -46,12 +46,14 @@ val explore :
   ?spans:Cobegin_obs.Span.t ->
   jobs:int ->
   Step.ctx ->
-  expand:(Config.t -> Step.action list) ->
+  expand:(Config.t -> Step.action list -> Step.action list) ->
   Space.result
 (** [explore ~jobs ctx ~expand] generates the configuration graph on
     [jobs] domains.  [jobs <= 1] delegates to {!Space.explore} — the
-    sequential engine, byte-for-byte.  [expand] must be a {e pure}
-    function of the configuration (the full-interleaving expansion is;
+    sequential engine, byte-for-byte.  As there, [expand c enabled]
+    receives the enabled actions {!Space.classify} computed.  [expand]
+    must be a {e pure} function of its arguments (the full-interleaving
+    expansion is;
     strategies with mutable selection state, e.g. {!Sleep}, are not and
     stay sequential).  When [budget] is omitted, one is created with
     [max_configs] in shared (multi-domain) mode; a caller-supplied

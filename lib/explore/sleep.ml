@@ -57,8 +57,8 @@ let explore ?max_configs ?budget ?probe ?stats ctx : Space.result =
      flushes, so sleep pruning is disabled there (sleep sets stay
      empty; the stubborn layer already degenerated to full expansion). *)
   let sc = ctx.Step.model = Step.Sc in
-  let expand c sleep _enabled =
-    let chosen = Stubborn.choose_expansion mctx ctx c in
+  let expand c sleep enabled =
+    let chosen = Stubborn.choose_expansion mctx ctx c enabled in
     let awake =
       if sc then
         List.filter (fun a -> not (PidSet.mem (Step.action_pid a) sleep)) chosen

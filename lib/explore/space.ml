@@ -123,6 +123,12 @@ let assemble ~status ~configurations ~transitions ~max_frontier ~log t =
     log;
   }
 
+type 'a remainder = {
+  r_config : Config.t;
+  r_refused : Config.t * 'a;
+  r_actions : (Step.action * 'a) list;
+}
+
 type 'a state = {
   visited : 'a ConfigTbl.t;
   queue : (Config.t * 'a) Queue.t;
@@ -131,6 +137,7 @@ type 'a state = {
   mutable max_frontier : int;
   mutable accesses : Step.access list list; (* reverse firing order *)
   mutable allocs : Step.alloc list list;
+  mutable remainder : 'a remainder option;
 }
 
 let start ctx a =
@@ -146,6 +153,7 @@ let start ctx a =
     max_frontier = 0;
     accesses = [];
     allocs = [];
+    remainder = None;
   }
 
 let no_revisits _ _ = None
@@ -174,23 +182,38 @@ let generate ?(max_configs = 1_000_000) ?budget ?probe
           st.accesses <- evs.Step.accesses :: st.accesses;
           st.allocs <- evs.Step.allocs :: st.allocs
         end;
-        let d' = Config.digest c' in
-        (match ConfigTbl.find_digest st.visited d' with
-        | Some recorded -> (
-            match admit recorded a' with
-            | None -> if log then Metrics.incr m_digest_hits
-            | Some merged ->
-                ConfigTbl.add_digest st.visited d' merged;
-                Queue.add (c', merged) st.queue)
-        | None -> (
-            match Budget.config_guard budget ~configs:(configurations ()) with
-            | Some r -> stop := Some r
-            | None ->
-                if log then Metrics.incr m_admitted;
-                ConfigTbl.add_digest st.visited d' a';
-                Queue.add (c', a') st.queue));
-        if !stop = None then fire_each c rest
+        offer c (c', a') rest
+  (* Admit the fired successor [c'] of [c], then fire [rest].  When the
+     budget refuses [c'], the state keeps [c'] and [rest] as the
+     remainder of [c]'s expansion, for a resumed run to finish. *)
+  and offer c (c', a') rest =
+    let d' = Config.digest c' in
+    (match ConfigTbl.find_digest st.visited d' with
+    | Some recorded -> (
+        match admit recorded a' with
+        | None -> if log then Metrics.incr m_digest_hits
+        | Some merged ->
+            ConfigTbl.add_digest st.visited d' merged;
+            Queue.add (c', merged) st.queue)
+    | None -> (
+        match Budget.config_guard budget ~configs:(configurations ()) with
+        | Some r ->
+            stop := Some r;
+            st.remainder <-
+              Some { r_config = c; r_refused = (c', a'); r_actions = rest }
+        | None ->
+            if log then Metrics.incr m_admitted;
+            ConfigTbl.add_digest st.visited d' a';
+            Queue.add (c', a') st.queue));
+    if !stop = None then fire_each c rest
   in
+  (* A state saved by a run the budget cut mid-expansion: finish that
+     expansion first, as the uninterrupted run did before its next pop. *)
+  Option.iter
+    (fun r ->
+      st.remainder <- None;
+      offer r.r_config r.r_refused r.r_actions)
+    st.remainder;
   while !stop = None && not (Queue.is_empty st.queue) do
     match
       Budget.check budget ~configs:(configurations ())
@@ -249,7 +272,8 @@ let generate ?(max_configs = 1_000_000) ?budget ?probe
 
 let explore ?max_configs ?budget ?probe ctx ~expand : result =
   generate ?max_configs ?budget ?probe ~site:"space" ~admit:no_revisits
-    ~expand:(fun c () _ -> List.map (fun a -> (a, ())) (expand c))
+    ~expand:(fun c () enabled ->
+      List.map (fun a -> (a, ())) (expand c enabled))
     ctx (start ctx ())
 
 (* Ordinary (full interleaving) generation. *)

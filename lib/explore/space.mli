@@ -97,6 +97,15 @@ val assemble :
   terminals ->
   result
 
+(** The part of an expansion a configuration budget cut short: the
+    successor that fired but was refused admission, and the actions
+    that never fired. *)
+type 'a remainder = {
+  r_config : Config.t;  (** the configuration being expanded *)
+  r_refused : Config.t * 'a;  (** its refused successor, already fired *)
+  r_actions : (Step.action * 'a) list;  (** its actions still to fire *)
+}
+
 (** The kernel state between two pops.  It is plain data, so
     {!Checkpoint} marshals it as is (after re-keying the digests of
     [visited] on restore). *)
@@ -109,6 +118,10 @@ type 'a state = {
   mutable max_frontier : int;
   mutable accesses : Step.access list list;  (** reverse firing order *)
   mutable allocs : Step.alloc list list;
+  mutable remainder : 'a remainder option;
+      (** set when {!Budget.config_guard} stopped the run in the middle
+          of an expansion; {!generate} finishes it before its first pop,
+          so a resumed run fires exactly what the uninterrupted run did *)
 }
 
 val start : Step.ctx -> 'a -> 'a state
@@ -157,6 +170,9 @@ val generate :
       check and before the pop, with the state a resumed run would
       restart from.
 
+    A state with a [remainder] has the remainder offered and fired
+    first, before the first budget check.
+
     [site] names the run in the fault plan ([<site>.pop], hit once per
     pop) and in the journal ([<site>.progress], sampled every
     {!journal_every} pops, and [<site>.done]).  [log] (default [true])
@@ -175,13 +191,14 @@ val explore :
   ?budget:Budget.t ->
   ?probe:Cobegin_obs.Probe.t ->
   Step.ctx ->
-  expand:(Config.t -> Step.action list) ->
+  expand:(Config.t -> Step.action list -> Step.action list) ->
   result
 (** [explore ctx ~expand] generates the graph, firing at each
-    configuration exactly the actions [expand] returns.  [expand] must
-    return a subset of the enabled actions, non-empty whenever any
-    action is enabled (under {!Step.Sc} actions are exactly the enabled
-    processes; under TSO/PSO they also include buffer flushes).  When
+    configuration [c] exactly the actions [expand c enabled] returns,
+    where [enabled] is the non-empty list {!classify} computed (under
+    {!Step.Sc} actions are exactly the enabled processes; under TSO/PSO
+    they also include buffer flushes).  [expand] must return a non-empty
+    subset of [enabled].  When
     [budget] is given it governs the run ([max_configs] is then
     ignored); otherwise [max_configs] (default one million) bounds the
     visited set.  Never raises on exhaustion: the partial result comes

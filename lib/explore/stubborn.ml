@@ -48,8 +48,8 @@ let union parent i j =
   let ri = find parent i and rj = find parent j in
   if ri <> rj then parent.(ri) <- rj
 
-let choose_procs ?stats mctx ctx (c : Config.t) : Proc.t list =
-  let enabled = Step.enabled_processes ctx c in
+let choose_procs ?stats mctx ctx (c : Config.t) (enabled : Proc.t list) :
+    Proc.t list =
   match enabled with
   | [] -> []
   | [ _ ] ->
@@ -177,11 +177,17 @@ let choose_procs ?stats mctx ctx (c : Config.t) : Proc.t list =
    which conflict with every future access of their locations.  Under
    TSO/PSO we therefore degenerate to full expansion — sound, no
    reduction — and count every such step as a full expansion. *)
-let choose_expansion ?stats mctx ctx (c : Config.t) : Step.action list =
+let choose_expansion ?stats mctx ctx (c : Config.t)
+    (actions : Step.action list) : Step.action list =
   match ctx.Step.model with
-  | Step.Sc -> List.map (fun p -> Step.Arun p) (choose_procs ?stats mctx ctx c)
+  | Step.Sc ->
+      let enabled =
+        List.filter_map
+          (function Step.Arun p -> Some p | Step.Aflush _ -> None)
+          actions
+      in
+      List.map (fun p -> Step.Arun p) (choose_procs ?stats mctx ctx c enabled)
   | Step.Tso | Step.Pso ->
-      let actions = Step.enabled_actions ctx c in
       (match actions with
       | [] -> ()
       | _ ->

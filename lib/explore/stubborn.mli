@@ -30,9 +30,12 @@ val choose_expansion :
   Mayaccess.ctx ->
   Step.ctx ->
   Config.t ->
+  Step.action list ->
   Step.action list
-(** The persistent set fired at one configuration: a non-empty subset of
-    the enabled actions whenever any is enabled.  Under {!Step.Sc} this
+(** [choose_expansion mctx ctx c enabled] is the persistent set fired at
+    [c], given its enabled actions [enabled] (as {!Space.classify}
+    returns them): a non-empty subset of [enabled] whenever [enabled] is
+    non-empty.  Under {!Step.Sc} this
     is a persistent set of processes (as [Arun] actions); under
     TSO/PSO the may-access analysis does not model pending flushes, so
     every step degenerates to full expansion (sound, no reduction). *)

@@ -36,19 +36,29 @@ module Pool (H : Hashtbl.HashedType) = struct
      so the n-th distinct key interned process-wide gets id n-1 — and
      stable: an id, once handed out, never changes or gets reused.
      Uncontended lock/unlock costs a few nanoseconds, noise next to the
-     structural hash of the key. *)
-  type t = { lock : Mutex.t; tbl : int T.t; mutable next : int }
+     structural comparison of the key. *)
+  type t = {
+    lock : Mutex.t;
+    tbl : int T.t;
+    mutable next : int;
+    found : unit -> unit;
+    added : unit -> unit;
+  }
 
-  let create n = { lock = Mutex.create (); tbl = T.create n; next = 0 }
+  let create ?(found = ignore) ?(added = ignore) n =
+    { lock = Mutex.create (); tbl = T.create n; next = 0; found; added }
 
   let intern p k =
     Mutex.protect p.lock (fun () ->
         match T.find_opt p.tbl k with
-        | Some id -> id
+        | Some id ->
+            p.found ();
+            id
         | None ->
             let id = p.next in
             p.next <- id + 1;
             T.add p.tbl k id;
+            p.added ();
             id)
 
   let size p = Mutex.protect p.lock (fun () -> p.next)
@@ -59,42 +69,4 @@ module Pool (H : Hashtbl.HashedType) = struct
   let entries p =
     Mutex.protect p.lock (fun () ->
         T.fold (fun k id acc -> (k, id) :: acc) p.tbl [])
-end
-
-module Phys_memo = struct
-  (* Buckets are keyed by [hash] — full-width when the caller supplies
-     one — and scanned with [==].  Structurally equal but physically
-     distinct keys therefore share a bucket and miss, which is safe.
-     Buckets are capped so a pathological key distribution degrades to
-     misses, not to linear scans.  The generic [Hashtbl.hash] default
-     truncates after ~10 nodes, which collapses deep keys into a
-     handful of buckets and then [bucket_cap] evicts live entries:
-     callers memoizing deep structures must pass a full-width [hash]. *)
-  let bucket_cap = 8
-
-  type ('k, 'v) t = {
-    tbl : (int, ('k * 'v) list) Hashtbl.t;
-    limit : int;
-    hash : 'k -> int;
-  }
-
-  let create ?(limit = 1 lsl 17) ?(hash = Hashtbl.hash) n =
-    { tbl = Hashtbl.create n; limit; hash }
-
-  let find m k =
-    match Hashtbl.find_opt m.tbl (m.hash k) with
-    | None -> None
-    | Some entries ->
-        List.find_map
-          (fun (k', v) -> if k == k' then Some v else None)
-          entries
-
-  let add m k v =
-    if Hashtbl.length m.tbl >= m.limit then Hashtbl.reset m.tbl;
-    let h = m.hash k in
-    let old =
-      match Hashtbl.find_opt m.tbl h with Some l -> l | None -> []
-    in
-    let old = if List.length old >= bucket_cap then [] else old in
-    Hashtbl.replace m.tbl h ((k, v) :: old)
 end

@@ -1,13 +1,13 @@
 (** Full-width structural hashing and hash-consing primitives.
 
     OCaml's generic [Hashtbl.hash] inspects at most ~10 meaningful nodes
-    of its argument, so deep canonical representations (configuration
-    reprs, Petri markings, abstract-machine keys) degenerate into
-    collision chains on anything bigger than a toy program.  This module
-    provides explicit full-width folds — every node of the value
-    contributes to the hash — plus the two building blocks of the
-    interning layer: sequential-id {!Pool}s keyed by structural equality
-    and best-effort physical-identity {!Phys_memo}s. *)
+    of its argument, so deep values (processes, stores, Petri markings,
+    abstract-machine keys) degenerate into collision chains on anything
+    bigger than a toy program.  This module provides explicit full-width
+    folds — every node of the value contributes to the hash — from which
+    processes and stores build the hashes they cache, plus the building
+    block of the interning layer: sequential-id {!Pool}s keyed by
+    structural equality. *)
 
 val combine : int -> int -> int
 (** [combine h k] mixes [k] into the running hash [h] (boost-style,
@@ -42,7 +42,12 @@ val hash_int_array : int array -> int
 module Pool (H : Hashtbl.HashedType) : sig
   type t
 
-  val create : int -> t
+  val create : ?found:(unit -> unit) -> ?added:(unit -> unit) -> int -> t
+  (** [found] runs on each {!intern} that finds its key already in the
+      pool, [added] on each that adds it — under the pool mutex, so
+      they must not re-enter the pool.  Both default to doing nothing;
+      {!Intern} counts lookups with them. *)
+
   val intern : t -> H.t -> int
   val size : t -> int
   (** Number of distinct keys interned so far (= the next fresh id). *)
@@ -52,29 +57,4 @@ module Pool (H : Hashtbl.HashedType) : sig
       read atomically under the pool mutex — the ids always form the
       contiguous range [0..size-1].  For snapshot/restore
       ({!Intern}). *)
-end
-
-(** Best-effort memoization keyed by {e physical} identity.  A hit
-    requires the exact same heap value ([==]); a miss is always safe —
-    the caller falls back to structural interning.  Buckets are capped
-    and the table is reset past [limit] entries, so the memo never
-    grows without bound.
-
-    NOT domain-safe on its own: callers that share a memo across
-    domains must serialize [find]/[add] themselves (see {!Intern},
-    which guards each memo with the mutex of the pool behind it). *)
-module Phys_memo : sig
-  type ('k, 'v) t
-
-  val create : ?limit:int -> ?hash:('k -> int) -> int -> ('k, 'v) t
-  (** [hash] selects the bucket a key lands in (entries within a bucket
-      are compared by [==]).  It defaults to the generic [Hashtbl.hash],
-      which truncates after ~10 nodes — fine for shallow keys, but deep
-      keys then collapse into a handful of buckets whose [bucket_cap]
-      evicts live entries.  Pass a full-width hash when memoizing deep
-      structures; any function constant on physically equal values is
-      sound. *)
-
-  val find : ('k, 'v) t -> 'k -> 'v option
-  val add : ('k, 'v) t -> 'k -> 'v -> unit
 end

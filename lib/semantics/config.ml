@@ -2,10 +2,11 @@
    (paper section 2): the set of live processes plus the shared store,
    the allocation counters, and an optional error marker.
 
-   Equality and hashing go through a canonical representation so that the
-   exploration engine folds states reached by different interleavings.
-   Instrumentation metadata (birthdates, heap-ness) is excluded: it is
-   functionally determined by the rest. *)
+   Equality and hashing go through the hash-consed digest so that the
+   exploration engine folds states reached by different interleavings;
+   the canonical representation [repr] is the oracle it is tested
+   against.  Instrumentation metadata (birthdates, heap-ness) is
+   excluded: it is functionally determined by the rest. *)
 
 module PidMap = Map.Make (struct
   type t = Value.pid
@@ -13,7 +14,7 @@ module PidMap = Map.Make (struct
   let compare = Value.compare_pid
 end)
 
-(* Defined in Intern so the interner can memoize whole counter maps. *)
+(* Defined in Intern so the interner can pool whole counter maps. *)
 module CounterMap = Intern.CounterMap
 
 type t = {
@@ -48,7 +49,7 @@ let add_proc p c = { c with procs = PidMap.add p.Proc.pid p c.procs }
 let with_store store c = { c with store }
 let with_error msg c = { c with error = Some msg }
 
-(* Canonical representation for hashing and equality. *)
+(* Canonical representation: the oracle the digest is tested against. *)
 type repr = {
   r_procs : Proc.repr list;
   r_store : (Value.loc * Value.t) list;
@@ -64,12 +65,11 @@ let repr c =
     r_error = c.error;
   }
 
-(* Hash-consed digest: every component interned to a small id with a
-   full-width precomputed hash (see intern.mli).  Digest equality is
-   equivalent to repr equality, at the cost of comparing a handful of
-   ints instead of deep lists. *)
+(* Hash-consed digest: every component interned to a small id (see
+   intern.mli).  Digest equality is equivalent to repr equality, at the
+   cost of comparing a handful of ints instead of deep lists. *)
 type digest = {
-  d_procs : int array; (* interned Proc reprs, in pid order *)
+  d_procs : int array; (* interned processes, in pid order *)
   d_store : int;
   d_counters : int;
   d_error : int;

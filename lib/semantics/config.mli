@@ -1,8 +1,9 @@
 (** Configurations — the global states of the interleaving semantics
     (paper section 2): live processes, shared store, allocation counters
-    and an optional error marker.  Equality and hashing go through a
-    canonical representation so that exploration folds states reached by
-    different interleavings. *)
+    and an optional error marker.  Equality and hashing go through the
+    hash-consed {!digest}, so that exploration folds states reached by
+    different interleavings; {!repr} is the canonical representation it
+    is checked against. *)
 
 module PidMap : Map.S with type key = Value.pid
 module CounterMap : Map.S with type key = Value.pid * int
@@ -41,27 +42,32 @@ val with_store : Store.t -> t -> t
 val with_error : string -> t -> t
 
 type repr
-(** Canonical representation: pure data with structural equality. *)
+(** Canonical representation: pure data with structural equality.  Not
+    on the exploration path; it is the independent oracle the digest is
+    tested against. *)
 
 val repr : t -> repr
 
 type digest = {
-  d_procs : int array;  (** interned {!Proc.repr} ids, in pid order *)
-  d_store : int;  (** interned {!Store.repr} id *)
+  d_procs : int array;  (** interned process ids, in pid order *)
+  d_store : int;  (** interned store id *)
   d_counters : int;  (** interned counter-map id *)
   d_error : int;  (** -1, or the interned error string id *)
   d_hash : int;  (** precomputed full-width hash of the tuple *)
 }
 (** Hash-consed identity (see {!Intern}): a flat int tuple such that
-    [digest_equal (digest a) (digest b)] iff [repr a = repr b].
-    Components are interned incrementally — a one-process step
-    re-serializes only the changed process and the store when written;
-    the untouched components hit the physical-identity memo. *)
+    [digest_equal (digest a) (digest b)] iff [repr a = repr b].  The
+    pools key on the live components: processes and stores carry their
+    own cached hash ({!Proc.hash}, {!Store.hash}), so no canonical form
+    is built and no process or store is walked unless a lookup must
+    compare two equal-hashing values. *)
 
 val digest : t -> digest
 (** Intern against the process-wide default interner
-    ({!Intern.global}).  Cost: O(changed components) plus O(#procs) to
-    assemble the tuple. *)
+    ({!Intern.global}).  Cost: one hash for each process built since its
+    last digest, a comparison per pool hit that is not physically the
+    pooled value, a walk of the counter map, and O(#procs) to assemble
+    the tuple. *)
 
 val digest_of_ids :
   d_procs:int array -> d_store:int -> d_counters:int -> d_error:int -> digest
@@ -80,6 +86,6 @@ module Digest_tbl : Hashtbl.S with type key = digest
 
 val equal : t -> t -> bool
 val hash : t -> int
-(** Both go through {!digest} (full-width, memoized). *)
+(** Both go through {!digest}. *)
 
 val pp : Format.formatter -> t -> unit

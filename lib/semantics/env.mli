@@ -9,6 +9,11 @@ val empty : t
 val find : string -> t -> Value.loc option
 val bind : string -> Value.loc -> t -> t
 val bindings : t -> (string * Value.loc) list
+
+val hash : t -> int
+(** Full-width hash of the bindings, maintained by {!bind} in O(1):
+    [equal a b] implies [hash a = hash b]. *)
+
 val equal : t -> t -> bool
 
 val locations : t -> Value.LocSet.t

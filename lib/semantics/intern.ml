@@ -1,19 +1,22 @@
 (* Hash-consed interning of configuration components (see intern.mli).
 
-   Layout: one Pool per component kind, keyed by the component's
-   canonical representation under a full-width structural hash, fronted
-   by a physical-identity memo.  Successor configurations share the
-   untouched components physically (Config updates are functional
-   record updates), so the memo turns the per-step interning cost into
-   "changed components only". *)
+   Layout: one Pool per component kind, keyed by the live component
+   itself.  Processes and stores carry their own full-width hash
+   (Proc.hash, Store.hash), so a lookup hashes in O(1) and compares
+   with the component's [equal], which checks [==] and the hash before
+   any field.  No canonical representation is built here. *)
 
 module H = Cobegin_hash
 module Metrics = Cobegin_obs.Metrics
 
-(* Telemetry: hit rate of the physical-identity memo in front of the
-   pools.  No-ops (one branch) while telemetry is disabled. *)
+(* Telemetry: pool lookups that found an existing id, and lookups that
+   added one.  The names predate the pools' keying on live values, when
+   they counted a physical-identity memo in front of the pools.  No-ops
+   (one branch) while telemetry is disabled. *)
 let m_memo_hits = Metrics.counter "intern.memo_hits"
 let m_memo_misses = Metrics.counter "intern.memo_misses"
+let found () = Metrics.incr m_memo_hits
+let added () = Metrics.incr m_memo_misses
 
 module CounterMap = Map.Make (struct
   type t = Value.pid * int (* (pid, site) *)
@@ -23,123 +26,19 @@ module CounterMap = Map.Make (struct
     if c <> 0 then c else Int.compare s1 s2
 end)
 
-(* --- full-width hashes over canonical representations --- *)
-
-let hash_pid (p : Value.pid) =
-  H.hash_list (fun (cob, idx) -> H.combine cob idx) p
-
-let hash_loc (l : Value.loc) =
-  H.combine
-    (hash_pid l.Value.l_pid)
-    (H.combine l.Value.l_site (H.combine l.Value.l_seq l.Value.l_off))
-
-let hash_value = function
-  | Value.Vint n -> H.combine 0x1 (H.hash_int n)
-  | Value.Vbool b -> H.combine 0x2 (H.hash_bool b)
-  | Value.Vloc l -> H.combine 0x3 (hash_loc l)
-  | Value.Vfun f -> H.combine 0x4 (H.hash_string f)
-
-let hash_env_bindings bs =
-  H.hash_list (fun (x, l) -> H.combine (H.hash_string x) (hash_loc l)) bs
-
-let hash_item_repr = function
-  | Proc.Rstmt label -> H.combine 0x21 (H.hash_int label)
-  | Proc.Rpop bs -> H.combine 0x22 (hash_env_bindings bs)
-  | Proc.Rret (tag, bs) ->
-      H.combine 0x23 (H.combine (H.hash_string tag) (hash_env_bindings bs))
-  | Proc.Rjoin (cob, children) ->
-      H.combine 0x24 (H.combine cob (H.hash_list hash_pid children))
-
-let hash_buf entries =
-  H.hash_list (fun (l, v) -> H.combine (hash_loc l) (hash_value v)) entries
-
-let hash_proc_repr (r : Proc.repr) =
-  H.combine
-    (hash_pid r.Proc.r_pid)
-    (H.combine
-       (hash_env_bindings r.Proc.r_env)
-       (H.combine
-          (H.hash_list hash_item_repr r.Proc.r_stack)
-          (H.combine (H.hash_string r.Proc.r_pstr) (hash_buf r.Proc.r_buf))))
-
-let hash_store_repr bs =
-  H.hash_list (fun (l, v) -> H.combine (hash_loc l) (hash_value v)) bs
-
-let hash_counter_bindings bs =
-  H.hash_list
-    (fun ((pid, site), n) -> H.combine (hash_pid pid) (H.combine site n))
-    bs
-
-(* --- full-width hashes over *live* components ---
-
-   These key the physical-identity memos in front of the pools: the
-   bucket hash must spread structurally distinct live values across
-   buckets (the generic [Hashtbl.hash] stops after ~10 nodes, which
-   collapses deep processes and stores into a handful of buckets whose
-   cap then evicts live entries).  They walk the live structures
-   directly — no canonical representation is allocated on the memo-hit
-   path. *)
-
-let hash_pstring_frame = function
-  | Pstring.Fcall { proc; site; inst } ->
-      H.combine 0x31 (H.combine (H.hash_string proc) (H.combine site inst))
-  | Pstring.Fbranch { cob; idx; inst } ->
-      H.combine 0x32 (H.combine cob (H.combine idx inst))
-
-let hash_env (e : Env.t) = hash_env_bindings (Env.bindings e)
-
-let hash_item_live = function
-  | Proc.Istmt s -> H.combine 0x21 (H.hash_int s.Cobegin_lang.Ast.label)
-  | Proc.Ipop e -> H.combine 0x22 (hash_env e)
-  | Proc.Iret { site; saved_env; _ } ->
-      H.combine 0x23 (H.combine site (hash_env saved_env))
-  | Proc.Ijoin { cob; children } ->
-      H.combine 0x24 (H.combine cob (H.hash_list hash_pid children))
-
-let hash_proc_live (p : Proc.t) =
-  H.combine
-    (hash_pid p.Proc.pid)
-    (H.combine
-       (hash_env p.Proc.env)
-       (H.combine
-          (H.hash_list hash_item_live p.Proc.stack)
-          (H.combine
-             (H.hash_list hash_pstring_frame p.Proc.pstr)
-             (hash_buf p.Proc.buf))))
-
-let hash_store_live (s : Store.t) =
-  Store.fold_cells
-    (fun l v h -> H.combine h (H.combine (hash_loc l) (hash_value v)))
-    s
-    (H.hash_int (Store.cardinal s))
-
-let hash_counters_live (m : int CounterMap.t) =
-  CounterMap.fold
-    (fun (pid, site) n h ->
-      H.combine h (H.combine (hash_pid pid) (H.combine site n)))
-    m (H.hash_int 0)
-
-(* --- pools --- *)
-
-module Proc_pool = H.Pool (struct
-  type t = Proc.repr
-
-  let equal = ( = )
-  let hash = hash_proc_repr
-end)
-
-module Store_pool = H.Pool (struct
-  type t = (Value.loc * Value.t) list
-
-  let equal = ( = )
-  let hash = hash_store_repr
-end)
+module Proc_pool = H.Pool (Proc)
+module Store_pool = H.Pool (Store)
 
 module Counter_pool = H.Pool (struct
-  type t = ((Value.pid * int) * int) list
+  type t = int CounterMap.t
 
-  let equal = ( = )
-  let hash = hash_counter_bindings
+  let equal a b = a == b || CounterMap.equal Int.equal a b
+
+  let hash m =
+    CounterMap.fold
+      (fun (pid, site) n h ->
+        H.combine h (H.combine (Value.hash_pid pid) (H.combine site n)))
+      m (H.hash_int 0)
 end)
 
 module String_pool = H.Pool (struct
@@ -149,40 +48,20 @@ module String_pool = H.Pool (struct
   let hash = H.hash_string
 end)
 
-(* One mutex per component kind, guarding the memo and the pool lookup
-   together: the pools are themselves mutex-guarded (Cobegin_hash.Pool),
-   but the Phys_memo in front is a plain hashtable, and the memo-miss
-   path must publish (memo add) the id it interned atomically with
-   respect to other domains interning the same component.  The locks
-   nest strictly kind-mutex → pool-mutex, so there is no deadlock, and
-   ids stay sequential and stable: the pool assigns them under its own
-   lock in first-intern order. *)
+(* Each pool is mutex-guarded (Cobegin_hash.Pool), which is all the
+   domain-safety the interner needs: a lookup is one pool operation. *)
 type state = {
-  proc_lock : Mutex.t;
   procs : Proc_pool.t;
-  proc_memo : (Proc.t, int) H.Phys_memo.t;
-  store_lock : Mutex.t;
   stores : Store_pool.t;
-  store_memo : (Store.t, int) H.Phys_memo.t;
-  counter_lock : Mutex.t;
   counters : Counter_pool.t;
-  counter_memo : (int CounterMap.t, int) H.Phys_memo.t;
-  error_lock : Mutex.t;
   errors : String_pool.t;
 }
 
 let create () =
   {
-    proc_lock = Mutex.create ();
-    procs = Proc_pool.create 1024;
-    proc_memo = H.Phys_memo.create ~hash:hash_proc_live 1024;
-    store_lock = Mutex.create ();
-    stores = Store_pool.create 1024;
-    store_memo = H.Phys_memo.create ~hash:hash_store_live 1024;
-    counter_lock = Mutex.create ();
-    counters = Counter_pool.create 64;
-    counter_memo = H.Phys_memo.create ~hash:hash_counters_live 64;
-    error_lock = Mutex.create ();
+    procs = Proc_pool.create ~found ~added 1024;
+    stores = Store_pool.create ~found ~added 1024;
+    counters = Counter_pool.create ~found ~added 64;
     errors = String_pool.create 16;
   }
 
@@ -191,96 +70,47 @@ let create () =
    every worker. *)
 let the_global = create ()
 let global () = the_global
-
-let proc_id st (p : Proc.t) =
-  Mutex.protect st.proc_lock (fun () ->
-      match H.Phys_memo.find st.proc_memo p with
-      | Some id ->
-          Metrics.incr m_memo_hits;
-          id
-      | None ->
-          Metrics.incr m_memo_misses;
-          let id = Proc_pool.intern st.procs (Proc.repr p) in
-          H.Phys_memo.add st.proc_memo p id;
-          id)
-
-let store_id st (s : Store.t) =
-  Mutex.protect st.store_lock (fun () ->
-      match H.Phys_memo.find st.store_memo s with
-      | Some id ->
-          Metrics.incr m_memo_hits;
-          id
-      | None ->
-          Metrics.incr m_memo_misses;
-          let id = Store_pool.intern st.stores (Store.repr s) in
-          H.Phys_memo.add st.store_memo s id;
-          id)
-
-let counters_id st (m : int CounterMap.t) =
-  Mutex.protect st.counter_lock (fun () ->
-      match H.Phys_memo.find st.counter_memo m with
-      | Some id ->
-          Metrics.incr m_memo_hits;
-          id
-      | None ->
-          Metrics.incr m_memo_misses;
-          let id = Counter_pool.intern st.counters (CounterMap.bindings m) in
-          H.Phys_memo.add st.counter_memo m id;
-          id)
+let proc_id st p = Proc_pool.intern st.procs p
+let store_id st s = Store_pool.intern st.stores s
+let counters_id st m = Counter_pool.intern st.counters m
 
 let error_id st = function
   | None -> -1
-  | Some msg ->
-      Mutex.protect st.error_lock (fun () ->
-          String_pool.intern st.errors msg)
+  | Some msg -> String_pool.intern st.errors msg
 
 let distinct_procs st = Proc_pool.size st.procs
 let distinct_stores st = Store_pool.size st.stores
 
 (* --- snapshot / restore (checkpointing) ---
 
-   A snapshot is the canonical representations of every pool, indexed
-   by id.  Restoring re-interns them into a (possibly already
-   populated) interner and returns the old-id → new-id maps, so
-   digests serialized alongside a snapshot can be rebuilt against the
-   restoring process's pools.  Restoring into a fresh interner is the
-   identity remap (reprs are re-interned in saved-id order); restoring
-   into a warm one still yields valid, stable ids — only the numbers
-   change, and the remap records how. *)
+   A snapshot holds the components behind the ids a checkpoint's
+   digests use, each with its saved id — not the whole pools, which
+   also hold every other program the process has explored.  Restoring
+   re-interns them into a (possibly already populated) interner and
+   returns the saved-id → new-id maps, so the saved digests can be
+   rebuilt against the restoring process's pools.  The cached hashes
+   travel with the marshaled values and stay valid: they are functions
+   of the contents, never of addresses. *)
 
 type snapshot = {
-  sn_procs : Proc.repr array;
-  sn_stores : (Value.loc * Value.t) list array;
-  sn_counters : ((Value.pid * int) * int) list array;
-  sn_errors : string array;
+  sn_procs : (Proc.t * int) array;
+  sn_stores : (Store.t * int) array;
+  sn_counters : (int CounterMap.t * int) array;
+  sn_errors : (string * int) array;
 }
 
-let pool_array (type k) ~(entries : (k * int) list) ~(size : int) : k array =
-  match entries with
-  | [] -> [||]
-  | (k0, _) :: _ ->
-      let a = Array.make size k0 in
-      List.iter (fun (k, id) -> a.(id) <- k) entries;
-      a
+(* The entries whose ids are in [ids], each once. *)
+let pick entries ids =
+  let need = Hashtbl.create 64 in
+  List.iter (fun id -> Hashtbl.replace need id ()) ids;
+  List.filter (fun (_, id) -> Hashtbl.mem need id) entries |> Array.of_list
 
-let snapshot st =
+let snapshot st ~procs ~stores ~counters ~errors =
   {
-    sn_procs =
-      pool_array
-        ~entries:(Proc_pool.entries st.procs)
-        ~size:(Proc_pool.size st.procs);
-    sn_stores =
-      pool_array
-        ~entries:(Store_pool.entries st.stores)
-        ~size:(Store_pool.size st.stores);
-    sn_counters =
-      pool_array
-        ~entries:(Counter_pool.entries st.counters)
-        ~size:(Counter_pool.size st.counters);
-    sn_errors =
-      pool_array
-        ~entries:(String_pool.entries st.errors)
-        ~size:(String_pool.size st.errors);
+    sn_procs = pick (Proc_pool.entries st.procs) procs;
+    sn_stores = pick (Store_pool.entries st.stores) stores;
+    sn_counters = pick (Counter_pool.entries st.counters) counters;
+    sn_errors = pick (String_pool.entries st.errors) errors;
   }
 
 type remap = {
@@ -290,33 +120,17 @@ type remap = {
   rm_errors : int array;
 }
 
+(* Saved id → new id, [-1] at ids the snapshot does not hold. *)
+let remap_of intern entries =
+  let size = Array.fold_left (fun n (_, id) -> max n (id + 1)) 0 entries in
+  let rm = Array.make size (-1) in
+  Array.iter (fun (v, id) -> rm.(id) <- intern v) entries;
+  rm
+
 let restore st snap =
-  (* Straight to the pools, in saved-id order: the memos in front key
-     by physical identity and cannot help with freshly unmarshaled
-     values anyway.  Interning is idempotent, so components already in
-     the pools just resolve to their existing ids. *)
   {
-    rm_procs =
-      Array.map
-        (fun r ->
-          Mutex.protect st.proc_lock (fun () -> Proc_pool.intern st.procs r))
-        snap.sn_procs;
-    rm_stores =
-      Array.map
-        (fun r ->
-          Mutex.protect st.store_lock (fun () ->
-              Store_pool.intern st.stores r))
-        snap.sn_stores;
-    rm_counters =
-      Array.map
-        (fun r ->
-          Mutex.protect st.counter_lock (fun () ->
-              Counter_pool.intern st.counters r))
-        snap.sn_counters;
-    rm_errors =
-      Array.map
-        (fun r ->
-          Mutex.protect st.error_lock (fun () ->
-              String_pool.intern st.errors r))
-        snap.sn_errors;
+    rm_procs = remap_of (proc_id st) snap.sn_procs;
+    rm_stores = remap_of (store_id st) snap.sn_stores;
+    rm_counters = remap_of (counters_id st) snap.sn_counters;
+    rm_errors = remap_of (String_pool.intern st.errors) snap.sn_errors;
   }

@@ -1,42 +1,42 @@
 (** Hash-consed interning of configuration components.
 
-    The exploration engines fold states through their canonical
-    representations — deep nested lists that OCaml's generic hash
-    truncates after ~10 nodes.  This layer interns each component of a
-    configuration ({!Proc.repr}, {!Store.repr}, the allocation-counter
-    map, the error marker) into a small integer id with a {e full-width}
-    structural hash, so a whole configuration collapses to a flat int
-    tuple ({!Config.digest}) whose equality and hashing are O(#procs).
+    This layer interns each component of a configuration — a process, a
+    store, the allocation-counter map, the error marker — into a small
+    integer id, so a whole configuration collapses to a flat int tuple
+    ({!Config.digest}) whose equality and hashing are O(#procs).
 
-    Interning is incremental: each component is first looked up in a
-    physical-identity memo, so a one-process step re-serializes only the
-    changed process (and the store, when it was written) — the untouched
-    processes and counter map are physically shared by the successor and
-    hit the memo in O(1).
+    The pools key on the live values.  Processes and stores carry a
+    full-width hash that is cached ({!Proc.hash}) or maintained on every
+    write ({!Store.hash}), so a lookup hashes in O(1) and then compares
+    with {!Proc.equal} / {!Store.equal}, which short-cut on [==] and on
+    a hash mismatch.  No canonical representation is built and, on a
+    hash miss, no process or store is walked.
 
     Invariants:
     - id equality is equivalent to structural equality of the canonical
       representation ([proc_id a = proc_id b] iff
       [Proc.repr a = Proc.repr b], and likewise for the other pools);
+      [test_intern] checks this against {!Config.repr};
     - ids are never reused, so digests remain valid for the lifetime of
-      the interner that produced them;
-    - the memos are best-effort: a memo miss falls back to structural
-      interning and can never produce a wrong id.
+      the interner that produced them.
 
-    Domain-safety: every [*_id] lookup is guarded by a per-component
-    mutex (covering the memo and the pool together), so one interner —
-    in particular {!global}, which is created eagerly at module
-    initialization — may be shared by any number of OCaml 5 domains.
-    Ids stay sequential and stable no matter how many domains intern
-    concurrently; the parallel exploration engine relies on this. *)
+    Telemetry: the counter [intern.memo_hits] counts lookups that found
+    an existing id, [intern.memo_misses] lookups that added one.
+
+    Domain-safety: every pool is guarded by its own mutex, so one
+    interner — in particular {!global}, which is created eagerly at
+    module initialization — may be shared by any number of OCaml 5
+    domains.  Ids stay sequential and stable no matter how many domains
+    intern concurrently; the parallel exploration engine relies on
+    this. *)
 
 module CounterMap : Map.S with type key = Value.pid * int
 (** The allocation-counter map, keyed by (pid, site).  Defined here (and
-    re-exported by {!Config}) so the interner can memoize whole counter
-    maps by physical identity. *)
+    re-exported by {!Config}) so the interner can pool whole counter
+    maps. *)
 
 type state
-(** An interner: pools of interned components plus their memos. *)
+(** An interner: one pool per component kind. *)
 
 val create : unit -> state
 
@@ -57,14 +57,24 @@ val distinct_stores : state -> int
 (** {2 Snapshot / restore}
 
     Checkpointing support ({!Cobegin_explore.Checkpoint}): a snapshot
-    captures the canonical representations behind every interned id, so
-    digests serialized to disk can be rebuilt in another process. *)
+    holds the values behind the ids a set of digests uses, so those
+    digests, serialized to disk, can be rebuilt in another process. *)
 
 type snapshot
-(** The id-indexed contents of all four pools.  Pure data
-    ([Marshal]-safe), taken atomically per pool. *)
+(** Live processes, stores, counter maps and error strings, each with
+    its id.  Pure data ([Marshal]-safe; the cached hashes inside stay
+    valid across processes). *)
 
-val snapshot : state -> snapshot
+val snapshot :
+  state ->
+  procs:int list ->
+  stores:int list ->
+  counters:int list ->
+  errors:int list ->
+  snapshot
+(** The entries of [st] with the given ids (duplicates allowed).  Its
+    size follows the ids asked for, not the pools, which keep every
+    component the process has ever interned. *)
 
 type remap = {
   rm_procs : int array;  (** saved proc id → id in the restored pools *)
@@ -74,21 +84,7 @@ type remap = {
 }
 
 val restore : state -> snapshot -> remap
-(** Re-intern every snapshotted representation into [st] (idempotent
-    for components already present) and return the saved-id → new-id
-    maps.  Restoring a snapshot into the fresh interner of a new
-    process yields the identity remap; restoring into a warm interner
-    yields valid ids that merely differ in numbering.  The saved error
-    id [-1] ([None]) is not in the map — it stays [-1]. *)
-
-(** {2 Full-width hashes over canonical representations}
-
-    Exposed for the intern pools themselves and for clients that hash
-    representation fragments directly (tests, the Petri substrate). *)
-
-val hash_pid : Value.pid -> int
-val hash_loc : Value.loc -> int
-val hash_value : Value.t -> int
-val hash_proc_repr : Proc.repr -> int
-val hash_store_repr : (Value.loc * Value.t) list -> int
-val hash_counter_bindings : ((Value.pid * int) * int) list -> int
+(** Re-intern every snapshotted component into [st] (idempotent for
+    components already present) and return the saved-id → new-id maps,
+    defined at every saved id the snapshot holds.  The saved error id
+    [-1] ([None]) is not in the map — it stays [-1]. *)

@@ -14,6 +14,12 @@ type item =
   | Iret of { dest : Ast.lvalue option; saved_env : Env.t; site : int }
   | Ijoin of { cob : int; children : Value.pid list }
 
+(* [h] caches [hash]: -1 until the first call computes it.  The hash
+   is a pure function of the other, immutable fields, so the one race
+   there is — two of Parallel's domains computing it for the same
+   process at once — is benign: both write the same int, an int field
+   is written whole, and a domain that still reads -1 recomputes the
+   same value. *)
 type t = {
   pid : Value.pid;
   env : Env.t;
@@ -21,10 +27,58 @@ type t = {
   pstr : Pstring.t;
   buf : (Value.loc * Value.t) list;
       (* store buffer, oldest write first; always [] under SC *)
+  mutable h : int;
 }
 
 let make ?(buf = []) ~pid ~env ~stack ~pstr () =
-  { pid; env; stack; pstr; buf }
+  { pid; env; stack; pstr; buf; h = -1 }
+
+let update ?env ?stack ?pstr ?buf p =
+  {
+    pid = p.pid;
+    env = Option.value env ~default:p.env;
+    stack = Option.value stack ~default:p.stack;
+    pstr = Option.value pstr ~default:p.pstr;
+    buf = Option.value buf ~default:p.buf;
+    h = -1;
+  }
+
+(* The hash covers exactly what [equal] compares.  A pending return is
+   hashed by its call site and saved environment: the site's label
+   fixes the destination, which [equal] also compares. *)
+module H = Cobegin_hash
+
+let hash_item = function
+  | Istmt s -> H.combine 0x21 (H.hash_int s.Ast.label)
+  | Ipop e -> H.combine 0x22 (Env.hash e)
+  | Iret { site; saved_env; _ } ->
+      H.combine 0x23 (H.combine site (Env.hash saved_env))
+  | Ijoin { cob; children } ->
+      H.combine 0x24 (H.combine cob (H.hash_list Value.hash_pid children))
+
+let hash_frame = function
+  | Pstring.Fcall { proc; site; inst } ->
+      H.combine 0x31 (H.combine (H.hash_string proc) (H.combine site inst))
+  | Pstring.Fbranch { cob; idx; inst } ->
+      H.combine 0x32 (H.combine cob (H.combine idx inst))
+
+let hash p =
+  if p.h >= 0 then p.h
+  else begin
+    let h =
+      H.combine (Value.hash_pid p.pid)
+        (H.combine (Env.hash p.env)
+           (H.combine
+              (H.hash_list hash_item p.stack)
+              (H.combine
+                 (H.hash_list hash_frame p.pstr)
+                 (H.hash_list
+                    (fun (l, v) -> H.combine (Value.hash_loc l) (Value.hash v))
+                    p.buf))))
+    in
+    p.h <- h;
+    h
+  end
 
 let item_equal i1 i2 =
   match (i1, i2) with
@@ -42,15 +96,18 @@ let buf_entry_equal (l1, v1) (l2, v2) =
   Value.compare_loc l1 l2 = 0 && Value.compare_value v1 v2 = 0
 
 let equal p1 p2 =
-  Value.compare_pid p1.pid p2.pid = 0
-  && Env.equal p1.env p2.env
-  && List.equal item_equal p1.stack p2.stack
-  && Pstring.equal p1.pstr p2.pstr
-  && List.equal buf_entry_equal p1.buf p2.buf
+  p1 == p2
+  || hash p1 = hash p2
+     && Value.compare_pid p1.pid p2.pid = 0
+     && Env.equal p1.env p2.env
+     && List.equal item_equal p1.stack p2.stack
+     && Pstring.equal p1.pstr p2.pstr
+     && List.equal buf_entry_equal p1.buf p2.buf
 
-(* A canonical, hashable digest of a process: statement items are
-   identified by label; environments by their sorted bindings; the store
-   buffer is order-significant, so its repr is the list itself. *)
+(* The canonical representation of a process, the identity oracle:
+   statement items are identified by label; environments by their
+   sorted bindings; the store buffer is order-significant, so its repr
+   is the list itself. *)
 type item_repr =
   | Rstmt of int
   | Rpop of (string * Value.loc) list

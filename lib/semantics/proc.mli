@@ -13,13 +13,16 @@ type item =
   | Iret of { dest : Ast.lvalue option; saved_env : Env.t; site : int }
   | Ijoin of { cob : int; children : Value.pid list }
 
-type t = {
+(** Private: processes are built only by {!make} and {!update}, which
+    keep the cached {!hash} valid. *)
+type t = private {
   pid : Value.pid;
   env : Env.t;
   stack : item list;
   pstr : Pstring.t;
   buf : (Value.loc * Value.t) list;
       (** store buffer, oldest write first; always [[]] under SC *)
+  mutable h : int;  (** the cache behind {!hash}; read it through {!hash} *)
 }
 
 val make :
@@ -31,12 +34,33 @@ val make :
   unit ->
   t
 
-val item_equal : item -> item -> bool
-val equal : t -> t -> bool
+val update :
+  ?env:Env.t ->
+  ?stack:item list ->
+  ?pstr:Pstring.t ->
+  ?buf:(Value.loc * Value.t) list ->
+  t ->
+  t
+(** [update ~stack p] is [p] with the given fields replaced (the pid
+    never changes) — the one way to derive a process from another. *)
 
-(** Canonical, hashable digest: statements identified by label,
+val hash : t -> int
+(** Full-width hash of exactly the fields {!equal} compares, computed on
+    first use and cached in the process.  Environments contribute their
+    own cached {!Env.hash}, so this never walks an environment.  Equal
+    processes hash alike, however they were built. *)
+
+val item_equal : item -> item -> bool
+
+val equal : t -> t -> bool
+(** Same pid, environment, stack (statements by label), procedure
+    string and store buffer; compares {!hash} first. *)
+
+(** Canonical representation: statements identified by label,
     environments by sorted bindings, store buffers verbatim (order is
-    semantically significant). *)
+    semantically significant).  Not on the exploration path; it is the
+    oracle {!equal} and {!hash} are tested against through
+    {!Config.repr}. *)
 type item_repr =
   | Rstmt of int
   | Rpop of (string * Value.loc) list

@@ -188,8 +188,8 @@ let rec normalize_proc (p : Proc.t) : Proc.t option =
       if p.Proc.buf = [] then None else Some p
   | Proc.Istmt { kind = Ast.Sblock ss; _ } :: rest ->
       let items = List.map (fun s -> Proc.Istmt s) ss in
-      normalize_proc { p with stack = items @ (Proc.Ipop p.env :: rest) }
-  | Proc.Ipop env :: rest -> normalize_proc { p with env; stack = rest }
+      normalize_proc (Proc.update ~stack:(items @ (Proc.Ipop p.env :: rest)) p)
+  | Proc.Ipop env :: rest -> normalize_proc (Proc.update ~env ~stack:rest p)
   | (Proc.Istmt _ | Proc.Iret _ | Proc.Ijoin _) :: _ -> Some p
 
 let normalize (c : Config.t) : Config.t =
@@ -518,7 +518,8 @@ let fire ctx (c : Config.t) (p : Proc.t) : Config.t * events =
     | [] -> invalid_arg "Step.fire: terminated process"
     | Proc.Ipop _ :: _ -> invalid_arg "Step.fire: unnormalized configuration"
     | Proc.Ijoin _ :: rest ->
-        (normalize (Config.update_proc { p with stack = rest } c), no_events)
+        ( normalize (Config.update_proc (Proc.update ~stack:rest p) c),
+          no_events )
     | Proc.Iret { dest; saved_env; site } :: rest ->
         (* fall off the end of a procedure: return the default value.
            The destination write belongs to the caller, at the call
@@ -541,12 +542,8 @@ let fire ctx (c : Config.t) (p : Proc.t) : Config.t * events =
                 } )
         in
         let p' =
-          {
-            p with
-            env = saved_env;
-            stack = rest;
-            pstr = Pstring.exit_frame pstr;
-          }
+          Proc.update ~env:saved_env ~stack:rest
+            ~pstr:(Pstring.exit_frame pstr) p
         in
         (normalize (Config.update_proc p' c), evs)
     | Proc.Istmt s :: rest -> (
@@ -571,18 +568,20 @@ let fire ctx (c : Config.t) (p : Proc.t) : Config.t * events =
             in
             ( normalize
                 (Config.update_proc
-                   { p with stack = rest; buf = p.Proc.buf @ [ (l, v) ] }
+                   (Proc.update ~stack:rest ~buf:(p.Proc.buf @ [ (l, v) ]) p)
                    c),
               evs )
         | Ast.Sskip | Ast.Sfence | Ast.Sdecl _ | Ast.Sassign _ | Ast.Sassert _
           ->
             let env, c, evs = exec_simple ctx p (p.env, c, no_events) s in
-            (normalize (Config.update_proc { p with env; stack = rest } c), evs)
+            ( normalize (Config.update_proc (Proc.update ~env ~stack:rest p) c),
+              evs )
         | Ast.Satomic ss ->
             let env, c, evs =
               List.fold_left (exec_simple ctx p) (p.env, c, no_events) ss
             in
-            (normalize (Config.update_proc { p with env; stack = rest } c), evs)
+            ( normalize (Config.update_proc (Proc.update ~env ~stack:rest p) c),
+              evs )
         | Ast.Smalloc (lv, e) ->
             let reads = ref LS.empty in
             let size =
@@ -625,7 +624,7 @@ let fire ctx (c : Config.t) (p : Proc.t) : Config.t * events =
               }
             in
             ( normalize
-                (Config.update_proc { p with stack = rest }
+                (Config.update_proc (Proc.update ~stack:rest p)
                    (Config.with_store store c)),
               evs )
         | Ast.Sfree e -> (
@@ -652,7 +651,7 @@ let fire ctx (c : Config.t) (p : Proc.t) : Config.t * events =
                       }
                     in
                     ( normalize
-                        (Config.update_proc { p with stack = rest }
+                        (Config.update_proc (Proc.update ~stack:rest p)
                            (Config.with_store store c)),
                       evs ))
             | Value.Vloc _ -> error "free of an interior pointer"
@@ -701,15 +700,12 @@ let fire ctx (c : Config.t) (p : Proc.t) : Config.t * events =
                    (List.combine callee_proc.Ast.params arg_vals))
             in
             let p' =
-              {
-                p with
-                env = env';
-                pstr = new_pstr;
-                stack =
-                  Proc.Istmt callee_proc.Ast.body
+              Proc.update ~env:env' ~pstr:new_pstr
+                ~stack:
+                  (Proc.Istmt callee_proc.Ast.body
                   :: Proc.Iret { dest; saved_env = p.env; site = label }
-                  :: rest;
-              }
+                  :: rest)
+                p
             in
             let evs =
               {
@@ -751,12 +747,8 @@ let fire ctx (c : Config.t) (p : Proc.t) : Config.t * events =
                     :: read_events ~label:site ~pstr:caller_pstr ~pid !dreads )
             in
             let p' =
-              {
-                p with
-                env = saved_env;
-                stack = tail;
-                pstr = Pstring.exit_frame pstr;
-              }
+              Proc.update ~env:saved_env ~stack:tail
+                ~pstr:(Pstring.exit_frame pstr) p
             in
             let evs =
               { accesses = wevs @ read_events ~label ~pstr ~pid !reads; allocs = [] }
@@ -766,7 +758,7 @@ let fire ctx (c : Config.t) (p : Proc.t) : Config.t * events =
             let reads = ref LS.empty in
             let b = eval_bool ctx p.env rstore reads e in
             let chosen = if b then s1 else s2 in
-            let p' = { p with stack = Proc.Istmt chosen :: rest } in
+            let p' = Proc.update ~stack:(Proc.Istmt chosen :: rest) p in
             ( normalize (Config.update_proc p' c),
               { accesses = read_events ~label ~pstr ~pid !reads; allocs = [] } )
         | Ast.Swhile (e, body) ->
@@ -775,7 +767,7 @@ let fire ctx (c : Config.t) (p : Proc.t) : Config.t * events =
             let stack =
               if b then Proc.Istmt body :: Proc.Istmt s :: rest else rest
             in
-            ( normalize (Config.update_proc { p with stack } c),
+            ( normalize (Config.update_proc (Proc.update ~stack p) c),
               { accesses = read_events ~label ~pstr ~pid !reads; allocs = [] } )
         | Ast.Scobegin bs ->
             let seq, c = Config.next_seq ~pid ~site:label c in
@@ -791,13 +783,15 @@ let fire ctx (c : Config.t) (p : Proc.t) : Config.t * events =
                 bs
             in
             let parent =
-              {
-                p with
-                stack =
-                  Proc.Ijoin
-                    { cob = label; children = List.map (fun ch -> ch.Proc.pid) children }
-                  :: rest;
-              }
+              Proc.update
+                ~stack:
+                  (Proc.Ijoin
+                     {
+                       cob = label;
+                       children = List.map (fun ch -> ch.Proc.pid) children;
+                     }
+                  :: rest)
+                p
             in
             let c = List.fold_left (fun c ch -> Config.add_proc ch c) c children in
             (normalize (Config.update_proc parent c), no_events)
@@ -805,7 +799,7 @@ let fire ctx (c : Config.t) (p : Proc.t) : Config.t * events =
             let reads = ref LS.empty in
             let b = eval_bool ctx p.env rstore reads e in
             if not b then invalid_arg "Step.fire: await not enabled";
-            ( normalize (Config.update_proc { p with stack = rest } c),
+            ( normalize (Config.update_proc (Proc.update ~stack:rest p) c),
               { accesses = read_events ~label ~pstr ~pid !reads; allocs = [] } )
         | Ast.Sacquire x -> (
             match Env.find x p.env with
@@ -815,7 +809,7 @@ let fire ctx (c : Config.t) (p : Proc.t) : Config.t * events =
                 | Some (Value.Vint 0) ->
                     let store = Store.set l (Value.Vint 1) store in
                     ( normalize
-                        (Config.update_proc { p with stack = rest }
+                        (Config.update_proc (Proc.update ~stack:rest p)
                            (Config.with_store store c)),
                       {
                         accesses =
@@ -840,7 +834,7 @@ let fire ctx (c : Config.t) (p : Proc.t) : Config.t * events =
                 if not (Store.mem l store) then error "unlock of a freed location";
                 let store = Store.set l (Value.Vint 0) store in
                 ( normalize
-                    (Config.update_proc { p with stack = rest }
+                    (Config.update_proc (Proc.update ~stack:rest p)
                        (Config.with_store store c)),
                   {
                     accesses = [ write_event ~label ~pstr ~pid l ];
@@ -865,7 +859,7 @@ let fire_flush _ctx (c : Config.t) (p : Proc.t) (l : Value.loc) :
     | entry :: tl -> remove_oldest (entry :: acc) tl
   in
   let buf, v = remove_oldest [] p.Proc.buf in
-  let p' = { p with Proc.buf = buf } in
+  let p' = Proc.update ~buf p in
   if not (Store.mem l c.Config.store) then
     (* the cell was freed while the write sat in the buffer *)
     (Config.with_error "flush to a freed location" c, no_events)

@@ -5,10 +5,16 @@
    state fold.
 
    Freeing removes the cells; any later access to a removed location is a
-   runtime error surfaced as an error configuration. *)
+   runtime error surfaced as an error configuration.
+
+   [hash] is the wrapping sum of the per-cell hashes.  Every write
+   subtracts the hash of the cell it replaces and adds the new one, so
+   it stays the hash of [cells] in O(1) per write, whatever order the
+   cells were written in. *)
 
 type t = {
   cells : Value.t Value.LocMap.t;
+  hash : int; (* sum of [cell_hash] over [cells] *)
   births : Pstring.t Value.LocMap.t; (* birthdate of each object *)
   heap : Value.LocSet.t; (* locations created by malloc *)
   exposed : Value.LocSet.t; (* address-taken variables' locations *)
@@ -18,6 +24,7 @@ type t = {
 let empty =
   {
     cells = Value.LocMap.empty;
+    hash = 0;
     births = Value.LocMap.empty;
     heap = Value.LocSet.empty;
     exposed = Value.LocSet.empty;
@@ -26,12 +33,27 @@ let empty =
 
 let find loc st = Value.LocMap.find_opt loc st.cells
 let mem loc st = Value.LocMap.mem loc st.cells
-let set loc v st = { st with cells = Value.LocMap.add loc v st.cells }
+let cell_hash loc v = Cobegin_hash.combine (Value.hash_loc loc) (Value.hash v)
+
+(* The cells and hash after writing [v] at [loc]. *)
+let write loc v st =
+  let old =
+    match Value.LocMap.find_opt loc st.cells with
+    | Some v0 -> cell_hash loc v0
+    | None -> 0
+  in
+  (Value.LocMap.add loc v st.cells, st.hash - old + cell_hash loc v)
+
+let set loc v st =
+  let cells, hash = write loc v st in
+  { st with cells; hash }
 
 let alloc ?(heap = false) ?(exposed = false) ~birth loc v st =
+  let cells, hash = write loc v st in
   {
     st with
-    cells = Value.LocMap.add loc v st.cells;
+    cells;
+    hash;
     births = Value.LocMap.add loc birth st.births;
     heap = (if heap then Value.LocSet.add loc st.heap else st.heap);
     exposed =
@@ -39,7 +61,17 @@ let alloc ?(heap = false) ?(exposed = false) ~birth loc v st =
   }
 
 let free locs st =
-  { st with cells = Value.LocSet.fold Value.LocMap.remove locs st.cells }
+  Value.LocSet.fold
+    (fun loc st ->
+      match Value.LocMap.find_opt loc st.cells with
+      | None -> st
+      | Some v ->
+          {
+            st with
+            cells = Value.LocMap.remove loc st.cells;
+            hash = st.hash - cell_hash loc v;
+          })
+    locs st
 
 let birth loc st = Value.LocMap.find_opt loc st.births
 let is_heap loc st = Value.LocSet.mem loc st.heap
@@ -64,16 +96,18 @@ let block_cells loc st =
         (List.init size (fun i -> { base with Value.l_off = i })
         |> Value.LocSet.of_list)
 
-(* Canonical representation for hashing/equality: sorted bindings of the
+(* Canonical representation, the identity oracle: sorted bindings of the
    cells only. *)
 let repr st = Value.LocMap.bindings st.cells
 
-let equal a b = Value.LocMap.equal Value.equal_value a.cells b.cells
+let hash st = st.hash
+
+let equal a b =
+  a == b
+  || a.hash = b.hash
+     && Value.LocMap.equal Value.equal_value a.cells b.cells
 
 let bindings st = Value.LocMap.bindings st.cells
-
-let fold_cells f st acc = Value.LocMap.fold f st.cells acc
-let cardinal st = Value.LocMap.cardinal st.cells
 
 let pp ppf st =
   Format.fprintf ppf "@[<v>%a@]"

@@ -35,14 +35,18 @@ val block_cells : Value.loc -> t -> Value.LocSet.t option
     registered block. *)
 
 val repr : t -> (Value.loc * Value.t) list
-(** Canonical representation (cells only, sorted) for hashing. *)
+(** Canonical representation (cells only, sorted): the oracle
+    {!Config.repr} compares identity against. *)
+
+val hash : t -> int
+(** Full-width hash of the cells, kept up to date by {!set}, {!alloc}
+    and {!free} in O(1) per cell: a store hashes like any other store
+    holding the same cells, however it was built.  The metadata stays
+    out, as it stays out of {!equal}.  {!Intern} keys its store pool on
+    it. *)
 
 val equal : t -> t -> bool
+(** Same cells (locations and values); compares {!hash} first. *)
+
 val bindings : t -> (Value.loc * Value.t) list
-
-val fold_cells : (Value.loc -> Value.t -> 'a -> 'a) -> t -> 'a -> 'a
-(** Fold over the live cells in location order, without materializing
-    the bindings list (the memo-hash path of {!Intern}). *)
-
-val cardinal : t -> int
 val pp : Format.formatter -> t -> unit

@@ -20,6 +20,9 @@ let compare_pid : pid -> pid -> int =
       let x = Int.compare a c in
       if x <> 0 then x else Int.compare b d)
 
+let hash_pid (p : pid) =
+  Cobegin_hash.hash_list (fun (cob, idx) -> Cobegin_hash.combine cob idx) p
+
 let pp_pid ppf (p : pid) =
   match p with
   | [] -> Format.pp_print_string ppf "root"
@@ -45,6 +48,10 @@ let compare_loc (a : loc) (b : loc) =
     else
       let c = Int.compare a.l_seq b.l_seq in
       if c <> 0 then c else Int.compare a.l_off b.l_off
+
+let hash_loc (l : loc) =
+  Cobegin_hash.combine (hash_pid l.l_pid)
+    (Cobegin_hash.combine l.l_site (Cobegin_hash.combine l.l_seq l.l_off))
 
 let pp_loc ppf (l : loc) =
   Format.fprintf ppf "⟨%a/s%d/%d⟩%s" pp_pid l.l_pid l.l_site l.l_seq
@@ -82,6 +89,12 @@ let compare_value (a : t) (b : t) =
   | _, Vloc _ -> 1
 
 let equal_value a b = compare_value a b = 0
+
+let hash = function
+  | Vint n -> Cobegin_hash.combine 0x1 (Cobegin_hash.hash_int n)
+  | Vbool b -> Cobegin_hash.combine 0x2 (Cobegin_hash.hash_bool b)
+  | Vloc l -> Cobegin_hash.combine 0x3 (hash_loc l)
+  | Vfun f -> Cobegin_hash.combine 0x4 (Cobegin_hash.hash_string f)
 
 let pp ppf = function
   | Vint n -> Format.pp_print_int ppf n

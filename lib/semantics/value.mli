@@ -13,6 +13,12 @@ type pid = (int * int) list
 val root_pid : pid
 val child_pid : pid -> cob:int -> idx:int -> pid
 val compare_pid : pid -> pid -> int
+
+val hash_pid : pid -> int
+(** Full-width ({!Cobegin_hash}), like [hash_loc] and [hash]: equal
+    arguments hash alike.  The cached hashes of {!Env}, {!Store} and
+    {!Proc} are built from these. *)
+
 val pp_pid : Format.formatter -> pid -> unit
 
 type loc = {
@@ -23,6 +29,7 @@ type loc = {
 }
 
 val compare_loc : loc -> loc -> int
+val hash_loc : loc -> int
 val pp_loc : Format.formatter -> loc -> unit
 
 module LocSet : Set.S with type elt = loc
@@ -36,6 +43,7 @@ type t =
 
 val compare_value : t -> t -> int
 val equal_value : t -> t -> bool
+val hash : t -> int
 val pp : Format.formatter -> t -> unit
 
 val type_name : t -> string

@@ -405,8 +405,9 @@ let visitor_tests =
   let full _ = Space.all_actions in
   let stubborn ctx =
     let mctx = Mayaccess.make_ctx ctx.Cobegin_semantics.Step.prog in
-    fun c () _ ->
-      List.map (fun a -> (a, ())) (Stubborn.choose_expansion mctx ctx c)
+    fun c () enabled ->
+      List.map (fun a -> (a, ()))
+        (Stubborn.choose_expansion mctx ctx c enabled)
   in
   [
     case "the visitor runs once per configuration, complete or truncated"

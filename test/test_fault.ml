@@ -486,6 +486,84 @@ let ckpt_tests =
               (clean.Space.stats = resumed.Space.stats);
             check_bool "identical final stores" true
               (final_reprs clean = final_reprs resumed)));
+    case "every configuration budget on phil3 resumes to the clean run"
+      (fun () ->
+        (* A configuration budget can stop the run in the middle of an
+           expansion; the saved state must keep the refused successor
+           and the unfired actions, or the resumed run loses them. *)
+        let ctx = ctx_of (Cobegin_models.Corpus.find "phil3" |> Option.get) in
+        let clean = Space.full ctx in
+        let n = clean.Space.stats.Space.configurations in
+        let clean_finals = final_reprs clean in
+        let path = checkpoint_path () in
+        Fun.protect
+          ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+          (fun () ->
+            for m = 2 to n - 1 do
+              let partial = Checkpoint.full ~max_configs:m ~path ctx in
+              if Budget.is_complete partial.Space.status then
+                Alcotest.failf "max_configs %d: first run not truncated" m;
+              let resumed = Checkpoint.resume ~path ctx in
+              if resumed.Space.stats <> clean.Space.stats then
+                Alcotest.failf "max_configs %d: resumed %s, clean %s" m
+                  (Format.asprintf "%a" Space.pp_stats resumed.Space.stats)
+                  (Format.asprintf "%a" Space.pp_stats clean.Space.stats);
+              if final_reprs resumed <> clean_finals then
+                Alcotest.failf "max_configs %d: final stores differ" m
+            done));
+    case "a truncated run resumed twice under the same cap stays truncated"
+      (fun () ->
+        let ctx = ctx_of (Cobegin_models.Corpus.find "phil3" |> Option.get) in
+        let clean = Space.full ctx in
+        let path = checkpoint_path () in
+        Fun.protect
+          ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+          (fun () ->
+            let first = Checkpoint.full ~max_configs:9 ~path ctx in
+            let again = Checkpoint.resume ~max_configs:9 ~path ctx in
+            check_bool "still truncated" false
+              (Budget.is_complete again.Space.status);
+            check_int "no configuration admitted past the cap"
+              first.Space.stats.Space.configurations
+              again.Space.stats.Space.configurations;
+            check_int "no transition fired past the cut"
+              first.Space.stats.Space.transitions
+              again.Space.stats.Space.transitions;
+            let resumed = Checkpoint.resume ~path ctx in
+            check_bool "then resumes to the clean run" true
+              (clean.Space.stats = resumed.Space.stats)));
+    case "a format-3 checkpoint is refused" (fun () ->
+        let ctx = ctx_of phil2_src in
+        let path = checkpoint_path () in
+        Fun.protect
+          ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+          (fun () ->
+            ignore (Checkpoint.full ~max_configs:5 ~path ctx : Space.result);
+            (* rewrite the header's version field, keep everything else;
+               the header record { hd_version; hd_program_hash } is
+               marshaled like a pair of ints *)
+            let magic = "COBEGIN-CKPT\n" in
+            let ic = open_in_bin path in
+            let body = really_input_string ic (in_channel_length ic) in
+            close_in ic;
+            let pos = String.length magic in
+            let (version, program_hash) : int * int =
+              Marshal.from_string body pos
+            in
+            check_int "this build writes format 4" 4 version;
+            let header = Marshal.to_string (3, program_hash) [] in
+            let rest =
+              let skip = pos + Marshal.total_size (Bytes.of_string body) pos in
+              String.sub body skip (String.length body - skip)
+            in
+            let oc = open_out_bin path in
+            output_string oc (magic ^ header ^ rest);
+            close_out oc;
+            match Checkpoint.resume ~path ctx with
+            | _ -> Alcotest.fail "expected Corrupt"
+            | exception Checkpoint.Corrupt msg ->
+                check_bool "names the version" true
+                  (contains msg "format version 3")));
     case "a checkpoint is bound to its program" (fun () ->
         let phil2_ctx = ctx_of phil2_src in
         let phil3_ctx =

@@ -1,6 +1,7 @@
 (* Hash-consed digests (Intern / Config.digest): equality semantics
    across interleavings, digest-vs-repr cardinality, distribution of the
-   full-width hash, and the truncated-generic-hash regressions. *)
+   full-width hash, the truncated-generic-hash regressions, and the laws
+   of the cached process, store and environment hashes. *)
 
 open Cobegin_semantics
 open Helpers
@@ -25,15 +26,17 @@ let fire_pid ctx c pid =
 
 (* Manual BFS that keys the visited set by [Config.repr] (ground truth)
    and inserts every newly visited configuration's digest on the side:
-   equal cardinality means digests are injective on distinct reprs. *)
-let bfs_digests src =
-  let ctx = ctx_of src in
+   equal cardinality means digests are injective on distinct reprs.
+   [cap] bounds the visited reprs; the two sets still cover the same
+   configurations. *)
+let bfs_digests ?(model = Step.Sc) ?(cap = max_int) prog =
+  let ctx = Step.make_ctx ~model prog in
   let reprs = Hashtbl.create 64 in
   let digests = Config.Digest_tbl.create 64 in
   let queue = Queue.create () in
   let visit c =
     let r = Config.repr c in
-    if not (Hashtbl.mem reprs r) then begin
+    if Hashtbl.length reprs < cap && not (Hashtbl.mem reprs r) then begin
       Hashtbl.replace reprs r ();
       Config.Digest_tbl.replace digests (Config.digest c) ();
       Queue.add c queue
@@ -43,8 +46,8 @@ let bfs_digests src =
   while not (Queue.is_empty queue) do
     let c = Queue.pop queue in
     List.iter
-      (fun p -> visit (fst (Step.fire ctx c p)))
-      (Step.enabled_processes ctx c)
+      (fun a -> visit (fst (Step.fire_action ctx c a)))
+      (Step.enabled_actions ctx c)
   done;
   ( Hashtbl.length reprs,
     Config.Digest_tbl.length digests,
@@ -69,17 +72,23 @@ let digest_tests =
               (Config.digest_hash (Config.digest c21));
             check_bool "Config.equal agrees" true (Config.equal c12 c21)
         | _ -> Alcotest.fail "expected two forked processes");
-    case "digest cardinality matches repr cardinality (fig5, peterson)"
+    case "digest cardinality matches repr cardinality (corpus, sc/tso/pso)"
       (fun () ->
         List.iter
           (fun (name, src) ->
-            let nr, nd, _ = bfs_digests src in
-            check_int (name ^ " cardinality") nr nd)
-          [
-            ("fig5", Cobegin_models.Figures.fig5);
-            ("peterson", Cobegin_models.Protocols.peterson);
-            ("phil-2", Cobegin_models.Philosophers.program ~rounds:1 2);
-          ]);
+            List.iter
+              (fun model ->
+                let nr, nd, _ = bfs_digests ~model ~cap:1500 (parse src) in
+                check_int
+                  (Printf.sprintf "%s under %s: cardinality" name
+                     (Step.model_name model))
+                  nr nd)
+              [ Step.Sc; Step.Tso; Step.Pso ])
+          Cobegin_models.Corpus.all);
+    qtest ~count:30 "digest cardinality matches repr cardinality (random)"
+      seed_gen (fun seed ->
+        let nr, nd, _ = bfs_digests ~cap:1500 (random_program seed) in
+        nr = nd);
     case "interning is idempotent across re-serialization" (fun () ->
         let ctx = ctx_of diamond_src in
         let c0 = Step.init ctx in
@@ -100,7 +109,7 @@ let distribution_tests =
   [
     case "full-width hash spreads the philosophers state space" (fun () ->
         let _, n, digests =
-          bfs_digests (Cobegin_models.Philosophers.program 3)
+          bfs_digests (parse (Cobegin_models.Philosophers.program 3))
         in
         let m =
           let rec up k = if k >= 2 * n then k else up (2 * k) in
@@ -129,35 +138,149 @@ let distribution_tests =
           (Cobegin_hash.hash_int_array a <> Cobegin_hash.hash_int_array b));
   ]
 
-let phys_memo_tests =
+(* The cached and maintained hashes must equal the hash of a value
+   built fresh from the same fields, however the value was reached. *)
+let loc_of i =
+  { Value.l_pid = [ (i mod 3, 0) ]; l_site = i; l_seq = i / 2; l_off = 0 }
+
+let value_of i =
+  match i mod 4 with
+  | 0 -> Value.Vint (i - 7)
+  | 1 -> Value.Vbool (i mod 8 = 1)
+  | 2 -> Value.Vloc (loc_of (i / 4))
+  | _ -> Value.Vfun (Printf.sprintf "f%d" i)
+
+type store_op = Set of int * int | Alloc of int * int | Free of int list
+
+let store_op_gen =
+  let open QCheck2.Gen in
+  let cell = int_range 0 11 and v = int_range 0 40 in
+  oneof
+    [
+      map2 (fun l x -> Set (l, x)) cell v;
+      map2 (fun l x -> Alloc (l, x)) cell v;
+      map (fun ls -> Free ls) (list_size (int_range 0 3) cell);
+    ]
+
+let apply_store_op st = function
+  | Set (l, x) -> Store.set (loc_of l) (value_of x) st
+  | Alloc (l, x) ->
+      Store.alloc ~heap:(x mod 2 = 0) ~birth:Pstring.empty (loc_of l)
+        (value_of x) st
+  | Free ls -> Store.free (Value.LocSet.of_list (List.map loc_of ls)) st
+
+(* Processes: random fields, random update sequences.  Statements come
+   from a parsed program so items carry real labels. *)
+let stmts =
+  Cobegin_lang.Ast.fold_program
+    (fun acc s -> s :: acc)
+    [] (parse Cobegin_models.Figures.fig5)
+  |> Array.of_list
+
+let env_gen =
+  let open QCheck2.Gen in
+  map
+    (List.fold_left
+       (fun e (x, l) -> Env.bind (Printf.sprintf "v%d" x) (loc_of l) e)
+       Env.empty)
+    (list_size (int_range 0 4) (pair (int_range 0 5) (int_range 0 11)))
+
+let item_gen =
+  let open QCheck2.Gen in
+  oneof
+    [
+      map
+        (fun i -> Proc.Istmt stmts.(i))
+        (int_range 0 (Array.length stmts - 1));
+      map (fun e -> Proc.Ipop e) env_gen;
+      map2
+        (fun e site ->
+          Proc.Iret
+            {
+              dest =
+                (if site mod 2 = 0 then None
+                 else Some (Cobegin_lang.Ast.Lvar "x"));
+              saved_env = e;
+              site;
+            })
+        env_gen (int_range 0 5);
+      map
+        (fun k ->
+          Proc.Ijoin
+            { cob = k; children = List.init k (fun i -> [ (k, i) ]) })
+        (int_range 0 3);
+    ]
+
+let pstr_gen =
+  let open QCheck2.Gen in
+  list_size (int_range 0 3)
+    (map2
+       (fun k inst ->
+         if k mod 2 = 0 then
+           Pstring.Fcall { proc = Printf.sprintf "p%d" k; site = k; inst }
+         else Pstring.Fbranch { cob = k; idx = k mod 3; inst })
+       (int_range 0 5) (int_range 0 3))
+
+let buf_gen =
+  let open QCheck2.Gen in
+  list_size (int_range 0 3)
+    (map2 (fun l x -> (loc_of l, value_of x)) (int_range 0 11) (int_range 0 40))
+
+(* One update: each field replaced or kept. *)
+let update_gen =
+  let open QCheck2.Gen in
+  let field g = option g in
+  map
+    (fun (env, stack, pstr, buf) p -> Proc.update ?env ?stack ?pstr ?buf p)
+    (quad (field env_gen)
+       (field (list_size (int_range 0 4) item_gen))
+       (field pstr_gen) (field buf_gen))
+
+let fresh_proc (p : Proc.t) =
+  Proc.make ~buf:p.Proc.buf ~pid:p.Proc.pid ~env:p.Proc.env
+    ~stack:p.Proc.stack ~pstr:p.Proc.pstr ()
+
+let hash_law_tests =
   [
-    case "deep memo keys survive only under a full-width hash" (fun () ->
-        (* Keys that differ past the generic hash's ~10-node horizon all
-           land in one bucket, whose cap then evicts live entries — the
-           Phys_memo regression.  A full-width hash keeps every key. *)
-        let deep k = List.init 30 (fun i -> if i = 25 then k else i) in
-        let keys = Array.init 64 deep in
-        check_bool "generic hash collides on deep keys (the bug)" true
-          (Hashtbl.hash keys.(0) = Hashtbl.hash keys.(1));
-        let hits memo =
-          Array.iteri (fun i k -> Cobegin_hash.Phys_memo.add memo k i) keys;
-          Array.fold_left
-            (fun n k ->
-              match Cobegin_hash.Phys_memo.find memo k with
-              | Some _ -> n + 1
-              | None -> n)
-            0 keys
+    qtest ~count:300 "a maintained store hash equals a fresh store's"
+      QCheck2.Gen.(list_size (int_range 0 30) store_op_gen)
+      (fun ops ->
+        let st = List.fold_left apply_store_op Store.empty ops in
+        let fresh order =
+          List.fold_left
+            (fun acc (l, v) -> Store.alloc ~birth:Pstring.empty l v acc)
+            Store.empty (order (Store.bindings st))
         in
-        let generic = Cobegin_hash.Phys_memo.create 64 in
-        let full_width =
-          Cobegin_hash.Phys_memo.create
-            ~hash:(fun l -> Cobegin_hash.hash_int_array (Array.of_list l))
-            64
+        let forward = fresh Fun.id and backward = fresh List.rev in
+        Store.hash st = Store.hash forward
+        && Store.hash st = Store.hash backward
+        && Store.equal st forward && Store.equal st backward);
+    qtest ~count:300 "an updated process hashes like a fresh Proc.make"
+      QCheck2.Gen.(
+        pair
+          (map
+             (fun (env, stack, pstr, buf) ->
+               Proc.make ~buf ~pid:[ (1, 0) ] ~env ~stack ~pstr ())
+             (quad env_gen (list_size (int_range 0 4) item_gen) pstr_gen
+                buf_gen))
+          (list_size (int_range 1 6) update_gen))
+      (fun (p0, updates) ->
+        (* force the cached hash before every update, so a stale cache
+           carried over by the updater would show *)
+        let p =
+          List.fold_left
+            (fun p u ->
+              ignore (Proc.hash p : int);
+              u p)
+            p0 updates
         in
-        check_bool "bucket cap evicts under the generic hash" true
-          (hits generic < Array.length keys);
-        check_int "every key retained under the full-width hash"
-          (Array.length keys) (hits full_width));
+        Proc.hash p = Proc.hash (fresh_proc p) && Proc.equal p (fresh_proc p));
+    case "an environment's hash follows rebinding" (fun () ->
+        let l1 = loc_of 1 and l2 = loc_of 2 in
+        let a = Env.bind "x" l2 (Env.bind "x" l1 (Env.bind "y" l1 Env.empty)) in
+        let b = Env.bind "x" l2 (Env.bind "y" l1 Env.empty) in
+        check_bool "equal" true (Env.equal a b);
+        check_int "same hash" (Env.hash a) (Env.hash b));
   ]
 
 let repr_audit_tests =
@@ -188,4 +311,4 @@ let repr_audit_tests =
   ]
 
 let suite =
-  digest_tests @ distribution_tests @ phys_memo_tests @ repr_audit_tests
+  digest_tests @ distribution_tests @ hash_law_tests @ repr_audit_tests
