@@ -76,19 +76,10 @@ let report_status ~t0 status =
 
 module Obs = Cobegin_obs
 
-(* Intern-pool sizes for probe samples: injected here because Cobegin_obs
-   sits below Cobegin_semantics in the library graph. *)
-let telemetry_pools () =
-  let st = Cobegin_semantics.Intern.global () in
-  [
-    ("procs", Cobegin_semantics.Intern.distinct_procs st);
-    ("stores", Cobegin_semantics.Intern.distinct_stores st);
-  ]
-
+(* Probe samples report the running exploration's intern pools: the
+   engine attaches them (Probe.set_pools) as it starts. *)
 let make_probe ~progress =
-  if progress then
-    Some (Obs.Probe.make ~pools:telemetry_pools Obs.Probe.stderr_sink)
-  else None
+  if progress then Some (Obs.Probe.make Obs.Probe.stderr_sink) else None
 
 (* Final metrics snapshot, stamped with the run's wall time and peak
    heap, as one JSON object. *)

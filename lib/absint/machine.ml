@@ -703,6 +703,8 @@ module Make (N : Lattice.NUMERIC) = struct
 
     let equal = String.equal
     let hash = Cobegin_hash.hash_string
+    let found = ignore
+    let added = ignore
   end)
 
   module Key_tbl = Hashtbl.Make (Int)
@@ -857,7 +859,7 @@ module Make (N : Lattice.NUMERIC) = struct
     let iterations = ref 0 in
     let stop = ref None in
     let c0 = init ctx in
-    let k0 = Key_pool.intern keys (key_of ~folding c0) in
+    let _, k0 = Key_pool.intern keys (key_of ~folding c0) in
     Key_tbl.replace table k0 (c0, 0);
     Queue.add k0 queue;
     while !stop = None && not (Queue.is_empty queue) do
@@ -896,7 +898,9 @@ module Make (N : Lattice.NUMERIC) = struct
                     List.iter
                       (fun c' ->
                         if !stop = None then
-                          let k' = Key_pool.intern keys (key_of ~folding c') in
+                          let _, k' =
+                            Key_pool.intern keys (key_of ~folding c')
+                          in
                           match Key_tbl.find_opt table k' with
                           | None -> (
                               match

@@ -7,13 +7,13 @@
    the final counts are identical.
 
    On-disk format: a magic string, then a Marshal'd header (format
-   version + full-width hash of the marshaled program), then a
-   Marshal'd payload: the intern-pool entries the visited set uses and
-   the kernel state.  The visited set is keyed by digests, which are
-   ids into process-local pools, so the restoring process re-interns
-   the snapshotted components and re-keys every saved digest
-   (Config.digest_of_ids) before use.  Frontier, terminal and remainder
-   configurations are marshaled structurally — they are pure data.
+   version + full-width hash of the marshaled program), then the
+   Marshal'd kernel state.  The state owns the run's interner, whose
+   pools are plain data, so one Marshal call saves the pools with
+   their ids next to the visited set keyed by those ids, and the
+   frontier's configurations still share their components with the
+   pools when they are read back: a resumed run needs no re-interning
+   and no digest remap.
 
    Writes go to a temp file renamed into place, so a crash mid-write
    leaves the previous checkpoint intact, never a torn file. *)
@@ -40,18 +40,17 @@ let default_cadence = { every_configs = 4096; every_s = None }
 
 let magic = "COBEGIN-CKPT\n"
 
-(* Version 4: the intern snapshot holds the live processes, stores and
-   counter maps the visited set uses (not the whole pools), and the
-   kernel state keeps the remainder of an expansion a configuration
-   budget cut short.  Version 3 made the payload the kernel state
-   (Space.state) itself.  Version 2 added per-process store buffers
-   (TSO/PSO) and bound the memory model into the identity hash.  Older
-   files are refused with [Corrupt]. *)
-let version = 4
+(* Version 5: the payload is the kernel state with its own interner,
+   whole pools and ids, and a deduplicated event log.  Version 4 saved
+   the process-wide pools' entries the visited set used, for re-keying
+   on restore, and the remainder of an expansion a configuration budget
+   cut short.  Version 3 made the payload the kernel state (Space.state)
+   itself.  Version 2 added per-process store buffers (TSO/PSO) and
+   bound the memory model into the identity hash.  Older files are
+   refused with [Corrupt]. *)
+let version = 5
 
 type header = { hd_version : int; hd_program_hash : int }
-
-type payload = { ck_pools : Intern.snapshot; ck_state : unit Space.state }
 
 (* The identity a checkpoint is bound to: resuming under a different
    program — or the same program under a different memory model —
@@ -64,29 +63,14 @@ let program_hash (ctx : Step.ctx) =
 (* What the journal events of a save and a restore report. *)
 let progress_fields (st : unit Space.state) =
   [
-    ("configurations", Journal.Int (Space.ConfigTbl.length st.Space.visited));
+    ("configurations", Journal.Int (Config.Digest_tbl.length st.Space.visited));
     ("frontier", Journal.Int (Queue.length st.Space.queue));
     ("transitions", Journal.Int st.Space.transitions);
   ]
 
-(* The pool entries the visited set's digests use. *)
-let snapshot (st : unit Space.state) =
-  let procs = ref [] and stores = ref [] and counters = ref [] in
-  let errors = ref [] in
-  Config.Digest_tbl.iter
-    (fun (d : Config.digest) () ->
-      procs := Array.fold_left (fun l i -> i :: l) !procs d.d_procs;
-      stores := d.d_store :: !stores;
-      counters := d.d_counters :: !counters;
-      if d.d_error >= 0 then errors := d.d_error :: !errors)
-    st.Space.visited;
-  Intern.snapshot (Intern.global ()) ~procs:!procs ~stores:!stores
-    ~counters:!counters ~errors:!errors
-
 let save ~path ctx st =
   Fault.hit "checkpoint.save";
   let t0 = Unix.gettimeofday () in
-  let payload = { ck_pools = snapshot st; ck_state = st } in
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
   (try
@@ -94,7 +78,7 @@ let save ~path ctx st =
      Marshal.to_channel oc
        { hd_version = version; hd_program_hash = program_hash ctx }
        [];
-     Marshal.to_channel oc payload [];
+     Marshal.to_channel oc (st : unit Space.state) [];
      close_out oc
    with e ->
      close_out_noerr oc;
@@ -108,7 +92,7 @@ let save ~path ctx st =
     Journal.emit "checkpoint.saved"
       (("path", Journal.Str path) :: progress_fields st)
 
-let load_payload ~path ctx : payload =
+let load ~path ctx : unit Space.state =
   let ic =
     try open_in_bin path
     with Sys_error e -> raise (Corrupt ("cannot open: " ^ e))
@@ -132,27 +116,12 @@ let load_payload ~path ctx : payload =
                 hd.hd_version version));
       if hd.hd_program_hash <> program_hash ctx then
         raise (Corrupt "written for a different program");
-      try (Marshal.from_channel ic : payload)
+      try (Marshal.from_channel ic : unit Space.state)
       with End_of_file | Failure _ -> raise (Corrupt "truncated payload"))
 
-let state_of_payload (p : payload) =
+let restore ~path ctx =
   let t0 = Unix.gettimeofday () in
-  let rm = Intern.restore (Intern.global ()) p.ck_pools in
-  let remap_digest (d : Config.digest) =
-    Config.digest_of_ids
-      ~d_procs:(Array.map (fun i -> rm.Intern.rm_procs.(i)) d.Config.d_procs)
-      ~d_store:rm.Intern.rm_stores.(d.Config.d_store)
-      ~d_counters:rm.Intern.rm_counters.(d.Config.d_counters)
-      ~d_error:
-        (if d.Config.d_error < 0 then -1
-         else rm.Intern.rm_errors.(d.Config.d_error))
-  in
-  let saved = p.ck_state in
-  let visited = Space.ConfigTbl.create 1024 in
-  Config.Digest_tbl.iter
-    (fun d () -> Space.ConfigTbl.add_digest visited (remap_digest d) ())
-    saved.Space.visited;
-  let st = { saved with Space.visited } in
+  let st = load ~path ctx in
   Metrics.incr m_restores;
   Metrics.observe h_restore_ms
     (int_of_float ((Unix.gettimeofday () -. t0) *. 1000.));
@@ -198,11 +167,11 @@ let full ?max_configs ?budget ?probe ?(cadence = default_cadence) ~path ctx =
 
 let resume ?max_configs ?budget ?probe ?(cadence = default_cadence) ~path ctx
     =
-  let st = state_of_payload (load_payload ~path ctx) in
+  let st = restore ~path ctx in
   (* The caller's budget typically dates from process startup, and its
      deadline is an absolute instant fixed at creation — by the time
-     the snapshot above is loaded and re-interned, part (or all) of a
-     --timeout grant would already be spent.  A resumed run gets the
-     full timeout from the point the BFS actually restarts. *)
+     the state above is loaded, part (or all) of a --timeout grant
+     would already be spent.  A resumed run gets the full timeout from
+     the point the BFS actually restarts. *)
   Option.iter Budget.refresh_deadline budget;
   run ?max_configs ?budget ?probe ~cadence ~path ctx st

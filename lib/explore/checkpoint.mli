@@ -2,13 +2,13 @@
     being killed.
 
     The engine is {!Space.generate} with full expansion and a boundary
-    hook that serializes the kernel state ({!Space.state}: visited
-    set, frontier, terminal configurations, transition counter and
-    event log) to [path], together with the intern-pool entries behind
-    the visited set's digests (see
-    {!Cobegin_semantics.Intern.snapshot}).  Writes are atomic (temp
-    file + rename): a crash mid-write leaves the previous checkpoint
-    intact.
+    hook that serializes the kernel state ({!Space.state}: the run's
+    interner, visited set, frontier, terminal configurations,
+    transition counter and event log) to [path].  The interner is plain
+    data, so its whole pools are saved with their ids and a resumed run
+    carries on with them: nothing is re-interned and no digest is
+    re-keyed.  Writes are atomic (temp file + rename): a crash
+    mid-write leaves the previous checkpoint intact.
 
     {b Determinism contract.}  The BFS is deterministic and saves sit
     at iteration boundaries, so a checkpoint is the exact state of the
@@ -26,11 +26,9 @@
     produced it (a full-width hash of the marshaled AST, combined with
     the model name, is stored in the header); resuming under a
     different program or model, a different format version, or a torn
-    file raises {!Corrupt}.  Format version 4: the payload is the
-    kernel state itself, with its remainder, and the live processes,
-    stores and counter maps its digests use; older files are
-    refused.  Telemetry:
-    [checkpoint.saves] / [checkpoint.restores] counters,
+    file raises {!Corrupt}.  Format version 5: the payload is the
+    kernel state itself, interner included; older files are refused.
+    Telemetry: [checkpoint.saves] / [checkpoint.restores] counters,
     [checkpoint.save_ms] / [checkpoint.restore_ms] histograms. *)
 
 open Cobegin_semantics
@@ -71,7 +69,7 @@ val resume :
     the same program and memory model) and continue it, checkpointing
     onward to the same [path].  When [budget] carries a wall-clock
     timeout its deadline is re-anchored ({!Budget.refresh_deadline})
-    after the snapshot is loaded, so the resumed run gets the full
+    after the checkpoint is loaded, so the resumed run gets the full
     timeout from the point the BFS restarts — not from budget
     creation.
     @raise Corrupt when the file is missing, torn, version-skewed or

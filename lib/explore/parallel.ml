@@ -10,6 +10,11 @@
        almost never contends on the same lock;
      - each worker owns a mutex-protected work queue and steals from
        the others (round-robin scan) when its own runs dry;
+     - one interner, created shared for the run, serves every worker,
+       so a configuration one worker admits is rebuilt from the pools
+       the others' successors hit;
+     - each worker keeps its own terminals and event log, merged after
+       the join;
      - global progress — admitted configurations, fired transitions,
        queued frontier, the truncation latch — lives in Atomic cells.
 
@@ -19,12 +24,12 @@
    configuration, so the visited set, the configuration and transition
    counts and the terminal-configuration multisets are independent of
    the schedule — identical to the sequential engine's.  The terminal
-   lists are sorted by configuration digest after the join so even
-   their order is reproducible.  Two caveats, both documented in the
-   mli: [max_frontier] is schedule-dependent (a parallel frontier
-   peaks differently), and the event log's order is a per-worker
-   concatenation, not the sequential BFS order (the log is a multiset
-   for the section-5 analyses, which are order-insensitive).
+   lists are sorted by canonical representation after the join so even
+   their order is reproducible (pool ids are not: workers intern in
+   schedule order).  The merged event log holds the same distinct
+   events as the sequential engine's.  One caveat, documented in the
+   mli: [max_frontier] is schedule-dependent (a parallel frontier peaks
+   differently).
 
    Truncated runs are a best effort: the budget latch (Budget shared
    mode) guarantees the truncation fires once with one recorded
@@ -79,40 +84,17 @@ let rec atomic_max cell v =
 
 (* Per-worker accumulators: mutated only by the owning domain, read by
    the main domain after the join. *)
-type acc = {
-  terminals : Space.terminals;
-  mutable evlogs : Step.events list; (* reverse firing order *)
-}
+type acc = { terminals : Space.terminals; log : Step.log }
 
-let new_acc () = { terminals = Space.no_terminals (); evlogs = [] }
+let new_acc () = { terminals = Space.no_terminals (); log = Step.new_log () }
 
-(* Total order on digests, for schedule-independent terminal lists.
-   Compares the flat int tuple; two digests compare equal iff the
-   configurations have equal canonical representations. *)
-let digest_compare (a : Config.digest) (b : Config.digest) =
-  let c = Int.compare a.Config.d_store b.Config.d_store in
-  if c <> 0 then c
-  else
-    let c = Int.compare a.Config.d_counters b.Config.d_counters in
-    if c <> 0 then c
-    else
-      let c = Int.compare a.Config.d_error b.Config.d_error in
-      if c <> 0 then c
-      else
-        let pa = a.Config.d_procs and pb = b.Config.d_procs in
-        let c = Int.compare (Array.length pa) (Array.length pb) in
-        if c <> 0 then c
-        else
-          let rec go i =
-            if i >= Array.length pa then 0
-            else
-              let c = Int.compare pa.(i) pb.(i) in
-              if c <> 0 then c else go (i + 1)
-          in
-          go 0
-
-let sort_by_digest cs =
-  List.sort (fun a b -> digest_compare (Config.digest a) (Config.digest b)) cs
+(* Schedule-independent terminal lists: sorted by the canonical
+   representation, which does not depend on the order in which the
+   workers filled the pools. *)
+let sort_canonical cs =
+  List.map (fun c -> (Config.repr c, c)) cs
+  |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
+  |> List.map snd
 
 let explore ?(max_configs = 1_000_000) ?budget ?probe ?spans ~jobs ctx
     ~expand : Space.result =
@@ -152,9 +134,15 @@ let explore ?(max_configs = 1_000_000) ?budget ?probe ?spans ~jobs ctx
     let stopping () =
       Atomic.get stop <> None || Atomic.get failed <> None
     in
+    (* One interner for the run, shared by the workers: a configuration
+       admitted by one worker is rebuilt from the same pools another
+       worker's successors hit. *)
+    let interner = Intern.create ~shared:true () in
+    Option.iter
+      (fun p -> Probe.set_pools p (fun () -> Intern.sizes interner))
+      probe;
     (* Seed: admit the initial configuration on worker 0. *)
-    let c0 = Step.init ctx in
-    let d0 = Config.digest c0 in
+    let c0, d0 = Config.intern interner (Step.init ctx) in
     Config.Digest_tbl.replace (shard_of shards d0).s_tbl d0 ();
     Atomic.incr admitted;
     Atomic.incr pending;
@@ -204,8 +192,8 @@ let explore ?(max_configs = 1_000_000) ?budget ?probe ?spans ~jobs ctx
                   Atomic.incr transitions;
                   Metrics.incr m_transitions;
                   let c', evs = Step.fire_action ctx c a in
-                  acc.evlogs <- evs :: acc.evlogs;
-                  let d' = Config.digest c' in
+                  Step.record acc.log evs;
+                  let c', d' = Config.intern interner c' in
                   let shard = shard_of shards d' in
                   let verdict =
                     Mutex.protect shard.s_lock (fun () ->
@@ -319,23 +307,17 @@ let explore ?(max_configs = 1_000_000) ?budget ?probe ?spans ~jobs ctx
         Space.drain ctx merged
           (Seq.concat_map (fun wq -> Queue.to_seq wq.q) (Array.to_seq queues))
     in
-    t.finals <- sort_by_digest t.finals;
-    t.deadlocks <- sort_by_digest t.deadlocks;
-    t.errors <- sort_by_digest t.errors;
-    let logs =
-      List.concat_map (fun a -> List.rev a.evlogs) (Array.to_list accs)
-    in
+    t.finals <- sort_canonical t.finals;
+    t.deadlocks <- sort_canonical t.deadlocks;
+    t.errors <- sort_canonical t.errors;
+    let log = Step.new_log () in
+    Array.iter (fun a -> Step.absorb ~into:log a.log) accs;
     Space.assemble
       ~status:(Budget.status_of (Atomic.get stop))
       ~configurations:(Atomic.get admitted)
       ~transitions:(Atomic.get transitions)
       ~max_frontier:(Atomic.get max_frontier)
-      ~log:
-        {
-          Step.accesses = List.concat_map (fun e -> e.Step.accesses) logs;
-          Step.allocs = List.concat_map (fun e -> e.Step.allocs) logs;
-        }
-      t
+      ~log:(Step.logged log) t
   end
 
 let full ?max_configs ?budget ?probe ?spans ~jobs ctx =

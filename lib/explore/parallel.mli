@@ -4,7 +4,10 @@
     sharded into mutex-protected digest tables, each of [jobs] domains
     owns a work queue and steals from the others when its own runs dry,
     and global progress (admissions, transitions, the truncation latch)
-    lives in atomic cells.
+    lives in atomic cells.  The run owns one shared interner
+    ({!Cobegin_semantics.Intern.create}[ ~shared:true]) that every
+    worker admits through; each worker keeps its own terminals and
+    event log, merged after the join.
 
     {b Determinism.}  For a run that completes, the results are
     bit-identical to the sequential engine's: every reachable
@@ -12,13 +15,11 @@
     of the configuration, so [configurations], [transitions],
     [finals]/[deadlocks]/[errors] and the terminal-configuration
     multisets do not depend on the schedule or on [jobs] — and the
-    terminal lists are digest-sorted after the join, so even their
-    order is reproducible.  Two schedule-dependent exceptions:
-    [max_frontier] (a parallel frontier peaks differently than a
-    sequential BFS queue), and the {e order} of the merged event log
-    (a per-worker concatenation; its multiset of events is
-    schedule-independent, which is what the order-insensitive
-    section-5 analyses consume).
+    terminal lists are sorted by canonical representation after the
+    join, so even their order is reproducible.  The merged event log
+    holds the same distinct events as the sequential engine's.  One
+    schedule-dependent exception: [max_frontier] (a parallel frontier
+    peaks differently than a sequential BFS queue).
 
     Truncated runs are a best effort: the shared-budget latch
     guarantees truncation fires once with one recorded reason, but
@@ -59,11 +60,11 @@ val explore :
     [max_configs] in shared (multi-domain) mode; a caller-supplied
     budget should be created with [~shared:true] so truncation is
     latched once across domains.  [probe] is ticked by worker 0 only
-    (probes are single-domain).  When [spans] is given, each worker
-    domain runs inside its own ["worker<i>"] span, so the trace export
-    renders one lane per worker; workers also journal their
-    start/finish (and failures, at [Error]) when the process journal is
-    running. *)
+    (probes are single-domain); its samples report the run's pools.
+    When [spans] is given, each worker domain runs inside its own
+    ["worker<i>"] span, so the trace export renders one lane per
+    worker; workers also journal their start/finish (and failures, at
+    [Error]) when the process journal is running. *)
 
 val full :
   ?max_configs:int ->

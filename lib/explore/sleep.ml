@@ -44,12 +44,14 @@ module PidSet = Set.Make (struct
   let compare = Value.compare_pid
 end)
 
-(* Exploration with persistent sets + sleep sets.  The visited table maps
-   a configuration to the sleep set (pids) it was first reached with; a
-   revisit with a *smaller* sleep set must be re-expanded (standard sleep
-   set algorithm), which we approximate by re-expanding when the recorded
-   set is not a subset of the new one. *)
-let explore ?max_configs ?budget ?probe ?stats ctx : Space.result =
+type sleep = PidSet.t
+
+let awake = PidSet.empty
+
+(* The expansion of persistent sets + sleep sets: the persistent set at
+   [c], minus the processes asleep there, each fired action carrying the
+   sleep set its successor is offered under. *)
+let expansion ?stats ctx =
   let mctx = Mayaccess.make_ctx ctx.Step.prog in
   (* The sleep-set bookkeeping tracks processes by pid, which is only
      meaningful while a process has exactly one action alternative —
@@ -57,7 +59,7 @@ let explore ?max_configs ?budget ?probe ?stats ctx : Space.result =
      flushes, so sleep pruning is disabled there (sleep sets stay
      empty; the stubborn layer already degenerated to full expansion). *)
   let sc = ctx.Step.model = Step.Sc in
-  let expand c sleep enabled =
+  fun c sleep enabled ->
     let chosen = Stubborn.choose_expansion mctx ctx c enabled in
     let awake =
       if sc then
@@ -97,15 +99,19 @@ let explore ?max_configs ?budget ?probe ?stats ctx : Space.result =
           (a, sleep') :: annotate ((a, fp_a) :: earlier) rest
     in
     annotate [] awake
-  in
-  (* revisit with strictly fewer sleepers: re-expand *)
-  let admit recorded sleep' =
-    if PidSet.subset recorded sleep' then None
-    else Some (PidSet.inter recorded sleep')
-  in
+
+(* The visited table maps a configuration to the sleep set it was first
+   reached with; a revisit with a *smaller* sleep set must be
+   re-expanded (standard sleep set algorithm), which we approximate by
+   re-expanding when the recorded set is not a subset of the new one. *)
+let admit recorded sleep' =
+  if PidSet.subset recorded sleep' then None
+  else Some (PidSet.inter recorded sleep')
+
+let explore ?max_configs ?budget ?probe ?stats ctx : Space.result =
   let r =
-    Space.generate ?max_configs ?budget ?probe ~site:"sleep" ~admit ~expand
-      ctx (Space.start ctx PidSet.empty)
+    Space.generate ?max_configs ?budget ?probe ~site:"sleep" ~admit
+      ~expand:(expansion ?stats ctx) ctx (Space.start ctx awake)
   in
   Option.iter
     (fun s ->

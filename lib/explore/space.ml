@@ -51,25 +51,6 @@ type result = {
   log : Step.events;
 }
 
-(* Visited sets are keyed by the hash-consed digest (Config.digest):
-   interned component ids with a precomputed full-width hash, so probes
-   cost a few int comparisons instead of deep structural equality on
-   the canonical representation.  The [_digest] variants let engines
-   compute the digest once per configuration and thread it through a
-   mem/add or find/add pair. *)
-module ConfigTbl = struct
-  type 'a t = 'a Config.Digest_tbl.t
-
-  let create n : 'a t = Config.Digest_tbl.create n
-  let mem tbl c = Config.Digest_tbl.mem tbl (Config.digest c)
-  let add tbl c v = Config.Digest_tbl.replace tbl (Config.digest c) v
-  let length = Config.Digest_tbl.length
-  let find_opt tbl c = Config.Digest_tbl.find_opt tbl (Config.digest c)
-  let mem_digest = Config.Digest_tbl.mem
-  let add_digest tbl d v = Config.Digest_tbl.replace tbl d v
-  let find_digest = Config.Digest_tbl.find_opt
-end
-
 type terminals = {
   mutable finals : Config.t list;
   mutable deadlocks : Config.t list;
@@ -129,30 +110,34 @@ type 'a remainder = {
   r_actions : (Step.action * 'a) list;
 }
 
+(* The kernel state owns the exploration's interner: its pools hold
+   exactly the components this run met, and every admitted
+   configuration is rebuilt from them (Config.intern). *)
 type 'a state = {
-  visited : 'a ConfigTbl.t;
+  interner : Intern.state;
+  visited : 'a Config.Digest_tbl.t;
   queue : (Config.t * 'a) Queue.t;
   terminals : terminals;
   mutable transitions : int;
   mutable max_frontier : int;
-  mutable accesses : Step.access list list; (* reverse firing order *)
-  mutable allocs : Step.alloc list list;
+  events : Step.log; (* the distinct events fired *)
   mutable remainder : 'a remainder option;
 }
 
 let start ctx a =
-  let visited = ConfigTbl.create 1024 and queue = Queue.create () in
-  let c0 = Step.init ctx in
-  ConfigTbl.add visited c0 a;
+  let interner = Intern.create () in
+  let visited = Config.Digest_tbl.create 1024 and queue = Queue.create () in
+  let c0, d0 = Config.intern interner (Step.init ctx) in
+  Config.Digest_tbl.replace visited d0 a;
   Queue.add (c0, a) queue;
   {
+    interner;
     visited;
     queue;
     terminals = no_terminals ();
     transitions = 0;
     max_frontier = 0;
-    accesses = [];
-    allocs = [];
+    events = Step.new_log ();
     remainder = None;
   }
 
@@ -166,9 +151,12 @@ let generate ?(max_configs = 1_000_000) ?budget ?probe
     match budget with Some b -> b | None -> Budget.create ~max_configs ()
   in
   let pop_site = site ^ ".pop" and progress = site ^ ".progress" in
-  let configurations () = ConfigTbl.length st.visited in
+  let configurations () = Config.Digest_tbl.length st.visited in
   let stop = ref None in
   let pops = ref 0 in
+  Option.iter
+    (fun p -> Probe.set_pools p (fun () -> Intern.sizes st.interner))
+    probe;
   (* Fire [(action, annotation)] pairs in order; break out as soon as
      the budget stops the run: the remaining successors must not fire,
      or transitions and event logs inflate past the stop. *)
@@ -178,23 +166,21 @@ let generate ?(max_configs = 1_000_000) ?budget ?probe
         st.transitions <- st.transitions + 1;
         if log then Metrics.incr m_transitions;
         let c', evs = Step.fire_action ctx c action in
-        if log then begin
-          st.accesses <- evs.Step.accesses :: st.accesses;
-          st.allocs <- evs.Step.allocs :: st.allocs
-        end;
+        if log then Step.record st.events evs;
         offer c (c', a') rest
-  (* Admit the fired successor [c'] of [c], then fire [rest].  When the
-     budget refuses [c'], the state keeps [c'] and [rest] as the
-     remainder of [c]'s expansion, for a resumed run to finish. *)
+  (* Admit the fired successor [c'] of [c], rebuilt from the pools,
+     then fire [rest].  When the budget refuses [c'], the state keeps
+     [c'] and [rest] as the remainder of [c]'s expansion, for a resumed
+     run to finish. *)
   and offer c (c', a') rest =
-    let d' = Config.digest c' in
-    (match ConfigTbl.find_digest st.visited d' with
+    let pooled, d' = Config.intern st.interner c' in
+    (match Config.Digest_tbl.find_opt st.visited d' with
     | Some recorded -> (
         match admit recorded a' with
         | None -> if log then Metrics.incr m_digest_hits
         | Some merged ->
-            ConfigTbl.add_digest st.visited d' merged;
-            Queue.add (c', merged) st.queue)
+            Config.Digest_tbl.replace st.visited d' merged;
+            Queue.add (pooled, merged) st.queue)
     | None -> (
         match Budget.config_guard budget ~configs:(configurations ()) with
         | Some r ->
@@ -203,8 +189,8 @@ let generate ?(max_configs = 1_000_000) ?budget ?probe
               Some { r_config = c; r_refused = (c', a'); r_actions = rest }
         | None ->
             if log then Metrics.incr m_admitted;
-            ConfigTbl.add_digest st.visited d' a';
-            Queue.add (c', a') st.queue));
+            Config.Digest_tbl.replace st.visited d' a';
+            Queue.add (pooled, a') st.queue));
     if !stop = None then fire_each c rest
   in
   (* A state saved by a run the budget cut mid-expansion: finish that
@@ -263,12 +249,7 @@ let generate ?(max_configs = 1_000_000) ?budget ?probe
       ];
   assemble ~status:(Budget.status_of !stop) ~configurations:(configurations ())
     ~transitions:st.transitions ~max_frontier:st.max_frontier
-    ~log:
-      {
-        Step.accesses = List.concat (List.rev st.accesses);
-        Step.allocs = List.concat (List.rev st.allocs);
-      }
-    terminals
+    ~log:(Step.logged st.events) terminals
 
 let explore ?max_configs ?budget ?probe ctx ~expand : result =
   generate ?max_configs ?budget ?probe ~site:"space" ~admit:no_revisits
@@ -281,19 +262,12 @@ let full ?max_configs ?budget ?probe ctx =
   generate ?max_configs ?budget ?probe ~site:"space" ~admit:no_revisits
     ~expand:all_actions ctx (start ctx ())
 
-(* Canonical set of final stores, for strategy comparisons.  Keyed on
-   the hash-consed store id — an int compare per element instead of
-   polymorphic [compare] over whole store representations, and immune
-   to any structural-compare/physical-sharing subtleties: id equality
-   is exactly structural equality of the canonical repr (Intern).  The
-   repr payload is kept for the caller; ids only order and dedup. *)
+(* Canonical set of final stores, for strategy comparisons: sorted and
+   deduplicated by the canonical representation, so it compares equal
+   across runs and engines, whatever their interners. *)
 let final_store_reprs (r : result) =
-  let interner = Intern.global () in
-  List.map
-    (fun c -> (Intern.store_id interner c.Config.store, c.Config.store))
-    r.final_configs
-  |> List.sort_uniq (fun (i, _) (j, _) -> Int.compare i j)
-  |> List.map (fun (_, s) -> Store.repr s)
+  List.sort_uniq compare
+    (List.map (fun c -> Store.repr c.Config.store) r.final_configs)
 
 let pp_stats ppf s =
   Format.fprintf ppf

@@ -27,26 +27,10 @@ type result = {
   final_configs : Config.t list;
   deadlock_configs : Config.t list;
   error_configs : Config.t list;
-  log : Step.events;  (** merged instrumentation of every transition *)
+  log : Step.events;
+      (** the distinct events of every transition fired (see
+          {!Step.log}), in no particular order *)
 }
-
-(** Visited sets keyed by the hash-consed configuration digest
-    ({!Config.digest}): O(1) probes with full-width precomputed hashes.
-    The [_digest] variants take a digest computed once by the caller and
-    threaded through, saving the second serialization of a mem/add or
-    find/add pair. *)
-module ConfigTbl : sig
-  type 'a t = 'a Config.Digest_tbl.t
-
-  val create : int -> 'a t
-  val mem : 'a t -> Config.t -> bool
-  val add : 'a t -> Config.t -> 'a -> unit
-  val length : 'a t -> int
-  val find_opt : 'a t -> Config.t -> 'a option
-  val mem_digest : 'a t -> Config.digest -> bool
-  val add_digest : 'a t -> Config.digest -> 'a -> unit
-  val find_digest : 'a t -> Config.digest -> 'a option
-end
 
 val journal_every : int
 (** Sampling period of the journal breadcrumbs: {!generate} emits one
@@ -106,18 +90,21 @@ type 'a remainder = {
   r_actions : (Step.action * 'a) list;  (** its actions still to fire *)
 }
 
-(** The kernel state between two pops.  It is plain data, so
-    {!Checkpoint} marshals it as is (after re-keying the digests of
-    [visited] on restore). *)
+(** The kernel state between two pops.  It is plain data, interner
+    included, so {!Checkpoint} marshals it as is and a resumed run
+    continues with the same pools and ids. *)
 type 'a state = {
-  visited : 'a ConfigTbl.t;
+  interner : Intern.state;
+      (** this exploration's pools: every admitted configuration is
+          rebuilt from them ({!Config.intern}), and the visited set is
+          keyed by ids into them *)
+  visited : 'a Config.Digest_tbl.t;
       (** every admitted configuration with its annotation *)
   queue : (Config.t * 'a) Queue.t;  (** the frontier, front first *)
   terminals : terminals;  (** classified popped configurations *)
   mutable transitions : int;
   mutable max_frontier : int;
-  mutable accesses : Step.access list list;  (** reverse firing order *)
-  mutable allocs : Step.alloc list list;
+  events : Step.log;  (** the distinct events fired so far *)
   mutable remainder : 'a remainder option;
       (** set when {!Budget.config_guard} stopped the run in the middle
           of an expansion; {!generate} finishes it before its first pop,
@@ -125,8 +112,8 @@ type 'a state = {
 }
 
 val start : Step.ctx -> 'a -> 'a state
-(** A fresh state: the initial configuration admitted and queued with
-    the given annotation. *)
+(** A fresh state with a fresh interner: the initial configuration
+    admitted and queued with the given annotation. *)
 
 val no_revisits : 'a -> 'a -> 'a option
 (** The admission policy of every engine but {!Sleep}: a configuration
@@ -176,15 +163,16 @@ val generate :
     [site] names the run in the fault plan ([<site>.pop], hit once per
     pop) and in the journal ([<site>.progress], sampled every
     {!journal_every} pops, and [<site>.done]).  [log] (default [true])
-    keeps the merged event log and counts the run in the [space.*]
-    metrics; [Race.find] turns it off, since its pass re-walks a space
-    whose exploration is accounted for elsewhere and reads no events.
+    keeps the event log and counts the run in the [space.*] metrics;
+    [Race.find] turns it off, since its pass re-walks a space whose
+    exploration is accounted for elsewhere and reads no events.
 
     The budget is [budget], or a fresh one bounding the visited set to
     [max_configs] (default one million).  Never raises on exhaustion:
     the partial result comes back tagged [Truncated _], with the
     frontier classified by {!drain}; [st] then holds the pre-drain
-    state.  [probe] is ticked once per pop. *)
+    state.  [probe] is ticked once per pop, and its samples report the
+    sizes of [st]'s pools ({!Cobegin_obs.Probe.set_pools}). *)
 
 val explore :
   ?max_configs:int ->
@@ -219,9 +207,8 @@ val full :
 
 val final_store_reprs : result -> (Value.loc * Value.t) list list
 (** Canonical list of the distinct final stores — the
-    "result-configurations" used to compare strategies.  Deduplicated
-    and ordered by hash-consed store id (first-intern order, stable
-    within a process), so comparing two runs' lists for equality is
-    meaningful in-process regardless of which engine produced them. *)
+    "result-configurations" used to compare strategies.  Sorted and
+    deduplicated by {!Store.repr}, so two runs' lists compare equal
+    whichever engines (and interners) produced them. *)
 
 val pp_stats : Format.formatter -> stats -> unit

@@ -11,51 +11,54 @@ type witness = {
   explored : int;
 }
 
-module ConfigTbl = Space.ConfigTbl
-
+(* The search owns its interner, like every exploration: admitted
+   configurations are rebuilt from its pools (Config.intern).  The
+   parent map is keyed by digest and records the parent's digest. *)
 let search ?(max_configs = 200_000) ctx ~(pred : Config.t -> bool) :
     witness option =
-  let visited = ConfigTbl.create 1024 in
+  let interner = Intern.create () in
+  let visited = Config.Digest_tbl.create 1024 in
   let queue = Queue.create () in
-  (* parent map: configuration -> (parent, pid fired) *)
-  let parents : (Config.t * Value.pid) ConfigTbl.t = ConfigTbl.create 1024 in
-  let c0 = Step.init ctx in
-  let rebuild c =
-    let rec go c acc =
-      match ConfigTbl.find_opt parents c with
+  (* parent map: digest -> (parent digest, pid fired) *)
+  let parents = Config.Digest_tbl.create 1024 in
+  let rebuild d =
+    let rec go d acc =
+      match Config.Digest_tbl.find_opt parents d with
       | None -> acc
       | Some (parent, pid) -> go parent (pid :: acc)
     in
-    go c []
+    go d []
   in
   let result = ref None in
-  ConfigTbl.add visited c0 ();
-  Queue.add c0 queue;
+  let c0, d0 = Config.intern interner (Step.init ctx) in
+  Config.Digest_tbl.replace visited d0 ();
+  Queue.add (c0, d0) queue;
   (try
      while not (Queue.is_empty queue) do
-       let c = Queue.pop queue in
+       let c, d = Queue.pop queue in
        if pred c then begin
          result :=
            Some
              {
-               schedule = rebuild c;
+               schedule = rebuild d;
                target = c;
-               explored = ConfigTbl.length visited;
+               explored = Config.Digest_tbl.length visited;
              };
          raise Exit
        end;
        if not (Config.is_error c) then
          List.iter
            (fun p ->
-             let c', _ = Step.fire ctx c p in
-             let d' = Config.digest c' in
+             let c', d' =
+               Config.intern interner (fst (Step.fire ctx c p))
+             in
              if
-               (not (ConfigTbl.mem_digest visited d'))
-               && ConfigTbl.length visited < max_configs
+               (not (Config.Digest_tbl.mem visited d'))
+               && Config.Digest_tbl.length visited < max_configs
              then begin
-               ConfigTbl.add_digest visited d' ();
-               ConfigTbl.add_digest parents d' (c, p.Proc.pid);
-               Queue.add c' queue
+               Config.Digest_tbl.replace visited d' ();
+               Config.Digest_tbl.replace parents d' (d, p.Proc.pid);
+               Queue.add (c', d') queue
              end)
            (Step.enabled_processes ctx c)
      done

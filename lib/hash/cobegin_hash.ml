@@ -27,46 +27,51 @@ let hash_option hash_elt = function
 let hash_int_array a =
   Array.fold_left combine (hash_int (Array.length a)) a
 
-module Pool (H : Hashtbl.HashedType) = struct
+module type POOLED = sig
+  include Hashtbl.HashedType
+
+  val found : unit -> unit
+  val added : unit -> unit
+end
+
+module Pool (H : POOLED) = struct
   module T = Hashtbl.Make (H)
 
-  (* The lookup is mutex-guarded so pools can be shared across OCaml 5
-     domains (the parallel exploration engine interns from every
-     worker).  Ids stay sequential — the mutex serializes assignment,
-     so the n-th distinct key interned process-wide gets id n-1 — and
-     stable: an id, once handed out, never changes or gets reused.
-     Uncontended lock/unlock costs a few nanoseconds, noise next to the
-     structural comparison of the key. *)
-  type t = {
-    lock : Mutex.t;
-    tbl : int T.t;
-    mutable next : int;
-    found : unit -> unit;
-    added : unit -> unit;
-  }
+  (* The table maps a key to the pair the pool hands out, so a hit
+     returns a value already built.  Only a shared pool has a lock: the
+     parallel exploration engine interns from every worker.  The mutex
+     serializes id assignment, so the n-th distinct key gets id n-1
+     whatever the schedule; uncontended lock/unlock costs a few
+     nanoseconds.  An unshared pool holds no custom block and no
+     closure, so it marshals. *)
+  type t = { lock : Mutex.t option; tbl : (H.t * int) T.t; mutable next : int }
 
-  let create ?(found = ignore) ?(added = ignore) n =
-    { lock = Mutex.create (); tbl = T.create n; next = 0; found; added }
+  let create ?(shared = false) n =
+    {
+      lock = (if shared then Some (Mutex.create ()) else None);
+      tbl = T.create n;
+      next = 0;
+    }
+
+  let lookup p k =
+    match T.find_opt p.tbl k with
+    | Some e ->
+        H.found ();
+        e
+    | None ->
+        let e = (k, p.next) in
+        p.next <- p.next + 1;
+        T.add p.tbl k e;
+        H.added ();
+        e
 
   let intern p k =
-    Mutex.protect p.lock (fun () ->
-        match T.find_opt p.tbl k with
-        | Some id ->
-            p.found ();
-            id
-        | None ->
-            let id = p.next in
-            p.next <- id + 1;
-            T.add p.tbl k id;
-            p.added ();
-            id)
+    match p.lock with
+    | None -> lookup p k
+    | Some m -> Mutex.protect m (fun () -> lookup p k)
 
-  let size p = Mutex.protect p.lock (fun () -> p.next)
-
-  (* Consistent (key, id) listing for snapshotting: taken under the
-     pool mutex, so concurrent interns either appear fully or not at
-     all — ids in the listing are always a prefix 0..n-1. *)
-  let entries p =
-    Mutex.protect p.lock (fun () ->
-        T.fold (fun k id acc -> (k, id) :: acc) p.tbl [])
+  let size p =
+    match p.lock with
+    | None -> p.next
+    | Some m -> Mutex.protect m (fun () -> p.next)
 end

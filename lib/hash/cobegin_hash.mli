@@ -31,30 +31,42 @@ val hash_int_array : int array -> int
 (** Full fold over the array — the replacement for
     [Hashtbl.hash (Array.to_list m)] truncated at ~10 elements. *)
 
-(** Hash-consing pool: assigns small sequential ids to structurally
-    distinct keys.  Two keys receive the same id iff they are equal per
-    [H.equal]; ids are never reused, so id equality is a sound and
-    complete proxy for structural equality of the interned values.
+(** What a {!Pool} keys on: a hashed type plus the two hooks the pool
+    runs on each lookup. *)
+module type POOLED = sig
+  include Hashtbl.HashedType
 
-    Lookup is mutex-guarded, so a pool may be shared across OCaml 5
-    domains: ids stay sequential and stable no matter how many domains
-    intern concurrently. *)
-module Pool (H : Hashtbl.HashedType) : sig
+  val found : unit -> unit
+  (** Run on each {!Pool.intern} that finds its key already pooled. *)
+
+  val added : unit -> unit
+  (** Run on each {!Pool.intern} that adds its key. *)
+end
+
+(** Hash-consing pool: assigns small sequential ids to structurally
+    distinct keys and keeps the first instance of each.  Two keys
+    receive the same id iff they are equal per [H.equal]; ids are never
+    reused, so id equality is a sound and complete proxy for structural
+    equality of the interned values.
+
+    A pool is plain data (no closures, no lock unless [shared]), so an
+    unshared pool survives [Marshal] with its ids: the hashes it keys on
+    must then be functions of the contents, never of addresses.  A
+    [shared] pool guards each lookup with a mutex and may be used from
+    several OCaml 5 domains at once; ids stay sequential and stable no
+    matter how many domains intern concurrently. *)
+module Pool (H : POOLED) : sig
   type t
 
-  val create : ?found:(unit -> unit) -> ?added:(unit -> unit) -> int -> t
-  (** [found] runs on each {!intern} that finds its key already in the
-      pool, [added] on each that adds it — under the pool mutex, so
-      they must not re-enter the pool.  Both default to doing nothing;
-      {!Intern} counts lookups with them. *)
+  val create : ?shared:bool -> int -> t
+  (** [shared] (default [false]) adds the mutex.  The hooks of [H] run
+      under it, so they must not re-enter the pool. *)
 
-  val intern : t -> H.t -> int
+  val intern : t -> H.t -> H.t * int
+  (** The pooled instance equal to the key — the key itself when it is
+      new — and its id.  The pair is the one the pool stores, so a hit
+      allocates nothing. *)
+
   val size : t -> int
   (** Number of distinct keys interned so far (= the next fresh id). *)
-
-  val entries : t -> (H.t * int) list
-  (** Every (key, id) pair interned so far, in no particular order,
-      read atomically under the pool mutex — the ids always form the
-      contiguous range [0..size-1].  For snapshot/restore
-      ({!Intern}). *)
 end

@@ -7,8 +7,9 @@
    ticks, one clock read: cheap enough to leave attached to hot loops.
 
    Samples go to a pluggable sink: a stderr progress line or a JSONL
-   stream.  Pool sizes come from an injected supplier so this library
-   depends on nothing above Budget. *)
+   stream.  Pool sizes come from an injected supplier, which an
+   exploration engine replaces with its own pools' sizes, so this
+   library depends on nothing above Budget. *)
 
 type sample = {
   p_elapsed_s : float;
@@ -28,7 +29,7 @@ type t = {
   every_s : float;
   check_every : int;
   clock : unit -> float;
-  pools : unit -> (string * int) list;
+  mutable pools : unit -> (string * int) list;
   mutable budget : Budget.t option;
   sink : sink;
   t0 : float;
@@ -57,6 +58,7 @@ let make ?(every_configs = 5_000) ?(every_s = 1.0) ?(check_every = 256)
   }
 
 let set_budget t b = t.budget <- Some b
+let set_pools t pools = t.pools <- pools
 let fired t = t.fired
 
 let fire t ~configurations ~frontier ~transitions ~now =

@@ -9,7 +9,8 @@
     attached to a hot loop.
 
     Pool sizes (intern pools, caches) come from an injected supplier so
-    this library depends on nothing above {!Budget}. *)
+    this library depends on nothing above {!Budget}; an exploration
+    engine attaches the sizes of its own pools with {!set_pools}. *)
 
 type sample = {
   p_elapsed_s : float;  (** since the probe was created *)
@@ -43,6 +44,10 @@ val set_budget : t -> Budget.t -> unit
 (** Attach (or replace) the budget whose headroom samples report —
     engines that build their budget internally call this just before
     running. *)
+
+val set_pools : t -> (unit -> (string * int) list) -> unit
+(** Replace the pool-size supplier — the exploration kernel attaches
+    its run's intern pools this way, as it starts. *)
 
 val tick :
   t -> configurations:int -> frontier:int -> transitions:int -> unit

@@ -14,13 +14,10 @@ module PidMap = Map.Make (struct
   let compare = Value.compare_pid
 end)
 
-(* Defined in Intern so the interner can pool whole counter maps. *)
-module CounterMap = Intern.CounterMap
-
 type t = {
   procs : Proc.t PidMap.t;
   store : Store.t;
-  counters : int CounterMap.t; (* next sequence number per (pid, site) *)
+  counters : Counters.t; (* next sequence number per (pid, site) *)
   error : string option;
 }
 
@@ -39,9 +36,8 @@ let all_terminated c = PidMap.is_empty c.procs
 (* Bump the allocation counter for (pid, site); returns seq and the new
    configuration counters. *)
 let next_seq ~pid ~site c =
-  let key = (pid, site) in
-  let seq = match CounterMap.find_opt key c.counters with Some n -> n | None -> 0 in
-  (seq, { c with counters = CounterMap.add key (seq + 1) c.counters })
+  let seq, counters = Counters.next ~pid ~site c.counters in
+  (seq, { c with counters })
 
 let update_proc p c = { c with procs = PidMap.add p.Proc.pid p c.procs }
 let remove_proc pid c = { c with procs = PidMap.remove pid c.procs }
@@ -61,7 +57,7 @@ let repr c =
   {
     r_procs = List.map (fun (_, p) -> Proc.repr p) (PidMap.bindings c.procs);
     r_store = Store.repr c.store;
-    r_counters = CounterMap.bindings c.counters;
+    r_counters = Counters.bindings c.counters;
     r_error = c.error;
   }
 
@@ -76,30 +72,43 @@ type digest = {
   d_hash : int; (* precomputed full-width hash of the tuple *)
 }
 
-(* The one hash formula for digests — [digest] and [digest_of_ids]
-   must agree, or checkpointed visited sets stop matching live ones. *)
-let digest_of_ids ~d_procs ~d_store ~d_counters ~d_error =
-  let d_hash =
-    Cobegin_hash.combine
-      (Cobegin_hash.hash_int_array d_procs)
-      (Cobegin_hash.combine d_store
-         (Cobegin_hash.combine d_counters d_error))
+(* One pass over the processes, in pid order ([PidMap.map] applies its
+   function in increasing key order): intern each, record its id, and
+   keep the pooled instance.  Of the store only the cells are replaced
+   (Store.adopt_cells): births, heap, exposure and blocks are not
+   compared by Store.equal, so the pooled store's may differ. *)
+let intern st c =
+  let d_procs = Array.make (PidMap.cardinal c.procs) 0 in
+  let i = ref 0 in
+  let procs =
+    PidMap.map
+      (fun p ->
+        let pooled, id = Intern.proc st p in
+        d_procs.(!i) <- id;
+        incr i;
+        pooled)
+      c.procs
   in
-  { d_procs; d_store; d_counters; d_error; d_hash }
-
-let digest c =
-  let st = Intern.global () in
-  let d_procs =
-    Array.of_list
-      (List.rev
-         (PidMap.fold
-            (fun _ p acc -> Intern.proc_id st p :: acc)
-            c.procs []))
-  in
-  let d_store = Intern.store_id st c.store in
-  let d_counters = Intern.counters_id st c.counters in
+  let pooled_store, d_store = Intern.store st c.store in
+  let counters, d_counters = Intern.counters st c.counters in
   let d_error = Intern.error_id st c.error in
-  digest_of_ids ~d_procs ~d_store ~d_counters ~d_error
+  ( {
+      procs;
+      store = Store.adopt_cells ~pooled:pooled_store c.store;
+      counters;
+      error = c.error;
+    },
+    {
+      d_procs;
+      d_store;
+      d_counters;
+      d_error;
+      d_hash =
+        Cobegin_hash.combine
+          (Cobegin_hash.hash_int_array d_procs)
+          (Cobegin_hash.combine d_store
+             (Cobegin_hash.combine d_counters d_error));
+    } )
 
 let digest_equal a b =
   a.d_hash = b.d_hash && a.d_store = b.d_store
@@ -119,9 +128,6 @@ module Digest_tbl = Hashtbl.Make (struct
   let equal = digest_equal
   let hash = digest_hash
 end)
-
-let equal a b = digest_equal (digest a) (digest b)
-let hash c = (digest c).d_hash
 
 let pp ppf c =
   Format.fprintf ppf "@[<v>%a@ store: %a%a@]"

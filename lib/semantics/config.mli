@@ -1,24 +1,22 @@
 (** Configurations — the global states of the interleaving semantics
     (paper section 2): live processes, shared store, allocation counters
-    and an optional error marker.  Equality and hashing go through the
-    hash-consed {!digest}, so that exploration folds states reached by
-    different interleavings; {!repr} is the canonical representation it
-    is checked against. *)
+    and an optional error marker.  Exploration folds states reached by
+    different interleavings by their hash-consed {!digest}; {!repr} is
+    the canonical representation it is checked against. *)
 
 module PidMap : Map.S with type key = Value.pid
-module CounterMap : Map.S with type key = Value.pid * int
 
 type t = {
   procs : Proc.t PidMap.t;
   store : Store.t;
-  counters : int CounterMap.t;  (** next sequence number per (pid, site) *)
+  counters : Counters.t;  (** next sequence number per (pid, site) *)
   error : string option;  (** a runtime failure: the configuration is terminal *)
 }
 
 val make :
   procs:Proc.t PidMap.t ->
   store:Store.t ->
-  counters:int CounterMap.t ->
+  counters:Counters.t ->
   error:string option ->
   t
 
@@ -55,26 +53,23 @@ type digest = {
   d_error : int;  (** -1, or the interned error string id *)
   d_hash : int;  (** precomputed full-width hash of the tuple *)
 }
-(** Hash-consed identity (see {!Intern}): a flat int tuple such that
-    [digest_equal (digest a) (digest b)] iff [repr a = repr b].  The
-    pools key on the live components: processes and stores carry their
-    own cached hash ({!Proc.hash}, {!Store.hash}), so no canonical form
-    is built and no process or store is walked unless a lookup must
-    compare two equal-hashing values. *)
+(** Hash-consed identity (see {!Intern}): a flat int tuple such that,
+    under one interner, two configurations' digests are equal iff their
+    {!repr}s are.  The pools key on the live components, which carry
+    their own cached or maintained hash ({!Proc.hash}, {!Store.hash},
+    {!Counters.hash}), so no canonical form is built and no component
+    is walked unless a lookup must compare two equal-hashing values. *)
 
-val digest : t -> digest
-(** Intern against the process-wide default interner
-    ({!Intern.global}).  Cost: one hash for each process built since its
-    last digest, a comparison per pool hit that is not physically the
-    pooled value, a walk of the counter map, and O(#procs) to assemble
-    the tuple. *)
-
-val digest_of_ids :
-  d_procs:int array -> d_store:int -> d_counters:int -> d_error:int -> digest
-(** Rebuild a digest from component ids (recomputing [d_hash] with the
-    same formula {!digest} uses).  For checkpoint restore, where saved
-    ids are mapped through an {!Intern.remap} before reuse.  The ids
-    must come from the interner the digest will be compared under. *)
+val intern : Intern.state -> t -> t * digest
+(** [intern st c] is [c] rebuilt from the components pooled in [st],
+    and its digest.  Each process and the counter map are replaced by
+    their pooled instances; the store keeps its own metadata and takes
+    the pooled store's cell map ({!Store.adopt_cells}).  Successors of
+    a configuration admitted this way share its untouched components
+    physically with the pools, so their own lookups hit on [==].
+    Cost: one hash for each process built since its last lookup, a
+    comparison per pool hit that is not physically the pooled value,
+    and O(#procs) to assemble the tuple and the process map. *)
 
 val digest_equal : digest -> digest -> bool
 val digest_hash : digest -> int
@@ -83,9 +78,5 @@ module Digest_tbl : Hashtbl.S with type key = digest
 (** The specialized visited-set table every state-folding client keys
     by: hashing reads the precomputed [d_hash], equality compares a
     handful of ints. *)
-
-val equal : t -> t -> bool
-val hash : t -> int
-(** Both go through {!digest}. *)
 
 val pp : Format.formatter -> t -> unit

@@ -73,6 +73,58 @@ let no_events = { accesses = []; allocs = [] }
 let merge_events a b =
   { accesses = a.accesses @ b.accesses; allocs = a.allocs @ b.allocs }
 
+(* Event logs: the distinct events of an exploration.  A state space
+   repeats the same access at every configuration that reaches it, and
+   the analyses read only which events occur, so an exploration keeps
+   each once.  Events are small pure data, compared structurally and
+   hashed by their statement, location and the numbers of their
+   procedure string (a callee's name is left to the comparison). *)
+let hash_event label loc pstr =
+  List.fold_left
+    (fun h f ->
+      Cobegin_hash.combine h
+        (match f with
+        | Pstring.Fcall { site; inst; _ } -> Cobegin_hash.combine site inst
+        | Pstring.Fbranch { cob; idx; inst } ->
+            Cobegin_hash.combine cob (Cobegin_hash.combine idx inst)))
+    (Cobegin_hash.combine label (Value.hash_loc loc))
+    pstr
+
+module Access_tbl = Hashtbl.Make (struct
+  type t = access
+
+  let equal = ( = )
+  let hash a = hash_event a.a_label a.a_loc a.a_pstr
+end)
+
+module Alloc_tbl = Hashtbl.Make (struct
+  type t = alloc
+
+  let equal = ( = )
+  let hash a = hash_event a.al_site a.al_loc a.al_birth
+end)
+
+type log = { l_accesses : unit Access_tbl.t; l_allocs : unit Alloc_tbl.t }
+
+let new_log () =
+  { l_accesses = Access_tbl.create 256; l_allocs = Alloc_tbl.create 64 }
+
+let record log evs =
+  List.iter (fun a -> Access_tbl.replace log.l_accesses a ()) evs.accesses;
+  List.iter (fun a -> Alloc_tbl.replace log.l_allocs a ()) evs.allocs
+
+let absorb ~into log =
+  Access_tbl.iter (fun a () -> Access_tbl.replace into.l_accesses a ())
+    log.l_accesses;
+  Alloc_tbl.iter (fun a () -> Alloc_tbl.replace into.l_allocs a ())
+    log.l_allocs
+
+let logged log =
+  {
+    accesses = Access_tbl.fold (fun a () l -> a :: l) log.l_accesses [];
+    allocs = Alloc_tbl.fold (fun a () l -> a :: l) log.l_allocs [];
+  }
+
 (* --- expression evaluation --- *)
 
 exception Runtime_error of string
@@ -212,7 +264,7 @@ let init ctx : Config.t =
   normalize
     (Config.make
        ~procs:(Config.PidMap.singleton Value.root_pid p)
-       ~store:Store.empty ~counters:Config.CounterMap.empty ~error:None)
+       ~store:Store.empty ~counters:Counters.empty ~error:None)
 
 (* --- enabledness --- *)
 

@@ -60,6 +60,23 @@ type events = { accesses : access list; allocs : alloc list }
 val no_events : events
 val merge_events : events -> events -> events
 
+(** The distinct events of an exploration.  Every configuration that
+    reaches an access repeats it; the analyses of section 5 read only
+    which events occur, so a log keeps each access and each allocation
+    once.  Plain data: a log marshals. *)
+type log
+
+val new_log : unit -> log
+
+val record : log -> events -> unit
+(** Add the events one transition performed. *)
+
+val absorb : into:log -> log -> unit
+(** Add every event of the second log to [into]. *)
+
+val logged : log -> events
+(** The distinct events, in no particular order. *)
+
 (** {1 Evaluation} *)
 
 exception Runtime_error of string

@@ -105,7 +105,14 @@ let hash st = st.hash
 let equal a b =
   a == b
   || a.hash = b.hash
-     && Value.LocMap.equal Value.equal_value a.cells b.cells
+     && (a.cells == b.cells
+        || Value.LocMap.equal Value.equal_value a.cells b.cells)
+
+(* Only the cells: the metadata is not what [equal] compares, so a
+   pooled store's metadata may differ from this one's. *)
+let adopt_cells ~pooled st =
+  if pooled == st || pooled.cells == st.cells then st
+  else { st with cells = pooled.cells }
 
 let bindings st = Value.LocMap.bindings st.cells
 

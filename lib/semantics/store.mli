@@ -46,7 +46,14 @@ val hash : t -> int
     it. *)
 
 val equal : t -> t -> bool
-(** Same cells (locations and values); compares {!hash} first. *)
+(** Same cells (locations and values); compares {!hash} first, then
+    the cell maps' physical identity. *)
+
+val adopt_cells : pooled:t -> t -> t
+(** [adopt_cells ~pooled st] is [st] holding [pooled]'s cell map, which
+    must be equal to its own ([equal pooled st]); the metadata stays
+    [st]'s.  {!Config.intern} uses it to share one cell map among the
+    stores of a pool. *)
 
 val bindings : t -> (Value.loc * Value.t) list
 val pp : Format.formatter -> t -> unit

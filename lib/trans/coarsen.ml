@@ -27,13 +27,14 @@ let is_simple (s : stmt) =
   | Scobegin _ | Satomic _ | Sawait _ | Sacquire _ | Srelease _ | Sfence ->
       false
 
-(* Group a block's statements.  [conf] is the program's conflict report. *)
-let rec group_block conf (ss : stmt list) : stmt list =
+(* Group a block's statements.  [conf] is the program's conflict report;
+   [fresh] labels the atomic blocks built. *)
+let rec group_block ~fresh conf (ss : stmt list) : stmt list =
   let flush run acc =
     match run with
     | [] -> acc
     | [ single ] -> single :: acc
-    | _ -> Ast.mk (Satomic (List.rev run)) :: acc
+    | _ -> { label = fresh (); kind = Satomic (List.rev run) } :: acc
   in
   let rec go acc run crit = function
     | [] -> List.rev (flush run acc)
@@ -44,28 +45,41 @@ let rec group_block conf (ss : stmt list) : stmt list =
           (* close the current run and start a new one at [s] *)
           go (flush run acc) [ s ] c rest
     | s :: rest ->
-        let s' = coarsen_stmt conf s in
+        let s' = coarsen_stmt ~fresh conf s in
         go (s' :: flush run acc) [] 0 rest
   in
   go [] [] 0 ss
 
-and coarsen_stmt conf (s : stmt) : stmt =
+and coarsen_stmt ~fresh conf (s : stmt) : stmt =
   match s.kind with
-  | Sblock ss -> { s with kind = Sblock (group_block conf ss) }
-  | Scobegin bs -> { s with kind = Scobegin (List.map (coarsen_stmt conf) bs) }
+  | Sblock ss -> { s with kind = Sblock (group_block ~fresh conf ss) }
+  | Scobegin bs ->
+      { s with kind = Scobegin (List.map (coarsen_stmt ~fresh conf) bs) }
   | Sif (c, s1, s2) ->
-      { s with kind = Sif (c, coarsen_stmt conf s1, coarsen_stmt conf s2) }
-  | Swhile (c, b) -> { s with kind = Swhile (c, coarsen_stmt conf b) }
+      {
+        s with
+        kind =
+          Sif (c, coarsen_stmt ~fresh conf s1, coarsen_stmt ~fresh conf s2);
+      }
+  | Swhile (c, b) -> { s with kind = Swhile (c, coarsen_stmt ~fresh conf b) }
   | _ -> s
 
 (* Coarsen a whole program.  The conflict report is computed once from the
-   original program (coarsening does not change accesses). *)
+   original program (coarsening does not change accesses).  The blocks
+   built are numbered above the program's largest label and every
+   original statement keeps its own, so labels stay unique — process
+   identity and race reports key statements by label — and the result
+   is a function of the program alone. *)
 let program (prog : program) : program =
   let conf = Critical.of_program prog in
-  { procs = List.map (fun p -> { p with body = coarsen_stmt conf p.body }) prog.procs }
-
-(* Expose the conflict report alongside, for diagnostics. *)
-let program_with_report (prog : program) : program * Critical.conflicts =
-  let conf = Critical.of_program prog in
-  ( { procs = List.map (fun p -> { p with body = coarsen_stmt conf p.body }) prog.procs },
-    conf )
+  let next = ref (List.fold_left max 0 (Ast.labels prog)) in
+  let fresh () =
+    incr next;
+    !next
+  in
+  {
+    procs =
+      List.map
+        (fun p -> { p with body = coarsen_stmt ~fresh conf p.body })
+        prog.procs;
+  }

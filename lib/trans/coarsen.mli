@@ -11,10 +11,8 @@ open Cobegin_lang
 val is_simple : Ast.stmt -> bool
 (** May the statement participate in a coarsened run? *)
 
-val coarsen_stmt : Critical.conflicts -> Ast.stmt -> Ast.stmt
-
 val program : Ast.program -> Ast.program
 (** Coarsen a whole program; the conflict report is computed once from
-    the input. *)
-
-val program_with_report : Ast.program -> Ast.program * Critical.conflicts
+    the input.  Original statements keep their labels and the atomic
+    blocks built are numbered above the largest, so the result's labels
+    are unique and depend on the input alone. *)

@@ -13,7 +13,9 @@
 open Cobegin_lang
 open Ast
 
-let gensym =
+(* Fresh names for one [program] call: numbered from 1 per call, so the
+   result is a function of the input alone. *)
+let gensym_for_program () =
   let n = ref 0 in
   fun base ->
     incr n;
@@ -75,7 +77,7 @@ let rec rename_expr ren = function
 
 (* Rename every bound name of a statement with fresh names; [ren] maps
    in-scope names to their fresh replacements. *)
-let rec rename_stmt ren (s : stmt) : (string * string) list * stmt =
+let rec rename_stmt gensym ren (s : stmt) : (string * string) list * stmt =
   let rex = rename_expr in
   let rlv ren = function
     | Lvar x -> Lvar (rename_var ren x)
@@ -96,14 +98,19 @@ let rec rename_stmt ren (s : stmt) : (string * string) list * stmt =
       keep (Scall (Option.map (rlv ren) lv, rex ren callee, List.map (rex ren) args))
   | Sreturn e -> keep (Sreturn (Option.map (rex ren) e))
   | Sblock ss ->
-      let _, ss' = rename_stmts ren ss in
+      let _, ss' = rename_stmts gensym ren ss in
       keep (Sblock ss')
   | Sif (c, a, b) ->
-      keep (Sif (rex ren c, snd (rename_stmt ren a), snd (rename_stmt ren b)))
-  | Swhile (c, b) -> keep (Swhile (rex ren c, snd (rename_stmt ren b)))
-  | Scobegin bs -> keep (Scobegin (List.map (fun b -> snd (rename_stmt ren b)) bs))
+      keep
+        (Sif
+           ( rex ren c,
+             snd (rename_stmt gensym ren a),
+             snd (rename_stmt gensym ren b) ))
+  | Swhile (c, b) -> keep (Swhile (rex ren c, snd (rename_stmt gensym ren b)))
+  | Scobegin bs ->
+      keep (Scobegin (List.map (fun b -> snd (rename_stmt gensym ren b)) bs))
   | Satomic ss ->
-      let ren', ss' = rename_stmts ren ss in
+      let ren', ss' = rename_stmts gensym ren ss in
       (* declarations inside atomic scope to the enclosing block *)
       (ren', { s with kind = Satomic ss' })
   | Sawait e -> keep (Sawait (rex ren e))
@@ -111,18 +118,19 @@ let rec rename_stmt ren (s : stmt) : (string * string) list * stmt =
   | Srelease x -> keep (Srelease (rename_var ren x))
   | Sassert e -> keep (Sassert (rex ren e))
 
-and rename_stmts ren ss =
+and rename_stmts gensym ren ss =
   let ren, rev =
     List.fold_left
       (fun (ren, acc) s ->
-        let ren', s' = rename_stmt ren s in
+        let ren', s' = rename_stmt gensym ren s in
         (ren', s' :: acc))
       (ren, []) ss
   in
   (ren, List.rev rev)
 
 (* Expand one call site.  Returns None when not inlinable. *)
-let expand prog (lv : lvalue option) f (args : expr list) : stmt list option =
+let expand gensym prog (lv : lvalue option) f (args : expr list) :
+    stmt list option =
   match find_proc prog f with
   | None -> None
   | Some p ->
@@ -138,7 +146,7 @@ let expand prog (lv : lvalue option) f (args : expr list) : stmt list option =
                 (fun (_, x') a -> Ast.mk (Sdecl (x', a)))
                 ren args
             in
-            let ren', body' = rename_stmts ren body_ss in
+            let ren', body' = rename_stmts gensym ren body_ss in
             let tail =
               (* destination lvalue belongs to the caller: not renamed *)
               match (lv, ret) with
@@ -149,27 +157,35 @@ let expand prog (lv : lvalue option) f (args : expr list) : stmt list option =
             (* wrap in a block so callee locals do not leak *)
             Some [ Ast.mk (Sblock (decls @ body' @ tail)) ]
 
-let rec inline_stmt prog (s : stmt) : stmt list =
+let rec inline_stmt gensym prog (s : stmt) : stmt list =
+  let inline = inline_stmt gensym prog in
   match s.kind with
   | Scall (lv, Evar f, args) when has_proc prog f -> (
-      match expand prog lv f args with
+      match expand gensym prog lv f args with
       | Some ss -> ss
       | None -> [ s ])
-  | Sblock ss -> [ { s with kind = Sblock (List.concat_map (inline_stmt prog) ss) } ]
+  | Sblock ss -> [ { s with kind = Sblock (List.concat_map inline ss) } ]
   | Scobegin bs ->
-      [ { s with kind = Scobegin (List.map (fun b -> Ast.block (inline_stmt prog b)) bs) } ]
+      [
+        {
+          s with
+          kind = Scobegin (List.map (fun b -> Ast.block (inline b)) bs);
+        };
+      ]
   | Sif (c, a, b) ->
-      [ { s with kind = Sif (c, Ast.block (inline_stmt prog a), Ast.block (inline_stmt prog b)) } ]
-  | Swhile (c, b) -> [ { s with kind = Swhile (c, Ast.block (inline_stmt prog b)) } ]
+      [ { s with kind = Sif (c, Ast.block (inline a), Ast.block (inline b)) } ]
+  | Swhile (c, b) -> [ { s with kind = Swhile (c, Ast.block (inline b)) } ]
   | _ -> [ s ]
 
 (* Inline up to [depth] rounds, then relabel so labels stay unique. *)
 let program ?(depth = 3) (prog : program) : program =
+  let gensym = gensym_for_program () in
   let step prog =
     {
       procs =
         List.map
-          (fun p -> { p with body = Ast.block (inline_stmt prog p.body) })
+          (fun p ->
+            { p with body = Ast.block (inline_stmt gensym prog p.body) })
           prog.procs;
     }
   in

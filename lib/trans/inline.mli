@@ -10,11 +10,7 @@ open Cobegin_lang
 val recursive : Ast.program -> string -> bool
 (** Is the procedure (transitively) recursive? *)
 
-val expand :
-  Ast.program -> Ast.lvalue option -> string -> Ast.expr list ->
-  Ast.stmt list option
-(** Expansion of one call site; [None] when not inlinable. *)
-
 val program : ?depth:int -> Ast.program -> Ast.program
 (** Inline up to [depth] rounds (default 3) and relabel the result so
-    statement labels stay unique. *)
+    statement labels stay unique.  Fresh names are numbered per call, so
+    the result depends on the input alone. *)

@@ -433,7 +433,216 @@ let visitor_tests =
           Cobegin_models.Corpus.all);
   ]
 
+(* The kernel keeps only distinct events and each exploration owns its
+   pools.  The oracle of both: a naive BFS keyed by [Config.repr] that
+   keeps every event of every transition in one list.  [successors]
+   gives the engine's successors of a configuration under its
+   annotation; the BFS stops where a configuration budget of
+   [max_configs] stops the kernel — before a pop once the visited set
+   is full, and at the first new successor it cannot admit (whose
+   transition already fired). *)
+module Repr_tbl = Hashtbl.Make (struct
+  type t = Cobegin_semantics.Config.repr
+
+  let equal = ( = )
+
+  (* the generic hash stops after 10 meaningful nodes: widen it *)
+  let hash = Hashtbl.hash_param 512 2048
+end)
+
+let naive_log ~max_configs ~successors ~admit ~init ctx =
+  let module Step = Cobegin_semantics.Step in
+  let module Config = Cobegin_semantics.Config in
+  let module Hashtbl = Repr_tbl in
+  let visited = Hashtbl.create 1024 and queue = Queue.create () in
+  let c0 = Step.init ctx in
+  Hashtbl.replace visited (Config.repr c0) init;
+  Queue.add (c0, init) queue;
+  let events = ref [] and stop = ref false in
+  let offer (c', evs, a') =
+    if not !stop then begin
+      events := evs :: !events;
+      let k = Config.repr c' in
+      match Hashtbl.find_opt visited k with
+      | Some recorded -> (
+          match admit recorded a' with
+          | None -> ()
+          | Some merged ->
+              Hashtbl.replace visited k merged;
+              Queue.add (c', merged) queue)
+      | None ->
+          if Hashtbl.length visited >= max_configs then stop := true
+          else begin
+            Hashtbl.replace visited k a';
+            Queue.add (c', a') queue
+          end
+    end
+  in
+  while (not !stop) && not (Queue.is_empty queue) do
+    if Hashtbl.length visited >= max_configs then stop := true
+    else
+      let c, a = Queue.pop queue in
+      if not (Config.is_error c || Config.all_terminated c) then
+        List.iter offer (successors c a)
+  done;
+  ( Hashtbl.length visited,
+    Cobegin_analysis.Event.of_concrete
+      {
+        Step.accesses = List.concat_map (fun e -> e.Step.accesses) !events;
+        allocs = List.concat_map (fun e -> e.Step.allocs) !events;
+      } )
+
+(* Full expansion is [Step.successors]; a strategy fires what its
+   expansion returns. *)
+let naive_full ~max_configs ctx =
+  naive_log ~max_configs ~admit:Space.no_revisits ~init:() ctx
+    ~successors:(fun c () ->
+      List.map
+        (fun (_, c', evs) -> (c', evs, ()))
+        (Cobegin_semantics.Step.successors ctx c))
+
+let naive_strategy ~max_configs ~expand ~admit ~init ctx =
+  let module Step = Cobegin_semantics.Step in
+  naive_log ~max_configs ~admit ~init ctx ~successors:(fun c a ->
+      match Step.enabled_actions ctx c with
+      | [] -> []
+      | enabled ->
+          List.map
+            (fun (action, a') ->
+              let c', evs = Step.fire_action ctx c action in
+              (c', evs, a'))
+            (expand c a enabled))
+
+(* The kernel's log, as the analyses read it, equals the oracle's for
+   every engine; the parallel engine is compared on complete runs. *)
+let log_agrees ?(max_configs = 1500) ctx =
+  let module Step = Cobegin_semantics.Step in
+  let log r = Cobegin_analysis.Event.of_concrete r.Space.log in
+  let _, full = naive_full ~max_configs ctx in
+  let _, stubborn =
+    let mctx = Mayaccess.make_ctx ctx.Step.prog in
+    naive_strategy ~max_configs ~admit:Space.no_revisits ~init:() ctx
+      ~expand:(fun c () enabled ->
+        List.map
+          (fun a -> (a, ()))
+          (Stubborn.choose_expansion mctx ctx c enabled))
+  in
+  let _, sleep =
+    naive_strategy ~max_configs ~admit:Sleep.admit ~init:Sleep.awake ctx
+      ~expand:(Sleep.expansion ctx)
+  in
+  let seq = Space.full ~max_configs ctx in
+  let agree =
+    log seq = full
+    && log (Stubborn.explore ~max_configs ctx) = stubborn
+    && log (Sleep.explore ~max_configs ctx) = sleep
+  in
+  agree
+  && ((not (Budget.is_complete seq.Space.status))
+     || List.for_all
+          (fun jobs -> log (Parallel.full ~max_configs ~jobs ctx) = full)
+          [ 2; 4 ])
+
+let pool_tests =
+  [
+    case "the kernel's event log equals a naive BFS's (corpus, sc/tso/pso)"
+      (fun () ->
+        List.iter
+          (fun (name, src) ->
+            List.iter
+              (fun model ->
+                let ctx =
+                  Cobegin_semantics.Step.make_ctx ~model (parse src)
+                in
+                check_bool
+                  (Printf.sprintf "%s under %s" name
+                     (Cobegin_semantics.Step.model_name model))
+                  true (log_agrees ctx))
+              Cobegin_semantics.Step.[ Sc; Tso; Pso ])
+          Cobegin_models.Corpus.all);
+    qtest ~count:30 "the kernel's event log equals a naive BFS's (random)"
+      seed_gen (fun seed ->
+        log_agrees (Cobegin_semantics.Step.make_ctx (random_program seed)));
+    case "progress samples report the exploration's own pools" (fun () ->
+        let samples = ref [] in
+        let probe =
+          Cobegin_obs.Probe.make ~every_configs:100 ~every_s:1e9
+            (fun s -> samples := s :: !samples)
+        in
+        let r =
+          Space.full ~probe
+            (ctx_of (Cobegin_models.Corpus.find "phil3" |> Option.get))
+        in
+        match !samples with
+        | [] -> Alcotest.fail "no sample fired"
+        | last :: _ ->
+            let size name =
+              Option.value ~default:0
+                (List.assoc_opt name last.Cobegin_obs.Probe.p_pools)
+            in
+            check_bool "processes pooled" true (size "procs" > 0);
+            check_bool "no more stores than configurations" true
+              (size "stores" > 0
+              && size "stores" <= r.Space.stats.Space.configurations));
+    case "explorations in one process share no pool state" (fun () ->
+        (* every parsed model numbers its labels from 1, so any two
+           overlap: with a process-wide pool, the second run could fold
+           one model's process into the other's *)
+        let engines =
+          [
+            ("full", fun ctx -> Space.full ctx);
+            ("stubborn", fun ctx -> Stubborn.explore ctx);
+            ("sleep", fun ctx -> Sleep.explore ctx);
+            ("parallel", fun ctx -> Parallel.full ~jobs:2 ctx);
+          ]
+        in
+        let summary engine (model, src) =
+          let r =
+            engine (Cobegin_semantics.Step.make_ctx ~model (parse src))
+          in
+          ( r.Space.stats.Space.configurations,
+            r.Space.stats.Space.transitions,
+            r.Space.stats.Space.finals,
+            r.Space.stats.Space.deadlocks,
+            r.Space.stats.Space.errors,
+            final_reprs r )
+        in
+        let find name = Cobegin_models.Corpus.find name |> Option.get in
+        List.iter
+          (fun (a, b) ->
+            List.iter
+              (fun (ename, engine) ->
+                (* a, then b after a, then a after b *)
+                let first_a = summary engine a in
+                let b_after_a = summary engine b in
+                let a_after_b = summary engine a in
+                let label x = Printf.sprintf "%s (%s)" x ename in
+                check_bool (label "a after b") true (a_after_b = first_a);
+                check_bool (label "b after a") true
+                  (b_after_a = summary engine b))
+              engines;
+            (* and the first runs were right: the full engine's count is
+               the number of distinct canonical representations *)
+            List.iter
+              (fun ((model, src) as m) ->
+                let n, _ =
+                  naive_full ~max_configs:max_int
+                    (Cobegin_semantics.Step.make_ctx ~model (parse src))
+                in
+                let configurations, _, _, _, _, _ =
+                  summary (fun ctx -> Space.full ctx) m
+                in
+                check_int "configurations" n configurations)
+              [ a; b ])
+          Cobegin_semantics.Step.
+            [
+              ((Sc, find "fig2"), (Sc, find "fig5"));
+              ((Tso, find "peterson_fenced"), (Tso, find "dekker_fenced"));
+              ((Sc, find "phil2"), (Sc, find "mutex"));
+            ]);
+  ]
+
 let suite =
   count_tests @ all_figures_agree @ property_tests @ composition_tests
   @ forktree_tests @ trace_tests @ sleep_tests @ replay_tests
-  @ mayaccess_tests @ visitor_tests
+  @ mayaccess_tests @ visitor_tests @ pool_tests

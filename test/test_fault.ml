@@ -423,6 +423,38 @@ let ladder_tests =
 
 (* --- checkpoint/resume determinism --- *)
 
+(* Write a checkpoint, rewrite its header's version field to [v] and
+   keep everything else (the header record { hd_version;
+   hd_program_hash } is marshaled like a pair of ints): resuming must
+   refuse it with [Corrupt]. *)
+let refused_with_version v =
+  let ctx = ctx_of phil2_src in
+  let path = checkpoint_path () in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      ignore (Checkpoint.full ~max_configs:5 ~path ctx : Space.result);
+      let magic = "COBEGIN-CKPT\n" in
+      let ic = open_in_bin path in
+      let body = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      let pos = String.length magic in
+      let (version, program_hash) : int * int = Marshal.from_string body pos in
+      check_int "this build writes format 5" 5 version;
+      let header = Marshal.to_string (v, program_hash) [] in
+      let rest =
+        let skip = pos + Marshal.total_size (Bytes.of_string body) pos in
+        String.sub body skip (String.length body - skip)
+      in
+      let oc = open_out_bin path in
+      output_string oc (magic ^ header ^ rest);
+      close_out oc;
+      match Checkpoint.resume ~path ctx with
+      | _ -> Alcotest.fail "expected Corrupt"
+      | exception Checkpoint.Corrupt msg ->
+          check_bool "names the version" true
+            (contains msg (Printf.sprintf "format version %d" v)))
+
 let ckpt_tests =
   [
     case "kill + resume reports identical statistics on 3 corpus models"
@@ -533,37 +565,9 @@ let ckpt_tests =
             check_bool "then resumes to the clean run" true
               (clean.Space.stats = resumed.Space.stats)));
     case "a format-3 checkpoint is refused" (fun () ->
-        let ctx = ctx_of phil2_src in
-        let path = checkpoint_path () in
-        Fun.protect
-          ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-          (fun () ->
-            ignore (Checkpoint.full ~max_configs:5 ~path ctx : Space.result);
-            (* rewrite the header's version field, keep everything else;
-               the header record { hd_version; hd_program_hash } is
-               marshaled like a pair of ints *)
-            let magic = "COBEGIN-CKPT\n" in
-            let ic = open_in_bin path in
-            let body = really_input_string ic (in_channel_length ic) in
-            close_in ic;
-            let pos = String.length magic in
-            let (version, program_hash) : int * int =
-              Marshal.from_string body pos
-            in
-            check_int "this build writes format 4" 4 version;
-            let header = Marshal.to_string (3, program_hash) [] in
-            let rest =
-              let skip = pos + Marshal.total_size (Bytes.of_string body) pos in
-              String.sub body skip (String.length body - skip)
-            in
-            let oc = open_out_bin path in
-            output_string oc (magic ^ header ^ rest);
-            close_out oc;
-            match Checkpoint.resume ~path ctx with
-            | _ -> Alcotest.fail "expected Corrupt"
-            | exception Checkpoint.Corrupt msg ->
-                check_bool "names the version" true
-                  (contains msg "format version 3")));
+        refused_with_version 3);
+    case "a format-4 checkpoint is refused" (fun () ->
+        refused_with_version 4);
     case "a checkpoint is bound to its program" (fun () ->
         let phil2_ctx = ctx_of phil2_src in
         let phil3_ctx =

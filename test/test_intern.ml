@@ -1,4 +1,4 @@
-(* Hash-consed digests (Intern / Config.digest): equality semantics
+(* Hash-consed digests (Intern / Config.intern): equality semantics
    across interleavings, digest-vs-repr cardinality, distribution of the
    full-width hash, the truncated-generic-hash regressions, and the laws
    of the cached process, store and environment hashes. *)
@@ -29,8 +29,11 @@ let fire_pid ctx c pid =
    equal cardinality means digests are injective on distinct reprs.
    [cap] bounds the visited reprs; the two sets still cover the same
    configurations. *)
+let digest st c = snd (Config.intern st c)
+
 let bfs_digests ?(model = Step.Sc) ?(cap = max_int) prog =
   let ctx = Step.make_ctx ~model prog in
+  let st = Intern.create () in
   let reprs = Hashtbl.create 64 in
   let digests = Config.Digest_tbl.create 64 in
   let queue = Queue.create () in
@@ -38,7 +41,7 @@ let bfs_digests ?(model = Step.Sc) ?(cap = max_int) prog =
     let r = Config.repr c in
     if Hashtbl.length reprs < cap && not (Hashtbl.mem reprs r) then begin
       Hashtbl.replace reprs r ();
-      Config.Digest_tbl.replace digests (Config.digest c) ();
+      Config.Digest_tbl.replace digests (digest st c) ();
       Queue.add c queue
     end
   in
@@ -63,14 +66,18 @@ let digest_tests =
         | p1 :: p2 :: _ ->
             let c12 = fire_pid ctx (fire_pid ctx c p1.Proc.pid) p2.Proc.pid in
             let c21 = fire_pid ctx (fire_pid ctx c p2.Proc.pid) p1.Proc.pid in
+            let st = Intern.create () in
+            let pooled12, d12 = Config.intern st c12 in
+            let pooled21, d21 = Config.intern st c21 in
             check_bool "reprs equal (ground truth)" true
               (Config.repr c12 = Config.repr c21);
-            check_bool "digests equal" true
-              (Config.digest_equal (Config.digest c12) (Config.digest c21));
-            check_int "hashes equal"
-              (Config.digest_hash (Config.digest c12))
-              (Config.digest_hash (Config.digest c21));
-            check_bool "Config.equal agrees" true (Config.equal c12 c21)
+            check_bool "digests equal" true (Config.digest_equal d12 d21);
+            check_int "hashes equal" (Config.digest_hash d12)
+              (Config.digest_hash d21);
+            check_bool "the second is rebuilt from the first's processes"
+              true
+              (Config.PidMap.equal ( == ) pooled12.Config.procs
+                 pooled21.Config.procs)
         | _ -> Alcotest.fail "expected two forked processes");
     case "digest cardinality matches repr cardinality (corpus, sc/tso/pso)"
       (fun () ->
@@ -95,12 +102,15 @@ let digest_tests =
         let st = Intern.create () in
         List.iter
           (fun p ->
-            check_int "same proc id" (Intern.proc_id st p)
-              (Intern.proc_id st p))
+            let p1, id1 = Intern.proc st p in
+            let p2, id2 = Intern.proc st (Proc.update p) in
+            check_int "same proc id" id1 id2;
+            check_bool "the first instance stays pooled" true
+              (p1 == p && p2 == p))
           (Config.processes c0);
         check_int "same store id"
-          (Intern.store_id st c0.Config.store)
-          (Intern.store_id st c0.Config.store);
+          (snd (Intern.store st c0.Config.store))
+          (snd (Intern.store st c0.Config.store));
         check_int "error None is -1" (-1) (Intern.error_id st None);
         check_bool "pools stay small" true (Intern.distinct_procs st <= 1))
   ]

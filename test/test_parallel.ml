@@ -80,18 +80,22 @@ module IntPool = Cobegin_hash.Pool (struct
 
   let equal = Int.equal
   let hash = Cobegin_hash.hash_int
+  let found = ignore
+  let added = ignore
 end)
 
 let intern_tests =
   [
     case "pool ids stay sequential and stable across 4 domains" (fun () ->
-        let pool = IntPool.create 64 in
+        let pool = IntPool.create ~shared:true 64 in
         let n = 100 in
         let keys w = List.init n (fun i -> (i + (w * 17)) mod n) in
         let domains =
           List.init 4 (fun w ->
               Domain.spawn (fun () ->
-                  List.map (fun k -> (k, IntPool.intern pool k)) (keys w)))
+                  List.map
+                    (fun k -> (k, snd (IntPool.intern pool k)))
+                    (keys w)))
         in
         let assignments = List.concat_map Domain.join domains in
         check_int "every distinct key got an id" n (IntPool.size pool);
@@ -100,7 +104,7 @@ let intern_tests =
             check_bool "id in range" true (id >= 0 && id < n);
             check_int
               (Printf.sprintf "key %d stable on re-intern" k)
-              id (IntPool.intern pool k))
+              id (snd (IntPool.intern pool k)))
           assignments;
         (* same key, same id — across whatever domain interned it *)
         List.iter
@@ -116,13 +120,14 @@ let intern_tests =
           seq.Space.final_configs @ seq.Space.deadlock_configs
           |> fun l -> if l = [] then [ Cobegin_semantics.Step.init ctx ] else l
         in
-        let st = Cobegin_semantics.Intern.global () in
+        let st = Cobegin_semantics.Intern.create ~shared:true () in
+        let digest c = snd (Cobegin_semantics.Config.intern st c) in
+        List.iter (fun c -> ignore (digest c)) configs;
         let procs0 = Cobegin_semantics.Intern.distinct_procs st in
         let stores0 = Cobegin_semantics.Intern.distinct_stores st in
         let domains =
           List.init 4 (fun _ ->
-              Domain.spawn (fun () ->
-                  List.map Cobegin_semantics.Config.digest configs))
+              Domain.spawn (fun () -> List.map digest configs))
         in
         let per_domain = List.map Domain.join domains in
         (match per_domain with

@@ -54,6 +54,22 @@ let integration_tests =
         in
         check_int "finals" base.Pipeline.stats.Pipeline.finals
           inl.Pipeline.stats.Pipeline.finals);
+    case "run_key is stable across calls under coarsen and inline+coarsen"
+      (fun () ->
+        List.iter
+          (fun (what, options) ->
+            List.iter
+              (fun (name, src) ->
+                let key () = Pipeline.run_key options (parse src) in
+                let first = key () in
+                check_string (name ^ " under " ^ what) first (key ()))
+              Cobegin_models.Corpus.all)
+          [
+            ("coarsen", { Pipeline.default_options with coarsen = true });
+            ( "inline+coarsen",
+              { Pipeline.default_options with inline = true; coarsen = true }
+            );
+          ]);
     case "race option populates the report" (fun () ->
         let report =
           Pipeline.analyze

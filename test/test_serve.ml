@@ -25,14 +25,25 @@ let mk ?(capacity = 8) ?cache_dir ?(defaults = Pipeline.default_options) () =
       spans = None;
     }
 
-let tmpdir () =
+(* A fresh directory in the system temp dir for [f], removed with
+   everything in it when [f] returns or raises. *)
+let with_tmpdir f =
   let d =
     Filename.concat
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "cobegin-serve-%d-%d" (Unix.getpid ()) (Random.bits ()))
   in
   Unix.mkdir d 0o755;
-  d
+  let rec remove path =
+    if Sys.is_directory path then begin
+      Array.iter
+        (fun name -> remove (Filename.concat path name))
+        (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+  in
+  Fun.protect ~finally:(fun () -> remove d) (fun () -> f d)
 
 let response_field name resp =
   match Sjson.parse resp with
@@ -135,7 +146,7 @@ let cache_tests =
           (Cache.find c "k1" = Some (e "k1")));
     case "disk entries survive a restart (a fresh cache on the same dir)"
       (fun () ->
-        let dir = tmpdir () in
+        with_tmpdir @@ fun dir ->
         let e = { Cache.exit_code = 2; report = {|{"deep":"thought"}|} } in
         let c1 = Cache.create ~dir ~capacity:4 () in
         Cache.store c1 "cafe0123cafe0123" e;
@@ -145,7 +156,7 @@ let cache_tests =
         check_int "disk hit counted as hit" 1 s.Cache.hits;
         check_int "promoted into memory" 1 s.Cache.entries);
     case "torn or corrupt disk entries load as misses" (fun () ->
-        let dir = tmpdir () in
+        with_tmpdir @@ fun dir ->
         let c = Cache.create ~dir ~capacity:4 () in
         let write name content =
           let oc = open_out (Filename.concat dir name) in
@@ -303,7 +314,7 @@ let handler_tests =
         check_bool "unknown engine" true (eng "warp" = None);
         check_bool "unknown folding" true (eng "abstract/signs/warp" = None));
     case "disk-backed daemon restart serves warm hits" (fun () ->
-        let dir = tmpdir () in
+        with_tmpdir @@ fun dir ->
         let line = Serve.analyze_line fig2 in
         let t1 = mk ~cache_dir:dir () in
         let cold, _ = Serve.handle_line t1 line in
