@@ -6,6 +6,7 @@
      races     co-enabledness race scan
      interfere thread-modular interference analysis (rely-guarantee)
      parallel  Shasha–Snir style parallelization report
+     serve     the analysis daemon; client submits one request to it
      examples  print a named built-in example program
 
    Exit codes (analyze / explore / races / parallel):
@@ -20,14 +21,16 @@
         (precedence 1 > 5 > 3 > 2 > 4 > 0)
 
    Examples:
-     coanalyze analyze prog.cob --engine stubborn --coarsen
+     coanalyze analyze prog.cob -e stubborn --coarsen
      coanalyze analyze prog.cob --lint-only
-     coanalyze analyze prog.cob --engine abstract --domain signs --folding clan
+     coanalyze analyze prog.cob -e abstract/signs/clan
      coanalyze analyze prog.cob --jobs 4 --chaos kill@worker1:5
      coanalyze explore prog.cob --max-configs 1000 --timeout 5
      coanalyze explore prog.cob --checkpoint run.ckpt --checkpoint-every 500
      coanalyze explore prog.cob --resume run.ckpt
-     coanalyze examples fig8 | coanalyze parallel /dev/stdin *)
+     coanalyze examples fig8 | coanalyze parallel /dev/stdin
+     coanalyze serve /tmp/s.sock --max-configs 100000 &
+     coanalyze client /tmp/s.sock prog.cob -e stubborn --races *)
 
 open Cmdliner
 open Cobegin_core
@@ -158,91 +161,6 @@ let file_arg =
     & pos 0 (some file) None
     & info [] ~docv:"FILE" ~doc:"Source file in the cobegin language.")
 
-let engine_arg =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "full" | "concrete/full" -> Ok Pipeline.Concrete_full
-    | "stubborn" | "concrete/stubborn" -> Ok Pipeline.Concrete_stubborn
-    | "abstract" -> Ok (Pipeline.Abstract (Analyzer.Intervals, Machine.Control))
-    | _ ->
-        Error
-          (`Msg
-             "engine must be full (concrete/full), stubborn \
-              (concrete/stubborn), or abstract")
-  in
-  let print ppf e = Pipeline.pp_engine ppf e in
-  Arg.(
-    value
-    & opt (conv (parse, print)) Pipeline.Concrete_full
-    & info [ "engine"; "e" ] ~docv:"ENGINE"
-        ~doc:
-          "Exploration engine: $(b,full) (also $(b,concrete/full)), \
-           $(b,stubborn) (also $(b,concrete/stubborn)) or $(b,abstract).")
-
-let domain_arg =
-  let parse s =
-    match Analyzer.domain_of_string s with
-    | Some d -> Ok d
-    | None -> Error (`Msg "domain must be intervals, constants, signs or parity")
-  in
-  Arg.(
-    value
-    & opt (conv (parse, Analyzer.pp_domain)) Analyzer.Intervals
-    & info [ "domain" ] ~docv:"DOMAIN"
-        ~doc:
-          "Numeric domain for the abstract engine: $(b,intervals), \
-           $(b,constants), $(b,signs), $(b,parity).")
-
-let folding_arg =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "exact" -> Ok Machine.Exact
-    | "control" | "taylor" -> Ok Machine.Control
-    | "clan" | "mcdowell" -> Ok Machine.Clan
-    | _ -> Error (`Msg "folding must be exact, control or clan")
-  in
-  Arg.(
-    value
-    & opt (conv (parse, Machine.pp_folding)) Machine.Control
-    & info [ "folding" ] ~docv:"FOLDING"
-        ~doc:
-          "Configuration folding for the abstract engine: $(b,exact), \
-           $(b,control) (Taylor) or $(b,clan) (McDowell).")
-
-let coarsen_arg =
-  Arg.(
-    value & flag
-    & info [ "coarsen" ]
-        ~doc:"Apply virtual coarsening (Observation 5) before exploring.")
-
-let inline_arg =
-  Arg.(
-    value & flag
-    & info [ "inline" ] ~doc:"Inline non-recursive procedure calls first.")
-
-let races_arg =
-  Arg.(
-    value & flag
-    & info [ "races" ] ~doc:"Also run the co-enabledness race scan.")
-
-let lint_arg =
-  Arg.(
-    value & flag
-    & info [ "lint" ]
-        ~doc:
-          "Also run the static concurrency lint suite (MHP, locksets, \
-           lock-order cycles) as a budget-free pre-stage.  Findings make \
-           the exit code 4.")
-
-let interfere_arg =
-  Arg.(
-    value & flag
-    & info [ "interfere" ]
-        ~doc:
-          "Also run the thread-modular interference analysis \
-           (rely-guarantee abstract interpretation) as a supervised \
-           pipeline stage.")
-
 let lint_only_arg =
   Arg.(
     value & flag
@@ -250,81 +168,6 @@ let lint_only_arg =
         ~doc:
           "Run only the static lint suite — no exploration, no budget.  \
            Exit code 4 when there are findings, 0 otherwise.")
-
-let memory_model_conv =
-  let parse s =
-    match Cobegin_semantics.Step.model_of_string s with
-    | Some m -> Ok m
-    | None ->
-        Error (`Msg (Printf.sprintf "unknown memory model %S (sc|tso|pso)" s))
-  in
-  Arg.conv
-    ( parse,
-      fun ppf m ->
-        Format.pp_print_string ppf (Cobegin_semantics.Step.model_name m) )
-
-let memory_model_arg =
-  Arg.(
-    value
-    & opt memory_model_conv Cobegin_semantics.Step.Sc
-    & info [ "memory-model" ] ~docv:"MODEL"
-        ~doc:
-          "Memory model of the concrete semantics: $(b,sc) (default, the            paper's interleaving semantics), $(b,tso) (per-process FIFO            store buffers, only the oldest write may flush) or $(b,pso)            (the oldest write per location may flush, so stores to            distinct locations reorder).  Under tso/pso plain assignments            buffer and publish via nondeterministic flush transitions;            $(b,fence)/$(b,atomic)/$(b,lock)/$(b,unlock) wait for the            issuing process's buffer to drain.  The abstract engine and            $(b,--interfere) model SC only and refuse tso/pso.")
-
-let max_configs_arg =
-  Arg.(
-    value & opt int 500_000
-    & info [ "max-configs" ] ~docv:"N"
-        ~doc:"Exploration budget (configurations).")
-
-let max_transitions_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "max-transitions" ] ~docv:"N"
-        ~doc:"Exploration budget (fired transitions).")
-
-let timeout_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "timeout" ] ~docv:"SECS"
-        ~doc:
-          "Wall-clock deadline for the whole run, in seconds.  On expiry \
-           the partial results are printed and the exit code is 2.")
-
-let max_heap_mb_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "max-heap-mb" ] ~docv:"MB"
-        ~doc:
-          "Truncate the run when the OCaml major heap exceeds this many \
-           megabytes.")
-
-let heap_words_of_mb mb =
-  (* OCaml heap words: 8 bytes each on 64-bit *)
-  mb * 1024 * 1024 / (Sys.word_size / 8)
-
-let jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:
-          "Explore on $(docv) OCaml domains (concrete full engine only; \
-           default 1 = the sequential engine).  Complete runs produce the \
-           same configuration/transition counts and final stores as the \
-           sequential engine.")
-
-let retries_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "retries" ] ~docv:"N"
-        ~doc:
-          "Extra attempts the supervisor grants a crashed pipeline stage \
-           (default 1).  Exploration walks its degradation ladder \
-           ($(b,--jobs) N, then 1 domain) before same-options retries.  \
-           0 disables retrying.")
 
 let chaos_arg =
   Arg.(
@@ -460,36 +303,12 @@ let resume_arg =
            the same program) and continue it, checkpointing onward to \
            the same file.")
 
-let mk_options engine domain folding memory_model coarsen inline races lint
-    interfere max_configs max_transitions timeout_s max_heap_mb jobs retries
-    =
-  let engine =
-    match engine with
-    | Pipeline.Abstract _ -> Pipeline.Abstract (domain, folding)
-    | e -> e
-  in
-  {
-    Pipeline.engine;
-    memory_model;
-    coarsen;
-    inline;
-    max_configs;
-    max_transitions;
-    timeout_s;
-    max_heap_words = Option.map heap_words_of_mb max_heap_mb;
-    find_races = races;
-    lint;
-    interfere;
-    jobs = max 1 jobs;
-    retries = max 0 retries;
-  }
+module Cli = Cobegin_serve.Cli
 
-let options_term =
-  Term.(
-    const mk_options $ engine_arg $ domain_arg $ folding_arg
-    $ memory_model_arg $ coarsen_arg $ inline_arg $ races_arg $ lint_arg
-    $ interfere_arg $ max_configs_arg $ max_transitions_arg $ timeout_arg
-    $ max_heap_mb_arg $ jobs_arg $ retries_arg)
+let options_term = Cli.options ()
+
+let budget_fields =
+  [ "max_configs"; "max_transitions"; "timeout_s"; "max_heap_words" ]
 
 let analyze_cmd =
   let run file options lint_only json log log_level manifest trace metrics
@@ -615,9 +434,8 @@ let analyze_cmd =
       $ progress_arg $ chaos_arg $ debug_arg)
 
 let explore_cmd =
-  let run file memory_model coarsen max_configs max_transitions timeout_s
-      max_heap_mb jobs metrics progress chaos ckpt ckpt_every ckpt_secs
-      resume_path =
+  let run file (o : Pipeline.options) metrics progress chaos ckpt ckpt_every
+      ckpt_secs resume_path =
     match install_chaos chaos with
     | Error e ->
         Format.eprintf "%s@." e;
@@ -632,19 +450,16 @@ let explore_cmd =
         if metrics <> None then Obs.Metrics.set_enabled true;
         let probe = make_probe ~progress in
         let prog =
-          if coarsen then Cobegin_trans.Coarsen.program prog else prog
+          if o.coarsen then Cobegin_trans.Coarsen.program prog else prog
         in
         let ctx =
-          Cobegin_semantics.Step.make_ctx ~model:memory_model prog
+          Cobegin_semantics.Step.make_ctx ~model:o.memory_model prog
         in
-        (* a fresh budget per engine run so the counters start at zero;
-           the probe follows the budget of the engine currently running *)
-        let budget ?(shared = false) () =
-          let b =
-            Budget.create ~max_configs ?max_transitions ?timeout_s
-              ?max_heap_words:(Option.map heap_words_of_mb max_heap_mb)
-              ~shared ()
-          in
+        (* a fresh budget per engine run so the counters start at zero,
+           shared across domains when [jobs > 1]; the probe follows the
+           budget of the engine currently running *)
+        let budget jobs =
+          let b = Pipeline.budget_of_options { o with jobs } in
           Option.iter (fun p -> Obs.Probe.set_budget p b) probe;
           b
         in
@@ -666,7 +481,7 @@ let explore_cmd =
                 if resume_path <> None then Cobegin_explore.Checkpoint.resume
                 else Cobegin_explore.Checkpoint.full
               in
-              let r = engine ~budget:(budget ()) ?probe ~cadence ~path ctx in
+              let r = engine ~budget:(budget 1) ?probe ~cadence ~path ctx in
               Format.printf "full:     %a@." Cobegin_explore.Space.pp_stats
                 r.Cobegin_explore.Space.stats;
               Option.iter (fun path -> write_metrics path ~t0) metrics;
@@ -675,11 +490,11 @@ let explore_cmd =
           | None, None -> run_comparison ()
         and run_comparison () =
         let full =
-          Cobegin_explore.Space.full ~budget:(budget ()) ?probe ctx
+          Cobegin_explore.Space.full ~budget:(budget 1) ?probe ctx
         in
         let stats = Cobegin_explore.Stubborn.new_stats () in
         let stub =
-          Cobegin_explore.Stubborn.explore ~budget:(budget ()) ?probe ~stats
+          Cobegin_explore.Stubborn.explore ~budget:(budget 1) ?probe ~stats
             ctx
         in
         Format.printf "full:     %a@." Cobegin_explore.Space.pp_stats
@@ -687,17 +502,17 @@ let explore_cmd =
         Format.printf "stubborn: %a@." Cobegin_explore.Space.pp_stats
           stub.Cobegin_explore.Space.stats;
         let slp =
-          Cobegin_explore.Sleep.explore ~budget:(budget ()) ?probe ctx
+          Cobegin_explore.Sleep.explore ~budget:(budget 1) ?probe ctx
         in
         Format.printf "sleep:    %a@." Cobegin_explore.Space.pp_stats
           slp.Cobegin_explore.Space.stats;
         let par =
-          if jobs > 1 then begin
+          if o.jobs > 1 then begin
             let p =
-              Cobegin_explore.Parallel.full ~jobs
-                ~budget:(budget ~shared:true ()) ?probe ctx
+              Cobegin_explore.Parallel.full ~jobs:o.jobs
+                ~budget:(budget o.jobs) ?probe ctx
             in
-            Format.printf "parallel (%d domains): %a@." jobs
+            Format.printf "parallel (%d domains): %a@." o.jobs
               Cobegin_explore.Space.pp_stats p.Cobegin_explore.Space.stats;
             Some p
           end
@@ -752,15 +567,16 @@ let explore_cmd =
     (Cmd.info "explore"
        ~doc:"Compare full and stubborn-set state-space generation.")
     Term.(
-      const run $ file_arg $ memory_model_arg $ coarsen_arg
-      $ max_configs_arg $ max_transitions_arg $ timeout_arg
-      $ max_heap_mb_arg $ jobs_arg $ metrics_arg $ progress_arg $ chaos_arg
+      const run $ file_arg
+      $ Cli.options
+          ~only:("memory_model" :: "coarsen" :: "jobs" :: budget_fields)
+          ()
+      $ metrics_arg $ progress_arg $ chaos_arg
       $ checkpoint_arg $ checkpoint_every_arg $ checkpoint_secs_arg
       $ resume_arg)
 
 let races_cmd =
-  let run file memory_model max_configs max_transitions timeout_s
-      max_heap_mb metrics progress chaos =
+  let run file (o : Pipeline.options) metrics progress chaos =
     match install_chaos chaos with
     | Error e ->
         Format.eprintf "%s@." e;
@@ -774,13 +590,9 @@ let races_cmd =
             let t0 = Unix.gettimeofday () in
             if metrics <> None then Obs.Metrics.set_enabled true;
             let ctx =
-              Cobegin_semantics.Step.make_ctx ~model:memory_model prog
+              Cobegin_semantics.Step.make_ctx ~model:o.memory_model prog
             in
-            let budget =
-              Budget.create ~max_configs ?max_transitions ?timeout_s
-                ?max_heap_words:(Option.map heap_words_of_mb max_heap_mb)
-                ()
-            in
+            let budget = Pipeline.budget_of_options o in
             let probe = make_probe ~progress in
             Option.iter (fun p -> Obs.Probe.set_budget p budget) probe;
             match Cobegin_analysis.Race.find ~budget ?probe ctx with
@@ -800,9 +612,9 @@ let races_cmd =
   Cmd.v
     (Cmd.info "races" ~doc:"Detect access anomalies by co-enabledness.")
     Term.(
-      const run $ file_arg $ memory_model_arg $ max_configs_arg
-      $ max_transitions_arg $ timeout_arg $ max_heap_mb_arg $ metrics_arg
-      $ progress_arg $ chaos_arg)
+      const run $ file_arg
+      $ Cli.options ~only:("memory_model" :: budget_fields) ()
+      $ metrics_arg $ progress_arg $ chaos_arg)
 
 let interfere_cmd =
   let no_locksets_arg =
@@ -824,8 +636,23 @@ let interfere_cmd =
              \"soundness agreement\" line.  Containment failures make \
              the exit code 1.")
   in
-  let run file domain no_locksets check max_configs max_transitions
-      timeout_s max_heap_mb metrics progress chaos =
+  let domain_arg =
+    let parse s =
+      Option.to_result (Analyzer.domain_of_string s)
+        ~none:
+          "domain must be intervals, constants, signs, parity or \
+           interval-parity"
+    in
+    let print ppf d = Format.pp_print_string ppf (Report.domain_name d) in
+    Arg.(
+      value
+      & opt (conv' (parse, print)) Analyzer.Intervals
+      & info [ "domain" ] ~docv:"DOMAIN"
+          ~doc:
+            "Numeric domain: $(b,intervals), $(b,constants), $(b,signs), \
+             $(b,parity) or $(b,interval-parity).")
+  in
+  let run file domain no_locksets check options metrics progress chaos =
     match install_chaos chaos with
     | Error e ->
         Format.eprintf "%s@." e;
@@ -838,12 +665,7 @@ let interfere_cmd =
         | Ok prog -> (
             let t0 = Unix.gettimeofday () in
             if metrics <> None then Obs.Metrics.set_enabled true;
-            let mk_budget () =
-              Budget.create ~max_configs ?max_transitions ?timeout_s
-                ?max_heap_words:(Option.map heap_words_of_mb max_heap_mb)
-                ()
-            in
-            let budget = mk_budget () in
+            let budget = Pipeline.budget_of_options options in
             let probe = make_probe ~progress in
             Option.iter (fun p -> Obs.Probe.set_budget p budget) probe;
             match
@@ -859,7 +681,8 @@ let interfere_cmd =
                        eat into the concrete reference run *)
                     let ctx = Cobegin_semantics.Step.make_ctx prog in
                     let r =
-                      Cobegin_explore.Space.full ~budget:(mk_budget ())
+                      Cobegin_explore.Space.full
+                        ~budget:(Pipeline.budget_of_options options)
                         ?probe ctx
                     in
                     if not (Budget.is_complete r.Cobegin_explore.Space.status)
@@ -922,9 +745,8 @@ let interfere_cmd =
           engines enumerate interleavings.")
     Term.(
       const run $ file_arg $ domain_arg $ no_locksets_arg
-      $ check_soundness_arg $ max_configs_arg $ max_transitions_arg
-      $ timeout_arg $ max_heap_mb_arg $ metrics_arg $ progress_arg
-      $ chaos_arg)
+      $ check_soundness_arg $ Cli.options ~only:budget_fields ()
+      $ metrics_arg $ progress_arg $ chaos_arg)
 
 let parallel_cmd =
   let run file options =
@@ -1017,8 +839,7 @@ let cache_dir_arg =
            results survive a daemon restart.")
 
 let serve_cmd =
-  let run socket cache_cap cache_dir jobs max_configs max_transitions
-      timeout_s max_heap_mb retries log log_level trace chaos =
+  let run socket cache_cap cache_dir jobs defaults log log_level trace chaos =
     match install_chaos chaos with
     | Error e ->
         Format.eprintf "%s@." e;
@@ -1035,16 +856,6 @@ let serve_cmd =
           Obs.Journal.stop ();
           Option.iter close_out log_oc;
           code
-        in
-        let defaults =
-          {
-            Pipeline.default_options with
-            Pipeline.max_configs;
-            max_transitions;
-            timeout_s;
-            max_heap_words = Option.map heap_words_of_mb max_heap_mb;
-            retries = max 0 retries;
-          }
         in
         let pool = max 1 jobs in
         let t =
@@ -1079,14 +890,6 @@ let serve_cmd =
              Per-request exploration stays sequential: the daemon \
              parallelizes across requests, not within one.")
   in
-  let retries_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "retries" ] ~docv:"N"
-          ~doc:
-            "Supervisor retry cap for crashed stages (default 1); a \
-             request may lower it, never raise it.")
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
@@ -1097,45 +900,13 @@ let serve_cmd =
           deterministic report JSON and its exit code.  Results are \
           memoized in a content-addressed cache keyed by program digest \
           × options fingerprint × memory model; repeated submissions are \
-          cache hits with byte-identical reports.  The budget flags are \
-          per-request defaults and caps: requests may lower them, never \
-          raise them.")
+          cache hits with byte-identical reports.  The budget flags and \
+          $(b,--retries) are per-request defaults and caps: requests may \
+          lower them, never raise them.")
     Term.(
       const run $ socket_arg $ cache_cap_arg $ cache_dir_arg $ jobs_arg
-      $ max_configs_arg $ max_transitions_arg $ timeout_arg $ max_heap_mb_arg
-      $ retries_arg $ log_arg $ log_level_arg $ trace_arg $ chaos_arg)
-
-(* The request mirror of mk_options: every field spelled out, so the
-   daemon's decoder (not this client) is the single cap-enforcement
-   point. *)
-let client_options_json (o : Pipeline.options) =
-  let buf = Buffer.create 256 in
-  Buffer.add_char buf '{';
-  Buffer.add_string buf
-    (Printf.sprintf {|"engine":"%s"|} (Report.engine_name o.Pipeline.engine));
-  Buffer.add_string buf
-    (Printf.sprintf {|,"memory_model":"%s"|}
-       (Cobegin_semantics.Step.model_name o.Pipeline.memory_model));
-  Buffer.add_string buf
-    (Printf.sprintf {|,"coarsen":%b,"inline":%b,"races":%b,"lint":%b|}
-       o.Pipeline.coarsen o.Pipeline.inline o.Pipeline.find_races
-       o.Pipeline.lint);
-  Buffer.add_string buf
-    (Printf.sprintf {|,"interfere":%b,"max_configs":%d|} o.Pipeline.interfere
-       o.Pipeline.max_configs);
-  Option.iter
-    (fun n -> Buffer.add_string buf (Printf.sprintf {|,"max_transitions":%d|} n))
-    o.Pipeline.max_transitions;
-  Option.iter
-    (fun s -> Buffer.add_string buf (Printf.sprintf {|,"timeout_s":%g|} s))
-    o.Pipeline.timeout_s;
-  Option.iter
-    (fun w -> Buffer.add_string buf (Printf.sprintf {|,"max_heap_words":%d|} w))
-    o.Pipeline.max_heap_words;
-  Buffer.add_string buf
-    (Printf.sprintf {|,"jobs":%d,"retries":%d}|} o.Pipeline.jobs
-       o.Pipeline.retries);
-  Buffer.contents buf
+      $ Cli.options ~only:("retries" :: budget_fields) ()
+      $ log_arg $ log_level_arg $ trace_arg $ chaos_arg)
 
 let client_cmd =
   let run socket file options ping stats shutdown =
@@ -1165,7 +936,7 @@ let client_cmd =
             in
             let line =
               Serve.analyze_line
-                ~options_json:(client_options_json options)
+                ~options_json:(Serve.options_to_json options)
                 source
             in
             let resp = Serve.request ~socket line in

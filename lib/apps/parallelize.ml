@@ -310,16 +310,23 @@ let split_segment ?(intra = []) (delays : arc list) (stmts : Ast.stmt list) :
   in
   match stmts with [] -> [] | _ -> go [] [] stmts
 
+(* The branch blocks built are numbered above the program's largest
+   label, as Coarsen numbers its atomic blocks: labels stay unique
+   (process identity keys statements by label) and the result is a
+   function of the program and the report alone. *)
 let apply (prog : Ast.program) (r : report) : Ast.program =
+  let next = ref (List.fold_left max 0 (Ast.labels prog)) in
+  let block run =
+    incr next;
+    { Ast.label = !next; kind = Ast.Sblock run }
+  in
   let rewrite_cobegin (bs : Ast.stmt list) : Ast.stmt list =
     List.concat_map
       (fun (b : Ast.stmt) ->
         let stmts =
           match b.Ast.kind with Ast.Sblock ss -> ss | _ -> [ b ]
         in
-        List.map
-          (fun run -> Ast.mk (Ast.Sblock run))
-          (split_segment ~intra:r.intra_conflicts r.delays stmts))
+        List.map block (split_segment ~intra:r.intra_conflicts r.delays stmts))
       bs
   in
   let seen_first = ref false in

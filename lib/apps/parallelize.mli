@@ -66,7 +66,9 @@ val apply : Ast.program -> report -> Ast.program
 (** Rewrite the entry cobegin so every delay-free run becomes its own
     branch — the "further parallelization" of Example 15.  Statements
     (and labels) are reused, so final stores of the original and the
-    transformed program are directly comparable. *)
+    transformed program are directly comparable; the new branch blocks
+    are labelled above the program's largest label, so labels stay
+    unique and equal arguments give equal programs. *)
 
 val pp_pair : Format.formatter -> int * int -> unit
 val pp_arc : Format.formatter -> arc -> unit

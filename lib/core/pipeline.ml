@@ -54,13 +54,6 @@ type engine = Report.engine =
   | Concrete_stubborn (* with persistent/stubborn-set reduction *)
   | Abstract of Analyzer.domain * Machine.folding
 
-let pp_engine ppf = function
-  | Concrete_full -> Format.pp_print_string ppf "concrete/full"
-  | Concrete_stubborn -> Format.pp_print_string ppf "concrete/stubborn"
-  | Abstract (d, f) ->
-      Format.fprintf ppf "abstract/%a/%a" Analyzer.pp_domain d
-        Machine.pp_folding f
-
 type options = {
   engine : engine;
   memory_model : Step.model; (* concrete semantics: sc, tso or pso *)
@@ -101,6 +94,202 @@ let budget_of_options (o : options) =
   Budget.create ~max_configs:o.max_configs ?max_transitions:o.max_transitions
     ?timeout_s:o.timeout_s ?max_heap_words:o.max_heap_words
     ~shared:(o.jobs > 1) ()
+
+(* The options table (see the interface).  Rows stay in declaration
+   order and a row's [name] is its record field's: run keys and
+   disk-cache entries hash the fingerprint built from both. *)
+
+type value = Bool of bool | Int of int | Float of float | Name of string
+
+type field = {
+  name : string;
+  key : string;
+  flags : string list;
+  docv : string;
+  doc : string;
+  read : (string -> value option) option;
+  expect : string;
+  parse : value -> (options -> options) option;
+  print : options -> value option;
+  lower : cap:options -> options -> options;
+}
+
+let string_of_value = function
+  | Bool b -> string_of_bool b
+  | Int i -> string_of_int i
+  | Float x -> Printf.sprintf "%g" x
+  | Name s -> s
+
+let read_int s = Option.map (fun i -> Int i) (int_of_string_opt s)
+let read_float s = Option.map (fun x -> Float x) (float_of_string_opt s)
+
+(* OCaml heap words: --max-heap-mb is the one flag in other units than
+   its field *)
+let words_per_mb = 1024 * 1024 / (Sys.word_size / 8)
+
+let read_mb s =
+  match int_of_string_opt s with
+  | Some mb when mb > 0 && mb <= max_int / words_per_mb ->
+      Some (Int (mb * words_per_mb))
+  | _ -> None
+
+let positive_int = function Int i when i > 0 -> Some i | _ -> None
+
+let positive_float = function
+  | Int i when i > 0 -> Some (float_of_int i)
+  | Float x when x > 0. && Float.is_finite x -> Some x
+  | _ -> None
+
+(* a row from the field's accessors and how its values read and print *)
+let row ~name ?(key = name) ~flags ?(docv = "") ?read ~expect
+    ?(lower = fun ~cap:_ o -> o) ~doc ~of_value ~to_value get set =
+  {
+    name;
+    key;
+    flags;
+    docv;
+    doc;
+    read;
+    expect;
+    parse = (fun v -> Option.map (fun x o -> set o x) (of_value v));
+    print = (fun o -> to_value (get o));
+    lower;
+  }
+
+let switch ~name ~key ~doc get set =
+  row ~name ~key ~flags:[ key ] ~expect:"a boolean" ~doc
+    ~of_value:(function Bool b -> Some b | _ -> None)
+    ~to_value:(fun b -> Some (Bool b))
+    get set
+
+let choice ~name ~flags ~docv ~expect ~doc of_string to_string get set =
+  row ~name ~flags ~docv ~read:(fun s -> Some (Name s)) ~expect ~doc
+    ~of_value:(function Name s -> of_string s | _ -> None)
+    ~to_value:(fun x -> Some (Name (to_string x)))
+    get set
+
+(* a count the server's value caps *)
+let count ~name ~flags ~least ~doc get set =
+  row ~name ~flags ~docv:"N" ~read:read_int ~doc
+    ~expect:
+      (if least > 0 then "a positive integer" else "a non-negative integer")
+    ~of_value:(function Int i when i >= least -> Some i | _ -> None)
+    ~to_value:(fun i -> Some (Int i))
+    ~lower:(fun ~cap o -> set o (min (get cap) (get o)))
+    get set
+
+(* an optional limit: a request may lower the server's, or set one
+   where the server has none *)
+let limit ~name ~flags ~docv ~read ~expect ~accept ~value ~doc get set =
+  row ~name ~flags ~docv ~read ~expect ~doc
+    ~of_value:(fun v -> Option.map Option.some (accept v))
+    ~to_value:(Option.map value)
+    ~lower:(fun ~cap o ->
+      match (get cap, get o) with
+      | Some c, Some x -> set o (Some (min c x))
+      | _ -> o)
+    get set
+
+let fields =
+  [
+    choice ~name:"engine" ~flags:[ "engine"; "e" ] ~docv:"ENGINE"
+      ~expect:"full, stubborn or abstract[/DOMAIN[/FOLDING]]"
+      ~doc:
+        "Exploration engine: $(b,full) (also $(b,concrete/full)), \
+         $(b,stubborn) (also $(b,concrete/stubborn)), or \
+         $(b,abstract)[/DOMAIN[/FOLDING]] — abstract interpretation over \
+         DOMAIN $(b,intervals) (the default), $(b,constants), $(b,signs), \
+         $(b,parity) or $(b,interval-parity), folding configurations by \
+         FOLDING $(b,exact), $(b,control) (Taylor, the default) or \
+         $(b,clan) (McDowell).  Every report names its engine in this \
+         form."
+      Report.engine_of_string Report.engine_name
+      (fun o -> o.engine)
+      (fun o engine -> { o with engine });
+    choice ~name:"memory_model" ~flags:[ "memory-model" ] ~docv:"MODEL"
+      ~expect:"sc, tso or pso"
+      ~doc:
+        "Memory model of the concrete semantics: $(b,sc) (default, the \
+         paper's interleaving semantics), $(b,tso) (per-process FIFO store \
+         buffers, only the oldest write may flush) or $(b,pso) (the oldest \
+         write per location may flush, so stores to distinct locations \
+         reorder).  Under tso/pso plain assignments buffer and publish via \
+         nondeterministic flush transitions; \
+         $(b,fence)/$(b,atomic)/$(b,lock)/$(b,unlock) wait for the issuing \
+         process's buffer to drain.  The abstract engine and \
+         $(b,--interfere) model SC only and refuse tso/pso."
+      Step.model_of_string Step.model_name
+      (fun o -> o.memory_model)
+      (fun o memory_model -> { o with memory_model });
+    switch ~name:"coarsen" ~key:"coarsen"
+      ~doc:"Apply virtual coarsening (Observation 5) before exploring."
+      (fun o -> o.coarsen)
+      (fun o coarsen -> { o with coarsen });
+    switch ~name:"inline" ~key:"inline"
+      ~doc:"Inline non-recursive procedure calls first."
+      (fun o -> o.inline)
+      (fun o inline -> { o with inline });
+    count ~name:"max_configs" ~flags:[ "max-configs" ] ~least:1
+      ~doc:"Exploration budget (configurations)."
+      (fun o -> o.max_configs)
+      (fun o max_configs -> { o with max_configs });
+    limit ~name:"max_transitions" ~flags:[ "max-transitions" ] ~docv:"N"
+      ~read:read_int ~expect:"a positive integer" ~accept:positive_int
+      ~value:(fun i -> Int i)
+      ~doc:"Exploration budget (fired transitions)."
+      (fun o -> o.max_transitions)
+      (fun o max_transitions -> { o with max_transitions });
+    limit ~name:"timeout_s" ~flags:[ "timeout" ] ~docv:"SECS"
+      ~read:read_float ~expect:"a positive number" ~accept:positive_float
+      ~value:(fun x -> Float x)
+      ~doc:
+        "Wall-clock deadline for the whole run, in seconds.  On expiry the \
+         partial results are printed and the exit code is 2."
+      (fun o -> o.timeout_s)
+      (fun o timeout_s -> { o with timeout_s });
+    limit ~name:"max_heap_words" ~flags:[ "max-heap-mb" ] ~docv:"MB"
+      ~read:read_mb ~expect:"a positive integer" ~accept:positive_int
+      ~value:(fun i -> Int i)
+      ~doc:
+        "Truncate the run when the OCaml major heap exceeds this many \
+         megabytes (a request gives the limit in heap words, \
+         $(b,max_heap_words))."
+      (fun o -> o.max_heap_words)
+      (fun o max_heap_words -> { o with max_heap_words });
+    switch ~name:"find_races" ~key:"races"
+      ~doc:"Also run the co-enabledness race scan."
+      (fun o -> o.find_races)
+      (fun o find_races -> { o with find_races });
+    switch ~name:"lint" ~key:"lint"
+      ~doc:
+        "Also run the static concurrency lint suite (MHP, locksets, \
+         lock-order cycles) as a budget-free pre-stage.  Findings make the \
+         exit code 4."
+      (fun o -> o.lint)
+      (fun o lint -> { o with lint });
+    switch ~name:"interfere" ~key:"interfere"
+      ~doc:
+        "Also run the thread-modular interference analysis (rely-guarantee \
+         abstract interpretation) as a supervised pipeline stage."
+      (fun o -> o.interfere)
+      (fun o interfere -> { o with interfere });
+    count ~name:"jobs" ~flags:[ "jobs"; "j" ] ~least:1
+      ~doc:
+        "Explore on $(docv) OCaml domains (concrete full engine only; \
+         default 1 = the sequential engine).  Complete runs produce the \
+         same configuration/transition counts and final stores as the \
+         sequential engine."
+      (fun o -> o.jobs)
+      (fun o jobs -> { o with jobs });
+    count ~name:"retries" ~flags:[ "retries" ] ~least:0
+      ~doc:
+        "Extra attempts the supervisor grants a crashed pipeline stage \
+         (default 1).  Exploration walks its degradation ladder \
+         ($(b,--jobs) N, then 1 domain) before same-options retries.  0 \
+         disables retrying."
+      (fun o -> o.retries)
+      (fun o retries -> { o with retries });
+  ]
 
 type exploration_stats = Report.exploration_stats = {
   configurations : int;
@@ -170,29 +359,16 @@ type report = Report.report = {
          recorder was passed to [analyze] *)
 }
 
-(* The canonical options fingerprint: every field, in declaration
-   order, as stable key=value strings — one component of the
-   digest-addressed run-manifest key ([Cobegin_obs.Manifest.key]).
-   Two option records fingerprint equally iff they request the same
-   analysis. *)
+(* One component of the digest-addressed run-manifest key
+   ([Cobegin_obs.Manifest.key]): two option records fingerprint equally
+   iff they request the same analysis. *)
 let options_fingerprint (o : options) =
-  let opt f = function None -> "none" | Some v -> f v in
   String.concat ";"
-    [
-      "engine=" ^ Report.engine_name o.engine;
-      "memory_model=" ^ Step.model_name o.memory_model;
-      "coarsen=" ^ string_of_bool o.coarsen;
-      "inline=" ^ string_of_bool o.inline;
-      "max_configs=" ^ string_of_int o.max_configs;
-      "max_transitions=" ^ opt string_of_int o.max_transitions;
-      "timeout_s=" ^ opt (Printf.sprintf "%g") o.timeout_s;
-      "max_heap_words=" ^ opt string_of_int o.max_heap_words;
-      "find_races=" ^ string_of_bool o.find_races;
-      "lint=" ^ string_of_bool o.lint;
-      "interfere=" ^ string_of_bool o.interfere;
-      "jobs=" ^ string_of_int o.jobs;
-      "retries=" ^ string_of_int o.retries;
-    ]
+    (List.map
+       (fun f ->
+         f.name ^ "="
+         ^ match f.print o with None -> "none" | Some v -> string_of_value v)
+       fields)
 
 (* The abstract machine and the interference engine model the SC
    interleaving semantics only: their transfer functions know nothing
@@ -618,10 +794,11 @@ let pp_stats ppf (s : exploration_stats) =
 
 let pp_report ppf (r : report) =
   Format.fprintf ppf
-    "@[<v>engine: %a@ %a@ status: %a%a@ @ critical references: %a@ @ side \
+    "@[<v>engine: %s@ %a@ status: %a%a@ @ critical references: %a@ @ side \
      effects:@ %a@ @ parallel dependences:@ %a@ @ lifetimes:@ %a@ @ \
      placement:@ %a@ @ deallocation plan:@ %a%a%a%a%a@]"
-    pp_engine r.engine_used pp_stats r.stats Budget.pp_status r.status
+    (Report.engine_name r.engine_used)
+    pp_stats r.stats Budget.pp_status r.status
     (fun ppf (fs, rungs) ->
       List.iter (fun f -> Format.fprintf ppf "@ %a" pp_stage_failure f) fs;
       match rungs with

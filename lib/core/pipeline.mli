@@ -46,8 +46,6 @@ type engine = Report.engine =
   | Abstract of Analyzer.domain * Machine.folding
       (** abstract interpretation: numeric domain × configuration folding *)
 
-val pp_engine : Format.formatter -> engine -> unit
-
 type options = {
   engine : engine;
   memory_model : Step.model;
@@ -97,10 +95,46 @@ val budget_of_options : options -> Budget.t
     shared (multi-domain) mode when [jobs > 1], so truncation latches
     a single reason across the worker domains. *)
 
+(** {2 The options table}
+
+    Each field of {!options} is described once, by one row of
+    {!fields}.  The CLI flags ([Cobegin_serve.Cli]), the request decoder
+    and encoder ([Cobegin_serve.Serve]) and {!options_fingerprint} are
+    folds over the table, so a new option is one more row. *)
+
+(** A field's value as the CLI and a request spell it. *)
+type value = Bool of bool | Int of int | Float of float | Name of string
+
+type field = {
+  name : string;  (** the record field's name, its fingerprint key *)
+  key : string;  (** the request key *)
+  flags : string list;  (** the CLI flag names, without dashes *)
+  docv : string;
+  doc : string;  (** the CLI doc, in cmdliner markup *)
+  read : (string -> value option) option;
+      (** how a CLI argument reads; [None] for a switch, whose presence
+          means [Bool true] *)
+  expect : string;  (** what {!parse} accepts, for error messages *)
+  parse : value -> (options -> options) option;
+      (** the one parser: checks the value's type and range and returns
+          the update; [None] refuses it *)
+  print : options -> value option;
+      (** the one printer; [None] for an absent optional limit *)
+  lower : cap:options -> options -> options;
+      (** how a request may lower the server's value [cap]: budgets,
+          [jobs] and [retries] are capped, the rest are free *)
+}
+
+val fields : field list
+(** The table, in the record's declaration order. *)
+
+val string_of_value : value -> string
+(** A value's text in the fingerprint: floats print with [%g]. *)
+
 val options_fingerprint : options -> string
-(** Canonical fingerprint of an option record: every field, in
-    declaration order, as stable [key=value] strings joined by [";"] —
-    one component of the digest-addressed run-manifest key
+(** Canonical fingerprint of an option record: every row of {!fields},
+    in order, as [name=value] ([none] for an absent limit) joined by
+    [";"] — one component of the digest-addressed run-manifest key
     ({!Cobegin_obs.Manifest.key}).  Two records fingerprint equally iff
     they request the same analysis (deliberately including [jobs] and
     [retries]: a degraded ladder changes what ran). *)

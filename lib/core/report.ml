@@ -35,8 +35,9 @@ type engine =
   | Concrete_stubborn (* with persistent/stubborn-set reduction *)
   | Abstract of Analyzer.domain * Machine.folding
 
-(* Stable machine-readable spellings, mirroring the CLI's --domain /
-   --folding vocabulary (ASCII, unlike the pretty-printers). *)
+(* Stable machine-readable spellings (ASCII, unlike the
+   pretty-printers): the engine's is also what [-e] and a request's
+   "engine" key accept. *)
 let domain_name = function
   | Analyzer.Intervals -> "intervals"
   | Analyzer.Constants -> "constants"
@@ -53,6 +54,26 @@ let engine_name = function
   | Concrete_full -> "concrete/full"
   | Concrete_stubborn -> "concrete/stubborn"
   | Abstract (d, f) -> "abstract/" ^ domain_name d ^ "/" ^ folding_name f
+
+let engine_of_string s =
+  let folding = function
+    | "exact" -> Some Machine.Exact
+    | "control" | "taylor" -> Some Machine.Control
+    | "clan" | "mcdowell" -> Some Machine.Clan
+    | _ -> None
+  in
+  let abstract d f =
+    match (Analyzer.domain_of_string d, folding f) with
+    | Some d, Some f -> Some (Abstract (d, f))
+    | _ -> None
+  in
+  match String.split_on_char '/' (String.lowercase_ascii s) with
+  | [ "full" ] | [ "concrete"; "full" ] -> Some Concrete_full
+  | [ "stubborn" ] | [ "concrete"; "stubborn" ] -> Some Concrete_stubborn
+  | [ "abstract" ] -> abstract "intervals" "control"
+  | [ "abstract"; d ] -> abstract d "control"
+  | [ "abstract"; d; f ] -> abstract d f
+  | _ -> None
 
 type exploration_stats = {
   configurations : int;

@@ -33,8 +33,14 @@ type engine =
 
 val engine_name : engine -> string
 (** Stable machine-readable spelling, e.g. ["concrete/full"],
-    ["abstract/intervals/control"] — ASCII, mirroring the CLI
-    vocabulary (unlike the pretty-printer). *)
+    ["abstract/intervals/control"] — ASCII, unlike the
+    pretty-printer. *)
+
+val engine_of_string : string -> engine option
+(** The inverse of {!engine_name}, in any case; it also takes ["full"],
+    ["stubborn"], ["abstract[/DOMAIN]"] (intervals, control folding),
+    the domains' short names and the foldings' authors (["taylor"],
+    ["mcdowell"]).  [-e] and a request's ["engine"] both use it. *)
 
 val domain_name : Analyzer.domain -> string
 val folding_name : Machine.folding -> string

@@ -23,9 +23,7 @@
 module Journal = Cobegin_obs.Journal
 module Metrics = Cobegin_obs.Metrics
 module Span = Cobegin_obs.Span
-module Step = Cobegin_semantics.Step
-module Analyzer = Cobegin_absint.Analyzer
-module Machine = Cobegin_absint.Machine
+module Obs_json = Cobegin_obs.Obs_json
 open Cobegin_core
 
 type config = {
@@ -58,24 +56,8 @@ let make cfg =
 
 (* --- JSON assembly --- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let error_response msg =
-  Printf.sprintf {|{"ok":false,"error":"%s","exit_code":1}|} (json_escape msg)
+  Printf.sprintf {|{"ok":false,"error":%s,"exit_code":1}|} (Obs_json.string msg)
 
 (* "report" must stay the LAST field: response_report_raw slices the
    raw report bytes out by position, preserving byte determinism
@@ -85,117 +67,48 @@ let report_response ~cache_tag ~key ~exit_code ~report =
     {|{"ok":true,"cache":"%s","key":"%s","exit_code":%d,"report":%s}|}
     cache_tag key exit_code report
 
-(* --- request options --- *)
-
-let folding_of_string s =
-  match String.lowercase_ascii s with
-  | "exact" -> Some Machine.Exact
-  | "control" | "taylor" -> Some Machine.Control
-  | "clan" | "mcdowell" -> Some Machine.Clan
-  | _ -> None
-
-let engine_of_string s =
-  match String.lowercase_ascii s with
-  | "full" | "concrete/full" -> Some Pipeline.Concrete_full
-  | "stubborn" | "concrete/stubborn" -> Some Pipeline.Concrete_stubborn
-  | s -> (
-      match String.split_on_char '/' s with
-      | [ "abstract" ] ->
-          Some (Pipeline.Abstract (Analyzer.Intervals, Machine.Control))
-      | [ "abstract"; d ] ->
-          Option.map
-            (fun d -> Pipeline.Abstract (d, Machine.Control))
-            (Analyzer.domain_of_string d)
-      | [ "abstract"; d; f ] -> (
-          match (Analyzer.domain_of_string d, folding_of_string f) with
-          | Some d, Some f -> Some (Pipeline.Abstract (d, f))
-          | _ -> None)
-      | _ -> None)
-
-let min_opt cap v = match cap with None -> Some v | Some c -> Some (min c v)
+(* --- request options: folds over Pipeline.fields --- *)
 
 let options_of_json ~(defaults : Pipeline.options) json =
-  let ( let* ) = Result.bind in
-  let set acc (k, v) =
-    let* (o : Pipeline.options) = acc in
-    let str () =
-      match Sjson.to_string v with
-      | Some s -> Ok s
-      | None -> Error (Printf.sprintf "option %s must be a string" k)
-    in
-    let boolean () =
-      match Sjson.to_bool v with
-      | Some b -> Ok b
-      | None -> Error (Printf.sprintf "option %s must be a boolean" k)
-    in
-    let posint () =
-      match Sjson.to_int v with
-      | Some i when i > 0 -> Ok i
-      | _ -> Error (Printf.sprintf "option %s must be a positive integer" k)
-    in
-    match k with
-    | "engine" -> (
-        let* s = str () in
-        match engine_of_string s with
-        | Some e -> Ok { o with Pipeline.engine = e }
-        | None -> Error (Printf.sprintf "unknown engine %S" s))
-    | "memory_model" | "memory-model" -> (
-        let* s = str () in
-        match Step.model_of_string s with
-        | Some m -> Ok { o with Pipeline.memory_model = m }
-        | None -> Error (Printf.sprintf "unknown memory model %S" s))
-    | "coarsen" ->
-        let* b = boolean () in
-        Ok { o with Pipeline.coarsen = b }
-    | "inline" ->
-        let* b = boolean () in
-        Ok { o with Pipeline.inline = b }
-    | "races" | "find_races" ->
-        let* b = boolean () in
-        Ok { o with Pipeline.find_races = b }
-    | "lint" ->
-        let* b = boolean () in
-        Ok { o with Pipeline.lint = b }
-    | "interfere" ->
-        let* b = boolean () in
-        Ok { o with Pipeline.interfere = b }
-    | "max_configs" ->
-        let* i = posint () in
-        Ok { o with Pipeline.max_configs = min i defaults.Pipeline.max_configs }
-    | "max_transitions" ->
-        let* i = posint () in
-        Ok
-          {
-            o with
-            Pipeline.max_transitions =
-              min_opt defaults.Pipeline.max_transitions i;
-          }
-    | "timeout_s" -> (
-        match Sjson.to_float v with
-        | Some f when f > 0.0 ->
-            Ok { o with Pipeline.timeout_s = min_opt defaults.Pipeline.timeout_s f }
-        | _ -> Error "option timeout_s must be a positive number")
-    | "max_heap_words" ->
-        let* i = posint () in
-        Ok
-          {
-            o with
-            Pipeline.max_heap_words = min_opt defaults.Pipeline.max_heap_words i;
-          }
-    | "jobs" ->
-        let* i = posint () in
-        Ok { o with Pipeline.jobs = min i defaults.Pipeline.jobs }
-    | "retries" -> (
-        match Sjson.to_int v with
-        | Some i when i >= 0 ->
-            Ok { o with Pipeline.retries = min i defaults.Pipeline.retries }
-        | _ -> Error "option retries must be a non-negative integer")
-    | k -> Error (Printf.sprintf "unknown option %S" k)
+  let value = function
+    | Sjson.Bool b -> Some (Pipeline.Bool b)
+    | Sjson.Int i -> Some (Pipeline.Int i)
+    | Sjson.Float x -> Some (Pipeline.Float x)
+    | Sjson.Str s -> Some (Pipeline.Name s)
+    | Sjson.Null | Sjson.List _ | Sjson.Obj _ -> None
+  in
+  let decode acc (k, v) =
+    Result.bind acc (fun o ->
+        match
+          List.find_opt (fun (f : Pipeline.field) -> f.key = k) Pipeline.fields
+        with
+        | None -> Error (Printf.sprintf "unknown option %S" k)
+        | Some f -> (
+            match Option.bind (value v) f.parse with
+            | Some set -> Ok (f.lower ~cap:defaults (set o))
+            | None -> Error (Printf.sprintf "option %s must be %s" k f.expect)))
   in
   match json with
   | Sjson.Null -> Ok defaults
-  | Sjson.Obj fields -> List.fold_left set (Ok defaults) fields
+  | Sjson.Obj fields -> List.fold_left decode (Ok defaults) fields
   | _ -> Error "options must be an object"
+
+(* Floats go out with 17 digits, so decoding gives the record back. *)
+let options_to_json (o : Pipeline.options) =
+  let json = function
+    | Pipeline.Name s -> Obs_json.string s
+    | Pipeline.Float x -> Printf.sprintf "%.17g" x
+    | v -> Pipeline.string_of_value v
+  in
+  "{"
+  ^ String.concat ","
+      (List.filter_map
+         (fun (f : Pipeline.field) ->
+           Option.map
+             (fun v -> Obs_json.string f.key ^ ":" ^ json v)
+             (f.print o))
+         Pipeline.fields)
+  ^ "}"
 
 (* --- request handling --- *)
 
@@ -350,9 +263,9 @@ let run ?(on_listening = ignore) t =
 
 let analyze_line ?options_json program =
   match options_json with
-  | None -> Printf.sprintf {|{"program":"%s"}|} (json_escape program)
+  | None -> Printf.sprintf {|{"program":%s}|} (Obs_json.string program)
   | Some o ->
-      Printf.sprintf {|{"program":"%s","options":%s}|} (json_escape program) o
+      Printf.sprintf {|{"program":%s,"options":%s}|} (Obs_json.string program) o
 
 let request ~socket line =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in

@@ -14,18 +14,20 @@
 
     Requests (one JSON object per line):
     - [{"program": SRC, "options": {...}}] (optionally ["op":"analyze"])
-      — analyze [SRC] (cobegin source text).  Every option field is
-      optional; absent fields take the server's defaults.  Fields:
-      [engine] (["full"], ["stubborn"], ["abstract"],
-      ["abstract/DOMAIN"], ["abstract/DOMAIN/FOLDING"], or the
-      report's ["concrete/full"]/["concrete/stubborn"] spellings),
-      [memory_model] (["sc"]/["tso"]/["pso"]; ["memory-model"] also
-      accepted), [coarsen], [inline], [races], [lint], [interfere]
-      (booleans), [max_configs], [max_transitions], [max_heap_words],
-      [jobs], [retries] (integers), [timeout_s] (number).  Budget and
-      concurrency fields are {e capped} by the server's configuration:
-      a request may lower them, never raise them.  Unknown fields are
-      rejected.
+      — analyze [SRC] (cobegin source text).  Every option key is
+      optional; absent keys take the server's defaults.  One key per
+      field of {!Cobegin_core.Pipeline.options}, decoded by the
+      field's row of {!Cobegin_core.Pipeline.fields}: [engine] (a
+      string {!Cobegin_core.Report.engine_of_string} reads, e.g.
+      ["full"], ["stubborn"], ["abstract/signs/clan"] or a report's
+      ["concrete/full"]), [memory_model] (["sc"], ["tso"] or ["pso"]),
+      [coarsen], [inline], [races], [lint], [interfere] (booleans),
+      [max_configs], [max_transitions], [max_heap_words], [jobs]
+      (positive integers), [retries] (a non-negative integer) and
+      [timeout_s] (a positive number).  The six budget and concurrency
+      fields are {e capped} by the server's configuration: a request
+      may lower them, never raise them.  Unknown keys, wrongly typed
+      values and values out of range are rejected.
     - [{"op":"ping"}] — liveness probe.
     - [{"op":"stats"}] — request and cache counters.
     - [{"op":"shutdown"}] — stop the daemon (after replying).
@@ -101,6 +103,12 @@ val analyze_line : ?options_json:string -> string -> string
     line: the source JSON-escaped, [options_json] (a raw JSON object,
     the caller's responsibility) attached verbatim. *)
 
+val options_to_json : Pipeline.options -> string
+(** The request encoding of a record: every field present, absent
+    limits left out, floats written without loss, so
+    {!options_of_json} under caps that do not bind gives the record
+    back. *)
+
 val request : socket:string -> string -> string
 (** One-shot client: connect to [socket], send [line], return the
     response line.  Raises [Unix.Unix_error] when the daemon is not
@@ -118,9 +126,4 @@ val options_of_json :
   defaults:Pipeline.options -> Sjson.t -> (Pipeline.options, string) result
 (** The request-options decoder: [Null] means [defaults], objects
     override field-wise with caps applied, anything else (and any
-    unknown field) is an error. *)
-
-val engine_of_string : string -> Pipeline.engine option
-(** CLI and report spellings: ["full"], ["stubborn"],
-    ["abstract[/DOMAIN[/FOLDING]]"], ["concrete/full"],
-    ["concrete/stubborn"]. *)
+    unknown key or refused value) is an error. *)

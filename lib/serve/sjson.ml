@@ -254,9 +254,3 @@ let member name = function
 
 let to_string = function Str s -> Some s | _ -> None
 let to_int = function Int i -> Some i | _ -> None
-let to_bool = function Bool b -> Some b | _ -> None
-
-let to_float = function
-  | Float f -> Some f
-  | Int i -> Some (float_of_int i)
-  | _ -> None

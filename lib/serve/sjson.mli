@@ -27,7 +27,3 @@ val member : string -> t -> t option
 
 val to_string : t -> string option
 val to_int : t -> int option
-val to_bool : t -> bool option
-
-val to_float : t -> float option
-(** Accepts {!Int} too (widened). *)

@@ -48,132 +48,9 @@ let with_chaos spec f =
   | Error e -> Alcotest.failf "bad test chaos spec %S: %s" spec e);
   Fun.protect ~finally:Fault.clear f
 
-(* A minimal JSON validity checker (the container ships no JSON
-   library): recursive descent over the grammar, accepting iff the whole
-   input is one well-formed value.  Shared by the obs and report suites
-   — every JSON artifact the framework emits round-trips through it. *)
-let json_valid (s : string) : bool =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let skip_ws () =
-    while
-      !pos < n
-      && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      incr pos
-    done
-  in
-  let fail = ref false in
-  let expect c =
-    if !pos < n && s.[!pos] = c then incr pos else fail := true
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' -> obj ()
-    | Some '[' -> arr ()
-    | Some '"' -> str ()
-    | Some ('t' | 'f' | 'n') -> keyword ()
-    | Some ('-' | '0' .. '9') -> number ()
-    | _ -> fail := true
-  and obj () =
-    expect '{';
-    skip_ws ();
-    if peek () = Some '}' then incr pos
-    else begin
-      let continue = ref true in
-      while !continue && not !fail do
-        skip_ws ();
-        str ();
-        skip_ws ();
-        expect ':';
-        value ();
-        skip_ws ();
-        match peek () with
-        | Some ',' -> incr pos
-        | Some '}' ->
-            incr pos;
-            continue := false
-        | _ ->
-            fail := true;
-            continue := false
-      done
-    end
-  and arr () =
-    expect '[';
-    skip_ws ();
-    if peek () = Some ']' then incr pos
-    else begin
-      let continue = ref true in
-      while !continue && not !fail do
-        value ();
-        skip_ws ();
-        match peek () with
-        | Some ',' -> incr pos
-        | Some ']' ->
-            incr pos;
-            continue := false
-        | _ ->
-            fail := true;
-            continue := false
-      done
-    end
-  and str () =
-    expect '"';
-    let closed = ref false in
-    while (not !closed) && not !fail do
-      if !pos >= n then fail := true
-      else
-        match s.[!pos] with
-        | '"' ->
-            incr pos;
-            closed := true
-        | '\\' -> pos := !pos + 2
-        | c when Char.code c < 0x20 -> fail := true
-        | _ -> incr pos
-    done
-  and keyword () =
-    let kw w =
-      if !pos + String.length w <= n && String.sub s !pos (String.length w) = w
-      then pos := !pos + String.length w
-      else fail := true
-    in
-    match peek () with
-    | Some 't' -> kw "true"
-    | Some 'f' -> kw "false"
-    | _ -> kw "null"
-  and number () =
-    if peek () = Some '-' then incr pos;
-    let digits = ref 0 in
-    let eat_digits () =
-      while
-        !pos < n && match s.[!pos] with '0' .. '9' -> true | _ -> false
-      do
-        incr pos;
-        incr digits
-      done
-    in
-    eat_digits ();
-    if !digits = 0 then fail := true;
-    if peek () = Some '.' then begin
-      incr pos;
-      digits := 0;
-      eat_digits ();
-      if !digits = 0 then fail := true
-    end;
-    match peek () with
-    | Some ('e' | 'E') ->
-        incr pos;
-        (match peek () with Some ('+' | '-') -> incr pos | _ -> ());
-        digits := 0;
-        eat_digits ();
-        if !digits = 0 then fail := true
-    | _ -> ()
-  in
-  value ();
-  skip_ws ();
-  (not !fail) && !pos = n
+(* Every JSON artifact the framework emits must parse with the
+   protocol's strict reader. *)
+let json_valid s = Result.is_ok (Cobegin_serve.Sjson.parse s)
 
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in

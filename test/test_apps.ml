@@ -106,6 +106,21 @@ let apply_tests =
            legitimately differ across the two structures) *)
         check_bool "same final stores" true
           (root_finals prog = root_finals prog'));
+    case "applied programs keep labels unique and depend on their arguments"
+      (fun () ->
+        let prog =
+          parse
+            "proc f(p) { *p = 1; } proc g(p) { *p = 2; } proc main() { var \
+             a = malloc(1); var b = malloc(1); var c = malloc(1); var d = \
+             malloc(1); cobegin { f(a); g(b); } { f(c); g(d); } coend; }"
+        in
+        let par = Pipeline.parallelization (Pipeline.analyze prog) in
+        let applied = Parallelize.apply prog par in
+        let labels = Cobegin_lang.Ast.labels applied in
+        check_int "distinct labels" (List.length labels)
+          (List.length (List.sort_uniq compare labels));
+        check_bool "two calls give equal programs" true
+          (Parallelize.apply prog par = applied));
     case "delays block the split on fig8" (fun () ->
         let prog = parse Cobegin_models.Figures.fig8 in
         let report = Pipeline.analyze prog in

@@ -294,7 +294,7 @@ let handler_tests =
         check_bool "absent options mean the defaults" true
           (Serve.options_of_json ~defaults Sjson.Null = Ok defaults));
     case "engine spellings: CLI and report forms both parse" (fun () ->
-        let eng s = Serve.engine_of_string s in
+        let eng s = Report.engine_of_string s in
         check_bool "full" true (eng "full" = Some Pipeline.Concrete_full);
         check_bool "concrete/full" true
           (eng "concrete/full" = Some Pipeline.Concrete_full);
@@ -352,6 +352,205 @@ let handler_tests =
                 check_int "rerun is clean" 0 (response_int "exit_code" clean)));
   ]
 
+(* --- the options table: one description, four folds --- *)
+
+module Step = Cobegin_semantics.Step
+module Analyzer = Cobegin_absint.Analyzer
+module Machine = Cobegin_absint.Machine
+
+let all_engines =
+  Pipeline.Concrete_full :: Pipeline.Concrete_stubborn
+  :: List.concat_map
+       (fun d ->
+         List.map
+           (fun f -> Pipeline.Abstract (d, f))
+           [ Machine.Exact; Machine.Control; Machine.Clan ])
+       Analyzer.[ Intervals; Constants; Signs; Parities; Interval_parity ]
+
+let words_per_mb = 1024 * 1024 / (Sys.word_size / 8)
+
+(* Every engine under every model, with each optional limit absent and
+   present: 17 x 3 x 8 records, the other fields drawn from a fixed
+   seed.  Heap limits are whole megabytes, so the CLI can spell them. *)
+let sample_options =
+  let rs = Random.State.make [| 19 |] in
+  let int lo hi = lo + Random.State.int rs (hi - lo + 1) in
+  let bool () = Random.State.bool rs in
+  List.concat_map
+    (fun engine ->
+      List.concat_map
+        (fun memory_model ->
+          List.init 8 (fun mask ->
+              let some bit v = if mask land bit <> 0 then Some v else None in
+              {
+                Pipeline.engine;
+                memory_model;
+                coarsen = bool ();
+                inline = bool ();
+                max_configs = int 1 10_000_000;
+                max_transitions = some 1 (int 1 10_000_000);
+                timeout_s = some 2 (Random.State.float rs 1000. +. 1e-3);
+                max_heap_words = some 4 (int 1 4096 * words_per_mb);
+                find_races = bool ();
+                lint = bool ();
+                interfere = bool ();
+                jobs = int 1 64;
+                retries = int 0 5;
+              }))
+        [ Step.Sc; Step.Tso; Step.Pso ])
+    all_engines
+
+(* The fingerprint as it was written out before the table, frozen: run
+   keys and disk-cache entries depend on its bytes. *)
+let frozen_fingerprint (o : Pipeline.options) =
+  let opt f = function None -> "none" | Some v -> f v in
+  String.concat ";"
+    [
+      "engine=" ^ Report.engine_name o.engine;
+      "memory_model=" ^ Step.model_name o.memory_model;
+      "coarsen=" ^ string_of_bool o.coarsen;
+      "inline=" ^ string_of_bool o.inline;
+      "max_configs=" ^ string_of_int o.max_configs;
+      "max_transitions=" ^ opt string_of_int o.max_transitions;
+      "timeout_s=" ^ opt (Printf.sprintf "%g") o.timeout_s;
+      "max_heap_words=" ^ opt string_of_int o.max_heap_words;
+      "find_races=" ^ string_of_bool o.find_races;
+      "lint=" ^ string_of_bool o.lint;
+      "interfere=" ^ string_of_bool o.interfere;
+      "jobs=" ^ string_of_int o.jobs;
+      "retries=" ^ string_of_int o.retries;
+    ]
+
+(* The command line that spells [o], written out flag by flag. *)
+let argv_of (o : Pipeline.options) =
+  let switch name on = if on then [ name ] else [] in
+  let limit name text = function
+    | None -> []
+    | Some v -> [ name ^ "=" ^ text v ]
+  in
+  [
+    "-e"; Report.engine_name o.engine;
+    "--memory-model"; Step.model_name o.memory_model;
+    "--max-configs"; string_of_int o.max_configs;
+    "--jobs"; string_of_int o.jobs;
+    "--retries"; string_of_int o.retries;
+  ]
+  @ switch "--coarsen" o.coarsen @ switch "--inline" o.inline
+  @ switch "--races" o.find_races @ switch "--lint" o.lint
+  @ switch "--interfere" o.interfere
+  @ limit "--max-transitions" string_of_int o.max_transitions
+  @ limit "--timeout" (Printf.sprintf "%.17g") o.timeout_s
+  @ limit "--max-heap-mb" (fun w -> string_of_int (w / words_per_mb))
+      o.max_heap_words
+
+let cli ?only argv =
+  let quiet = Format.make_formatter (fun _ _ _ -> ()) ignore in
+  let cmd =
+    Cmdliner.Cmd.v (Cmdliner.Cmd.info "coanalyze")
+      (Cobegin_serve.Cli.options ?only ())
+  in
+  match
+    Cmdliner.Cmd.eval_value ~help:quiet ~err:quiet
+      ~argv:(Array.of_list ("coanalyze" :: argv))
+      cmd
+  with
+  | Ok (`Ok o) -> Some o
+  | Ok (`Help | `Version) | Error _ -> None
+
+let decode ~defaults s =
+  match Sjson.parse s with
+  | Ok j -> Serve.options_of_json ~defaults j
+  | Error e -> Error e
+
+(* caps that never bind: a decoded record is the requested one *)
+let no_caps =
+  {
+    Pipeline.default_options with
+    max_configs = max_int;
+    jobs = max_int;
+    retries = max_int;
+  }
+
+let table_tests =
+  [
+    case "fingerprints equal the frozen pre-table function" (fun () ->
+        check_int "17 engines x 3 models x 8 limit sets" 408
+          (List.length sample_options);
+        List.iter
+          (fun o ->
+            check_string "fingerprint" (frozen_fingerprint o)
+              (Pipeline.options_fingerprint o))
+          (Pipeline.default_options :: sample_options));
+    case "decoding the client's encoding gives the record back" (fun () ->
+        List.iter
+          (fun o ->
+            let json = Serve.options_to_json o in
+            check_bool "valid JSON" true (json_valid json);
+            match decode ~defaults:no_caps json with
+            | Ok o' ->
+                check_string "same fingerprint"
+                  (Pipeline.options_fingerprint o)
+                  (Pipeline.options_fingerprint o');
+                check_bool ("round trip of " ^ json) true (o = o')
+            | Error e -> Alcotest.failf "%s refused: %s" json e)
+          sample_options);
+    case "the CLI term reads back the record its argv spells" (fun () ->
+        check_bool "no flags give the defaults" true
+          (cli [] = Some Pipeline.default_options);
+        List.iter
+          (fun o ->
+            let argv = argv_of o in
+            match cli argv with
+            | Some o' ->
+                check_bool (String.concat " " argv) true (o = o');
+                check_bool "the daemon decodes the same record" true
+                  (decode ~defaults:no_caps (Serve.options_to_json o')
+                  = Ok o')
+            | None -> Alcotest.failf "refused: %s" (String.concat " " argv))
+          sample_options);
+    case "the CLI and the decoder refuse the same bad values" (fun () ->
+        List.iter
+          (fun (argv, request) ->
+            check_bool (String.concat " " argv ^ " refused") true
+              (cli argv = None);
+            check_bool (request ^ " refused") true
+              (Result.is_error
+                 (decode ~defaults:Pipeline.default_options request)))
+          [
+            ([ "--max-configs"; "0" ], {|{"max_configs":0}|});
+            ([ "--max-configs=-5" ], {|{"max_configs":-5}|});
+            ([ "--max-transitions"; "0" ], {|{"max_transitions":0}|});
+            ([ "--max-heap-mb"; "0" ], {|{"max_heap_words":0}|});
+            ([ "--jobs"; "0" ], {|{"jobs":0}|});
+            ([ "--timeout"; "0" ], {|{"timeout_s":0}|});
+            ([ "--timeout=-1.5" ], {|{"timeout_s":-1.5}|});
+            ([ "--retries=-1" ], {|{"retries":-1}|});
+            ([ "-e"; "warp" ], {|{"engine":"warp"}|});
+            ( [ "-e"; "abstract/signs/warp" ],
+              {|{"engine":"abstract/signs/warp"}|} );
+            ([ "--memory-model"; "x86" ], {|{"memory_model":"x86"}|});
+            ([ "--races=true" ], {|{"races":"true"}|});
+            ([ "--max-configs"; "many" ], {|{"max_configs":"many"}|});
+            ([ "--jobs"; "2.5" ], {|{"jobs":2.5}|});
+            ([ "--timeout"; "soon" ], {|{"timeout_s":"soon"}|});
+          ];
+        (* one key per field *)
+        List.iter
+          (fun request ->
+            check_bool (request ^ " refused") true
+              (Result.is_error
+                 (decode ~defaults:Pipeline.default_options request)))
+          [ {|{"memory-model":"tso"}|}; {|{"find_races":true}|} ];
+        check_bool "a subcommand takes only its rows" true
+          (cli ~only:[ "max_configs" ] [ "--races" ] = None));
+    case "engine_of_string inverts engine_name on all 17 engines" (fun () ->
+        List.iter
+          (fun e ->
+            let name = Report.engine_name e in
+            check_bool name true (Report.engine_of_string name = Some e))
+          all_engines);
+  ]
+
 let socket_tests =
   [
     case "end to end over a Unix socket: ping, analyze, shutdown" (fun () ->
@@ -395,4 +594,5 @@ let socket_tests =
         check_bool "socket removed on exit" false (Sys.file_exists socket));
   ]
 
-let suite = sjson_tests @ cache_tests @ handler_tests @ socket_tests
+let suite =
+  sjson_tests @ cache_tests @ handler_tests @ table_tests @ socket_tests
