@@ -977,7 +977,7 @@ let e19smoke () =
 (* --- E20: journal overhead — breadcrumbs on vs off ---
 
    The engines' journal breadcrumbs are sampled (one Debug progress
-   event per [Space.journal_every] pops) behind a single atomic load,
+   event per [Journal.progress_every] pops) behind a single atomic load,
    so an exploration with the journal attached to a sink should cost
    about the same as one without — the docs claim ~2% on philosophers.
    Measured best-of-3 against a null sink; the smoke gate is

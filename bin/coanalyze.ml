@@ -78,11 +78,16 @@ let report_status ~t0 status =
 (* --- telemetry plumbing (--trace / --metrics / --progress) --- *)
 
 module Obs = Cobegin_obs
+module Cli = Cobegin_serve.Cli
 
-(* Probe samples report the running exploration's intern pools: the
-   engine attaches them (Probe.set_pools) as it starts. *)
-let make_probe ~progress =
-  if progress then Some (Obs.Probe.make Obs.Probe.stderr_sink) else None
+(* --progress is the journal's heartbeat on stderr: [f] runs with the
+   journal started, and the journal stops however [f] ends. *)
+let with_progress progress f =
+  if progress then begin
+    Obs.Journal.start ~progress:stderr ();
+    Fun.protect ~finally:Obs.Journal.stop f
+  end
+  else f ()
 
 (* Final metrics snapshot, stamped with the run's wall time and peak
    heap, as one JSON object. *)
@@ -211,8 +216,10 @@ let progress_arg =
     value & flag
     & info [ "progress" ]
         ~doc:
-          "Emit live progress heartbeats on stderr (frontier size, \
-           visited count, rate, heap, budget headroom).")
+          "Print a progress line on stderr at most once a second (the \
+           first after one second) from whichever engine is running: \
+           elapsed time, configurations, frontier, transitions, rate, \
+           heap, pool sizes and budget headroom.")
 
 let json_arg =
   Arg.(
@@ -282,14 +289,15 @@ let checkpoint_arg =
 
 let checkpoint_every_arg =
   Arg.(
-    value & opt int 4096
+    value
+    & opt (Cli.positive int) 4096
     & info [ "checkpoint-every" ] ~docv:"N"
         ~doc:"Checkpoint cadence in worklist pops (default 4096).")
 
 let checkpoint_secs_arg =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some (Cli.positive float)) None
     & info [ "checkpoint-secs" ] ~docv:"SECS"
         ~doc:"Additionally checkpoint every $(docv) seconds of wall time.")
 
@@ -302,8 +310,6 @@ let resume_arg =
           "($(b,explore)) Load the checkpoint at $(docv) (written for \
            the same program) and continue it, checkpointing onward to \
            the same file.")
-
-module Cli = Cobegin_serve.Cli
 
 let options_term = Cli.options ()
 
@@ -337,13 +343,15 @@ let analyze_cmd =
             else begin
               let t0 = Unix.gettimeofday () in
               if metrics <> None then Obs.Metrics.set_enabled true;
-              (* The journal runs whenever a log sink is requested —
-                 and also, ring-only, when a JSON report is: a crashed
-                 stage then carries its flight-recorder dump even
-                 without --log. *)
+              (* The journal runs whenever a log sink or the heartbeat
+                 is requested — and also, ring-only, when a JSON report
+                 is: a crashed stage then carries its flight-recorder
+                 dump even without --log. *)
               let log_oc = Option.map open_out log in
-              if log_oc <> None || json <> None then
-                Obs.Journal.start ~threshold:log_level ?sink:log_oc ();
+              if log_oc <> None || json <> None || progress then
+                Obs.Journal.start ~threshold:log_level ?sink:log_oc
+                  ?progress:(if progress then Some stderr else None)
+                  ();
               let finish code =
                 Obs.Journal.stop ();
                 Option.iter close_out log_oc;
@@ -354,8 +362,7 @@ let analyze_cmd =
                 | None -> None
                 | Some _ -> Some (Obs.Span.create ())
               in
-              let probe = make_probe ~progress in
-              match Pipeline.analyze ~options ?spans ?probe prog with
+              match Pipeline.analyze ~options ?spans prog with
               | exception Invalid_argument msg ->
                   (* SC-only engine/analysis under --memory-model tso/pso *)
                   Format.eprintf "%s@." msg;
@@ -448,7 +455,6 @@ let explore_cmd =
     | Ok prog -> (
         let t0 = Unix.gettimeofday () in
         if metrics <> None then Obs.Metrics.set_enabled true;
-        let probe = make_probe ~progress in
         let prog =
           if o.coarsen then Cobegin_trans.Coarsen.program prog else prog
         in
@@ -456,13 +462,8 @@ let explore_cmd =
           Cobegin_semantics.Step.make_ctx ~model:o.memory_model prog
         in
         (* a fresh budget per engine run so the counters start at zero,
-           shared across domains when [jobs > 1]; the probe follows the
-           budget of the engine currently running *)
-        let budget jobs =
-          let b = Pipeline.budget_of_options { o with jobs } in
-          Option.iter (fun p -> Obs.Probe.set_budget p b) probe;
-          b
-        in
+           shared across domains when [jobs > 1] *)
+        let budget jobs = Pipeline.budget_of_options { o with jobs } in
         let rec body () =
           match (resume_path, ckpt) with
           | Some path, _ | None, Some path ->
@@ -472,8 +473,7 @@ let explore_cmd =
                  uninterrupted one *)
               let cadence =
                 {
-                  Cobegin_explore.Checkpoint.every_configs =
-                    max 1 ckpt_every;
+                  Cobegin_explore.Checkpoint.every_configs = ckpt_every;
                   every_s = ckpt_secs;
                 }
               in
@@ -481,7 +481,7 @@ let explore_cmd =
                 if resume_path <> None then Cobegin_explore.Checkpoint.resume
                 else Cobegin_explore.Checkpoint.full
               in
-              let r = engine ~budget:(budget 1) ?probe ~cadence ~path ctx in
+              let r = engine ~budget:(budget 1) ~cadence ~path ctx in
               Format.printf "full:     %a@." Cobegin_explore.Space.pp_stats
                 r.Cobegin_explore.Space.stats;
               Option.iter (fun path -> write_metrics path ~t0) metrics;
@@ -489,28 +489,23 @@ let explore_cmd =
               exit_code r.Cobegin_explore.Space.status
           | None, None -> run_comparison ()
         and run_comparison () =
-        let full =
-          Cobegin_explore.Space.full ~budget:(budget 1) ?probe ctx
-        in
+        let full = Cobegin_explore.Space.full ~budget:(budget 1) ctx in
         let stats = Cobegin_explore.Stubborn.new_stats () in
         let stub =
-          Cobegin_explore.Stubborn.explore ~budget:(budget 1) ?probe ~stats
-            ctx
+          Cobegin_explore.Stubborn.explore ~budget:(budget 1) ~stats ctx
         in
         Format.printf "full:     %a@." Cobegin_explore.Space.pp_stats
           full.Cobegin_explore.Space.stats;
         Format.printf "stubborn: %a@." Cobegin_explore.Space.pp_stats
           stub.Cobegin_explore.Space.stats;
-        let slp =
-          Cobegin_explore.Sleep.explore ~budget:(budget 1) ?probe ctx
-        in
+        let slp = Cobegin_explore.Sleep.explore ~budget:(budget 1) ctx in
         Format.printf "sleep:    %a@." Cobegin_explore.Space.pp_stats
           slp.Cobegin_explore.Space.stats;
         let par =
           if o.jobs > 1 then begin
             let p =
               Cobegin_explore.Parallel.full ~jobs:o.jobs
-                ~budget:(budget o.jobs) ?probe ctx
+                ~budget:(budget o.jobs) ctx
             in
             Format.printf "parallel (%d domains): %a@." o.jobs
               Cobegin_explore.Space.pp_stats p.Cobegin_explore.Space.stats;
@@ -551,7 +546,7 @@ let explore_cmd =
         report_status ~t0 status;
         exit_code status
         in
-        match body () with
+        match with_progress progress body with
         | code -> code
         | exception Cobegin_explore.Checkpoint.Corrupt msg ->
             Format.eprintf "checkpoint: %s@." msg;
@@ -593,9 +588,10 @@ let races_cmd =
               Cobegin_semantics.Step.make_ctx ~model:o.memory_model prog
             in
             let budget = Pipeline.budget_of_options o in
-            let probe = make_probe ~progress in
-            Option.iter (fun p -> Obs.Probe.set_budget p budget) probe;
-            match Cobegin_analysis.Race.find ~budget ?probe ctx with
+            match
+              with_progress progress (fun () ->
+                  Cobegin_analysis.Race.find ~budget ctx)
+            with
             | result ->
                 Format.printf "%a@." Cobegin_analysis.Race.pp
                   result.Cobegin_analysis.Race.races;
@@ -666,11 +662,9 @@ let interfere_cmd =
             let t0 = Unix.gettimeofday () in
             if metrics <> None then Obs.Metrics.set_enabled true;
             let budget = Pipeline.budget_of_options options in
-            let probe = make_probe ~progress in
-            Option.iter (fun p -> Obs.Probe.set_budget p budget) probe;
+            with_progress progress @@ fun () ->
             match
-              Interfere.run ~domain ~locksets:(not no_locksets) ~budget
-                ?probe prog
+              Interfere.run ~domain ~locksets:(not no_locksets) ~budget prog
             with
             | s ->
                 Format.printf "%a@." Interfere.pp_summary s;
@@ -682,8 +676,7 @@ let interfere_cmd =
                     let ctx = Cobegin_semantics.Step.make_ctx prog in
                     let r =
                       Cobegin_explore.Space.full
-                        ~budget:(Pipeline.budget_of_options options)
-                        ?probe ctx
+                        ~budget:(Pipeline.budget_of_options options) ctx
                     in
                     if not (Budget.is_complete r.Cobegin_explore.Space.status)
                     then begin
@@ -822,7 +815,8 @@ let socket_arg =
 
 let cache_cap_arg =
   Arg.(
-    value & opt int 64
+    value
+    & opt (Cli.positive int) 64
     & info [ "cache-cap" ] ~docv:"N"
         ~doc:
           "Capacity of the in-memory result cache, in entries (LRU \
@@ -857,21 +851,20 @@ let serve_cmd =
           Option.iter close_out log_oc;
           code
         in
-        let pool = max 1 jobs in
         let t =
           Serve.make
             {
               Serve.socket;
               capacity = cache_cap;
               cache_dir;
-              pool;
+              pool = jobs;
               defaults;
               spans;
             }
         in
         let on_listening () =
           Format.eprintf "serving on %s (pool %d, cache %d entries%s)@."
-            socket pool (max 1 cache_cap)
+            socket jobs cache_cap
             (match cache_dir with Some d -> ", disk tier " ^ d | None -> "")
         in
         match Serve.run ~on_listening t with
@@ -883,7 +876,8 @@ let serve_cmd =
   in
   let jobs_arg =
     Arg.(
-      value & opt int 1
+      value
+      & opt (Cli.positive int) 1
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
             "Worker domains serving requests concurrently (default 1).  \

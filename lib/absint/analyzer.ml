@@ -53,77 +53,50 @@ let pp_summary ppf s =
       | st -> Format.fprintf ppf " %a" Budget.pp_status st)
     s.status
 
-let analyze ?(domain = Intervals) ?(folding = Machine.Control) ?widen_after
-    ?max_configs ?budget ?max_iterations ?probe ?(k_pstring = 8)
-    ?(max_call_depth = 64) (prog : Cobegin_lang.Ast.program) : summary =
-  let pack ~abstract_configs ~revisits ~widenings ~max_frontier ~finals
-      ~errors ~status ~log =
+(* The one body every domain shares: [M] is that domain's machine. *)
+module Run (N : Lattice.NUMERIC) (M : module type of Machine.Make (N)) =
+struct
+  let analyze ~domain ~folding ?widen_after ?max_configs ?budget
+      ?max_iterations ~k_pstring ~max_call_depth prog =
+    let ctx = M.make_ctx ~params:{ M.k_pstring; max_call_depth } prog in
+    let r =
+      M.explore ~folding ?widen_after ?max_configs ?budget ?max_iterations ctx
+    in
+    let s = r.M.stats in
     {
       domain;
       folding;
-      abstract_configs;
-      revisits;
-      widenings;
-      max_frontier;
-      finals;
-      errors;
-      status;
-      log;
+      abstract_configs = s.M.abstract_configs;
+      revisits = s.M.revisits;
+      widenings = s.M.widenings;
+      max_frontier = s.M.max_frontier;
+      finals = s.M.finals;
+      errors = s.M.errors;
+      status = r.M.status;
+      log = r.M.log;
     }
+end
+
+let analyze ?(domain = Intervals) ?(folding = Machine.Control) ?widen_after
+    ?max_configs ?budget ?max_iterations ?(k_pstring = 8)
+    ?(max_call_depth = 64) (prog : Cobegin_lang.Ast.program) : summary =
+  let run =
+    match domain with
+    | Intervals ->
+        let module R = Run (Interval) (Interval_machine) in
+        R.analyze
+    | Constants ->
+        let module R = Run (Const) (Const_machine) in
+        R.analyze
+    | Signs ->
+        let module R = Run (Sign) (Sign_machine) in
+        R.analyze
+    | Parities ->
+        let module R = Run (Parity) (Parity_machine) in
+        R.analyze
+    | Interval_parity ->
+        let module R = Run (Int_parity) (Int_parity_machine) in
+        R.analyze
   in
-  match domain with
-  | Intervals ->
-      let module M = Interval_machine in
-      let ctx = M.make_ctx ~params:{ M.k_pstring; max_call_depth } prog in
-      let r =
-        M.explore ~folding ?widen_after ?max_configs ?budget ?max_iterations
-          ?probe ctx
-      in
-      pack ~abstract_configs:r.M.stats.M.abstract_configs
-        ~revisits:r.M.stats.M.revisits ~widenings:r.M.stats.M.widenings
-        ~max_frontier:r.M.stats.M.max_frontier ~finals:r.M.stats.M.finals
-        ~errors:r.M.stats.M.errors ~status:r.M.status ~log:r.M.log
-  | Constants ->
-      let module M = Const_machine in
-      let ctx = M.make_ctx ~params:{ M.k_pstring; max_call_depth } prog in
-      let r =
-        M.explore ~folding ?widen_after ?max_configs ?budget ?max_iterations
-          ?probe ctx
-      in
-      pack ~abstract_configs:r.M.stats.M.abstract_configs
-        ~revisits:r.M.stats.M.revisits ~widenings:r.M.stats.M.widenings
-        ~max_frontier:r.M.stats.M.max_frontier ~finals:r.M.stats.M.finals
-        ~errors:r.M.stats.M.errors ~status:r.M.status ~log:r.M.log
-  | Signs ->
-      let module M = Sign_machine in
-      let ctx = M.make_ctx ~params:{ M.k_pstring; max_call_depth } prog in
-      let r =
-        M.explore ~folding ?widen_after ?max_configs ?budget ?max_iterations
-          ?probe ctx
-      in
-      pack ~abstract_configs:r.M.stats.M.abstract_configs
-        ~revisits:r.M.stats.M.revisits ~widenings:r.M.stats.M.widenings
-        ~max_frontier:r.M.stats.M.max_frontier ~finals:r.M.stats.M.finals
-        ~errors:r.M.stats.M.errors ~status:r.M.status ~log:r.M.log
-  | Parities ->
-      let module M = Parity_machine in
-      let ctx = M.make_ctx ~params:{ M.k_pstring; max_call_depth } prog in
-      let r =
-        M.explore ~folding ?widen_after ?max_configs ?budget ?max_iterations
-          ?probe ctx
-      in
-      pack ~abstract_configs:r.M.stats.M.abstract_configs
-        ~revisits:r.M.stats.M.revisits ~widenings:r.M.stats.M.widenings
-        ~max_frontier:r.M.stats.M.max_frontier ~finals:r.M.stats.M.finals
-        ~errors:r.M.stats.M.errors ~status:r.M.status ~log:r.M.log
-  | Interval_parity ->
-      let module M = Int_parity_machine in
-      let ctx = M.make_ctx ~params:{ M.k_pstring; max_call_depth } prog in
-      let r =
-        M.explore ~folding ?widen_after ?max_configs ?budget ?max_iterations
-          ?probe ctx
-      in
-      pack ~abstract_configs:r.M.stats.M.abstract_configs
-        ~revisits:r.M.stats.M.revisits ~widenings:r.M.stats.M.widenings
-        ~max_frontier:r.M.stats.M.max_frontier ~finals:r.M.stats.M.finals
-        ~errors:r.M.stats.M.errors ~status:r.M.status ~log:r.M.log
+  run ~domain ~folding ?widen_after ?max_configs ?budget ?max_iterations
+    ~k_pstring ~max_call_depth prog

@@ -39,7 +39,6 @@ val analyze :
   ?max_configs:int ->
   ?budget:Budget.t ->
   ?max_iterations:int ->
-  ?probe:Cobegin_obs.Probe.t ->
   ?k_pstring:int ->
   ?max_call_depth:int ->
   Cobegin_lang.Ast.program ->
@@ -48,5 +47,4 @@ val analyze :
     widening after 3 revisits, k_pstring = 8, call depth 64.
     [budget] (which subsumes [max_configs]) and [max_iterations] (the
     fixpoint fuel) bound the run; exhaustion never raises — the summary
-    comes back with its partial counts and [status = Truncated _].
-    [probe] is ticked once per worklist pop. *)
+    comes back with its partial counts and [status = Truncated _]. *)

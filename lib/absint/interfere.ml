@@ -41,7 +41,6 @@ module SM = Map.Make (String)
 module IM = Map.Make (Int)
 module IS = Set.Make (Int)
 module Obs_metrics = Cobegin_obs.Metrics
-module Obs_probe = Cobegin_obs.Probe
 module Obs_journal = Cobegin_obs.Journal
 
 (* Telemetry handles, shared across functor instantiations. *)
@@ -1138,7 +1137,7 @@ module Make (N : Lattice.NUMERIC) = struct
       c.called
 
   let analyze ?(widen = N.widen) ?(locksets = true) ?(widen_after = 2)
-      ?(max_rounds = 200) ?budget ?probe (prog : Ast.program) : outcome =
+      ?(max_rounds = 200) ?budget (prog : Ast.program) : outcome =
     let mhp = Mhp.of_program prog in
     let ls = Lockset.analyze mhp in
     let at = Mhp.addr_taken mhp in
@@ -1157,15 +1156,14 @@ module Make (N : Lattice.NUMERIC) = struct
         widen_after }
     in
     let c = init_acc () in
-    (match (probe, budget) with
-    | Some p, Some b -> Obs_probe.set_budget p b
-    | _ -> ());
     let rec rounds r =
       Fault.hit "interfere.iter";
       (* one event per fixpoint round — rounds are few (≤ max_rounds),
-         so no sampling needed *)
+         so no sampling needed.  Rounds count as configurations and
+         statement visits as transitions, as in the budget check. *)
       if Obs_journal.enabled () then
-        Obs_journal.emit ~level:Obs_journal.Debug "interfere.round"
+        Obs_journal.progress "interfere" ~configurations:r
+          ~frontier:(SM.cardinal c.interf) ~transitions:c.visits ?budget
           [
             ("round", Obs_journal.Int r);
             ("interference_vars", Obs_journal.Int (SM.cardinal c.interf));
@@ -1182,12 +1180,6 @@ module Make (N : Lattice.NUMERIC) = struct
           if r > max_rounds then (max_rounds, Budget.Truncated (Budget.Fuel max_rounds))
           else begin
             Obs_metrics.incr m_rounds;
-            (match probe with
-            | Some p ->
-                Obs_probe.tick p ~configurations:r
-                  ~frontier:(SM.cardinal c.interf)
-                  ~transitions:c.visits
-            | None -> ());
             c.dirty <- false;
             c.wround <- r >= a.widen_after;
             run_pass a c ~record:false;
@@ -1346,7 +1338,7 @@ let harvest_thresholds (prog : Ast.program) =
        [ 0; 1 ] prog)
 
 let run ?(domain = Analyzer.Intervals) ?(locksets = true) ?(widen_after = 2)
-    ?(max_rounds = 200) ?budget ?probe (prog : Ast.program) : summary =
+    ?(max_rounds = 200) ?budget (prog : Ast.program) : summary =
   let mk (o : outcome) =
     {
       domain;
@@ -1363,24 +1355,18 @@ let run ?(domain = Analyzer.Intervals) ?(locksets = true) ?(widen_after = 2)
       check = o.o_check;
     }
   in
-  match domain with
-  | Analyzer.Intervals ->
-      let ts = harvest_thresholds prog in
-      mk
-        (I_interval.analyze
-           ~widen:(Interval.widen_thresholds ts)
-           ~locksets ~widen_after ~max_rounds ?budget ?probe prog)
-  | Analyzer.Constants ->
-      mk (I_const.analyze ~locksets ~widen_after ~max_rounds ?budget ?probe prog)
-  | Analyzer.Signs ->
-      mk (I_sign.analyze ~locksets ~widen_after ~max_rounds ?budget ?probe prog)
-  | Analyzer.Parities ->
-      mk
-        (I_parity.analyze ~locksets ~widen_after ~max_rounds ?budget ?probe prog)
-  | Analyzer.Interval_parity ->
-      mk
-        (I_int_parity.analyze ~locksets ~widen_after ~max_rounds ?budget ?probe
-           prog)
+  (* intervals widen with thresholds; every other domain with its own *)
+  let analyze =
+    match domain with
+    | Analyzer.Intervals ->
+        I_interval.analyze
+          ~widen:(Interval.widen_thresholds (harvest_thresholds prog))
+    | Analyzer.Constants -> I_const.analyze ?widen:None
+    | Analyzer.Signs -> I_sign.analyze ?widen:None
+    | Analyzer.Parities -> I_parity.analyze ?widen:None
+    | Analyzer.Interval_parity -> I_int_parity.analyze ?widen:None
+  in
+  mk (analyze ~locksets ~widen_after ~max_rounds ?budget prog)
 
 let pp_summary ppf s =
   Format.fprintf ppf

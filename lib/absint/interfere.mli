@@ -87,7 +87,6 @@ val run :
   ?widen_after:int ->
   ?max_rounds:int ->
   ?budget:Budget.t ->
-  ?probe:Cobegin_obs.Probe.t ->
   Ast.program ->
   summary
 (** Defaults: intervals (with widening thresholds harvested from the

@@ -25,14 +25,12 @@ type folding = Exact | Control | Clan
    domain's machine shares the same registered counters.  No-ops (one
    branch) while telemetry is disabled. *)
 module Obs_metrics = Cobegin_obs.Metrics
-module Obs_probe = Cobegin_obs.Probe
+module Obs_journal = Cobegin_obs.Journal
 
 (* Engine-namespaced like the concrete engines' [space.*] / [stubborn.*]
    families, so [--metrics] output lines up column-for-column. *)
 let m_widenings = Obs_metrics.counter "abstract.widenings"
 let m_fold_hits = Obs_metrics.counter "abstract.fold_hits"
-let g_abs_frontier = Obs_metrics.gauge "abstract.frontier"
-let g_abs_visited = Obs_metrics.gauge "abstract.visited"
 
 let pp_folding ppf f =
   Format.pp_print_string ppf
@@ -845,7 +843,7 @@ module Make (N : Lattice.NUMERIC) = struct
      table accumulated so far is still a valid under-approximation of
      the abstract graph and the log a valid (partial) instrumentation. *)
   let explore ?(folding = Control) ?(widen_after = 3)
-      ?(max_configs = 100_000) ?budget ?max_iterations ?probe ctx : result =
+      ?(max_configs = 100_000) ?budget ?max_iterations ctx : result =
     let budget =
       match budget with
       | Some b -> b
@@ -873,17 +871,16 @@ module Make (N : Lattice.NUMERIC) = struct
           | Some r -> stop := Some r
           | None -> ()));
       if !stop = None then begin
-        (match probe with
-        | None -> ()
-        | Some p ->
-            Obs_probe.tick p ~configurations:(Key_tbl.length table)
-              ~frontier:(Queue.length queue) ~transitions:!iterations);
-        if Obs_metrics.enabled () then begin
-          Obs_metrics.set g_abs_frontier (Queue.length queue);
-          Obs_metrics.set g_abs_visited (Key_tbl.length table)
-        end;
         max_frontier := max !max_frontier (Queue.length queue);
         incr iterations;
+        if
+          Obs_journal.enabled ()
+          && !iterations mod Obs_journal.progress_every = 0
+        then
+          Obs_journal.progress "abstract"
+            ~configurations:(Key_tbl.length table)
+            ~frontier:(Queue.length queue) ~transitions:!iterations ~budget
+            [];
         let k = Queue.pop queue in
         match Key_tbl.find_opt table k with
         | None -> ()

@@ -115,22 +115,19 @@ let scan ctx races c enabled =
    visitor sees every admitted configuration — popped, or drained from
    the frontier when the budget stops the run — so the races reported
    are exactly those of the admitted configurations. *)
-let scanned ?max_configs ?budget ?probe ~site ~log ctx =
+let scanned ?max_configs ?budget ~site ~log ctx =
   let races = ref RaceSet.empty in
   let r =
-    Space.generate ?max_configs ?budget ?probe ~visit:(scan ctx races) ~log
+    Space.generate ?max_configs ?budget ~visit:(scan ctx races) ~log
       ~site ~admit:Space.no_revisits ~expand:Space.all_actions ctx
       (Space.start ctx ())
   in
   (r, !races)
 
-let explore ?budget ?probe ctx =
-  scanned ?budget ?probe ~site:"space" ~log:true ctx
+let explore ?budget ctx = scanned ?budget ~site:"space" ~log:true ctx
 
-let find ?(max_configs = 200_000) ?budget ?probe ctx : result =
-  let r, races =
-    scanned ~max_configs ?budget ?probe ~site:"races" ~log:false ctx
-  in
+let find ?(max_configs = 200_000) ?budget ctx : result =
+  let r, races = scanned ~max_configs ?budget ~site:"races" ~log:false ctx in
   { races; status = r.Space.status }
 
 let pp_race ppf r =

@@ -35,7 +35,6 @@ type result = {
 val find :
   ?max_configs:int ->
   ?budget:Budget.t ->
-  ?probe:Cobegin_obs.Probe.t ->
   Step.ctx ->
   result
 (** Scan every reachable configuration for co-enabled conflicting
@@ -43,12 +42,10 @@ val find :
     pair scan as its visitor.  The budget ([budget], or [max_configs],
     default 200 000 configurations) counts fired transitions like every
     other engine; at exhaustion the reported races are exactly those of
-    the admitted configurations.  [probe] is ticked once per worklist
-    pop. *)
+    the admitted configurations. *)
 
 val explore :
   ?budget:Budget.t ->
-  ?probe:Cobegin_obs.Probe.t ->
   Step.ctx ->
   Cobegin_explore.Space.result * RaceSet.t
 (** {!Cobegin_explore.Space.full} with the pair scan of {!find} as its

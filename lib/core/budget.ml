@@ -150,7 +150,7 @@ let reason_label = function
 
 type headroom = { h_reason : reason; h_consumed : float; h_limit : float }
 
-(* Introspection for progress probes and users: consumed-vs-limit per
+(* Introspection for progress events and users: consumed-vs-limit per
    configured dimension, without reaching into the internals.  The
    counter entries mirror [check] exactly: an entry with
    [h_consumed >= h_limit] is one [check] would fire on (clock and heap

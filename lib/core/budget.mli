@@ -117,7 +117,7 @@ type headroom = {
 
 val snapshot : t -> configs:int -> transitions:int -> headroom list
 (** One entry per configured limit, consumed vs limit, so progress
-    probes and users can report headroom without reaching into the
+    events and users can report headroom without reaching into the
     internals.  Counter entries mirror {!check}: [h_consumed >= h_limit]
     exactly when [check] (called with the same [configs]/[transitions])
     would return that reason; the clock and heap entries are re-sampled

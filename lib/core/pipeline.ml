@@ -434,7 +434,7 @@ let empty_log =
    log, the completion status, and the race set when the race scan ran
    as the exploration's visitor.  [spans] reaches the parallel engine
    so each worker domain records its own trace lane. *)
-let run_engine ~budget ?probe ?spans (opts : options) prog :
+let run_engine ~budget ?spans (opts : options) prog :
     exploration_stats * Event.log * Budget.status * Race.RaceSet.t option =
   match opts.engine with
   | Concrete_full | Concrete_stubborn ->
@@ -448,12 +448,12 @@ let run_engine ~budget ?probe ?spans (opts : options) prog :
       let result, races =
         match opts.engine with
         | Concrete_full when opts.jobs > 1 ->
-            (Parallel.full ~jobs:opts.jobs ~budget ?probe ?spans ctx, None)
+            (Parallel.full ~jobs:opts.jobs ~budget ?spans ctx, None)
         | Concrete_full when opts.find_races ->
-            let result, races = Race.explore ~budget ?probe ctx in
+            let result, races = Race.explore ~budget ctx in
             (result, Some races)
-        | Concrete_full -> (Space.full ~budget ?probe ctx, None)
-        | _ -> (Stubborn.explore ~budget ?probe ctx, None)
+        | Concrete_full -> (Space.full ~budget ctx, None)
+        | _ -> (Stubborn.explore ~budget ctx, None)
       in
       ( {
           configurations = result.Space.stats.Space.configurations;
@@ -467,7 +467,7 @@ let run_engine ~budget ?probe ?spans (opts : options) prog :
         result.Space.status,
         races )
   | Abstract (domain, folding) ->
-      let summary = Analyzer.analyze ~domain ~folding ~budget ?probe prog in
+      let summary = Analyzer.analyze ~domain ~folding ~budget prog in
       ( {
           configurations = summary.Analyzer.abstract_configs;
           transitions = 0;
@@ -481,16 +481,13 @@ let run_engine ~budget ?probe ?spans (opts : options) prog :
         None )
 
 (* [spans] records one wall-clock span per stage (nested under whatever
-   span is already open in the recorder); [probe] is ticked by the
-   engines and the race scan, with the pipeline's budget attached for
-   headroom reporting. *)
-let analyze ?(options = default_options) ?spans ?probe (prog : Ast.program)
-    : report =
+   span is already open in the recorder). *)
+let analyze ?(options = default_options) ?spans (prog : Ast.program) :
+    report =
   check_model_support options;
   Check.check_exn prog;
   let prog = transform options prog in
   let budget = budget_of_options options in
-  Option.iter (fun p -> Cobegin_obs.Probe.set_budget p budget) probe;
   (* only the spans completed by this call end up in [report.telemetry]:
      a reusable recorder may already hold events from earlier runs *)
   let pre_events =
@@ -623,7 +620,7 @@ let analyze ?(options = default_options) ?spans ?probe (prog : Ast.program)
         | Concrete_full | Concrete_stubborn -> Analyzer.Intervals
       in
       stage "interfere" ~default:None (fun () ->
-          Some (Interfere.run ~domain ~budget ?probe prog))
+          Some (Interfere.run ~domain ~budget prog))
     else None
   in
   (* Exploration runs under a degradation ladder instead of the plain
@@ -654,7 +651,7 @@ let analyze ?(options = default_options) ?spans ?probe (prog : Ast.program)
       | o :: rest -> (
           match
             run_body "exploration" (fun () ->
-                run_engine ~budget ?probe ?spans o prog)
+                run_engine ~budget ?spans o prog)
           with
           | r -> r
           | exception e -> (
@@ -714,7 +711,7 @@ let analyze ?(options = default_options) ?spans ?probe (prog : Ast.program)
                 match explored_races with
                 | Some races -> { Race.races; status }
                 | None ->
-                    Race.find ~budget ?probe
+                    Race.find ~budget
                       (Step.make_ctx ~model:options.memory_model prog))
           in
           (* a races give-up must not masquerade as a complete scan:
@@ -778,8 +775,8 @@ let analyze ?(options = default_options) ?spans ?probe (prog : Ast.program)
     telemetry;
   }
 
-let analyze_source ?options ?spans ?probe src =
-  analyze ?options ?spans ?probe (load_source src)
+let analyze_source ?options ?spans src =
+  analyze ?options ?spans (load_source src)
 
 (* Parallelization report for segment-shaped programs (Figure 8). *)
 let parallelization (r : report) : Parallelize.report =

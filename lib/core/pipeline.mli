@@ -268,7 +268,6 @@ val load_file : string -> Ast.program
 val analyze :
   ?options:options ->
   ?spans:Cobegin_obs.Span.t ->
-  ?probe:Cobegin_obs.Probe.t ->
   Ast.program ->
   report
 (** Run the pipeline.  Never raises on budget exhaustion — check
@@ -288,14 +287,12 @@ val analyze :
     wall-clock span named after it, and [report.telemetry] lists the
     per-stage durations of this call (a reusable recorder keeps earlier
     events for trace export but they do not leak into the report).
-    When [probe] is given the engines and the race scan tick it once
-    per worklist pop, and the pipeline attaches its budget so heartbeat
-    samples report headroom. *)
+    Progress goes to the journal: every engine loop emits its
+    [*.progress] events there ({!Cobegin_obs.Journal.progress}). *)
 
 val analyze_source :
   ?options:options ->
   ?spans:Cobegin_obs.Span.t ->
-  ?probe:Cobegin_obs.Probe.t ->
   string ->
   report
 

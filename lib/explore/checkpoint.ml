@@ -139,7 +139,7 @@ let restore ~path ctx =
    same configurations itself.  When a configuration budget stopped
    the run in the middle of an expansion, that state carries the
    expansion's remainder, and the resumed run fires it first. *)
-let run ?max_configs ?budget ?probe ~cadence ~path ctx st : Space.result =
+let run ?max_configs ?budget ~cadence ~path ctx st : Space.result =
   let since_save = ref 0 in
   let last_save = ref (Unix.gettimeofday ()) in
   let boundary st =
@@ -156,17 +156,16 @@ let run ?max_configs ?budget ?probe ~cadence ~path ctx st : Space.result =
     incr since_save
   in
   let r =
-    Space.generate ?max_configs ?budget ?probe ~boundary ~site:"checkpoint"
+    Space.generate ?max_configs ?budget ~boundary ~site:"checkpoint"
       ~admit:Space.no_revisits ~expand:Space.all_actions ctx st
   in
   if not (Budget.is_complete r.Space.status) then save ~path ctx st;
   r
 
-let full ?max_configs ?budget ?probe ?(cadence = default_cadence) ~path ctx =
-  run ?max_configs ?budget ?probe ~cadence ~path ctx (Space.start ctx ())
+let full ?max_configs ?budget ?(cadence = default_cadence) ~path ctx =
+  run ?max_configs ?budget ~cadence ~path ctx (Space.start ctx ())
 
-let resume ?max_configs ?budget ?probe ?(cadence = default_cadence) ~path ctx
-    =
+let resume ?max_configs ?budget ?(cadence = default_cadence) ~path ctx =
   let st = restore ~path ctx in
   (* The caller's budget typically dates from process startup, and its
      deadline is an absolute instant fixed at creation — by the time
@@ -174,4 +173,4 @@ let resume ?max_configs ?budget ?probe ?(cadence = default_cadence) ~path ctx
      would already be spent.  A resumed run gets the full timeout from
      the point the BFS actually restarts. *)
   Option.iter Budget.refresh_deadline budget;
-  run ?max_configs ?budget ?probe ~cadence ~path ctx st
+  run ?max_configs ?budget ~cadence ~path ctx st

@@ -48,7 +48,6 @@ val default_cadence : cadence
 val full :
   ?max_configs:int ->
   ?budget:Budget.t ->
-  ?probe:Cobegin_obs.Probe.t ->
   ?cadence:cadence ->
   path:string ->
   Step.ctx ->
@@ -60,7 +59,6 @@ val full :
 val resume :
   ?max_configs:int ->
   ?budget:Budget.t ->
-  ?probe:Cobegin_obs.Probe.t ->
   ?cadence:cadence ->
   path:string ->
   Step.ctx ->

@@ -1,8 +1,8 @@
 (* Multi-domain state-space generation (OCaml 5 domains).
 
-   Same contract as Space.explore — breadth-ish generation of the
-   configuration graph under a pluggable expansion strategy — but the
-   work is spread over [jobs] domains:
+   Same contract as Space.full — breadth-ish generation of the full
+   interleaving configuration graph — but the work is spread over
+   [jobs] domains:
 
      - the visited set is sharded: [num_shards] mutex-protected
        Digest_tbl shards, a configuration's shard picked by its
@@ -40,7 +40,6 @@
 
 open Cobegin_semantics
 module Metrics = Cobegin_obs.Metrics
-module Probe = Cobegin_obs.Probe
 module Span = Cobegin_obs.Span
 module Journal = Cobegin_obs.Journal
 
@@ -96,9 +95,8 @@ let sort_canonical cs =
   |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
   |> List.map snd
 
-let explore ?(max_configs = 1_000_000) ?budget ?probe ?spans ~jobs ctx
-    ~expand : Space.result =
-  if jobs <= 1 then Space.explore ~max_configs ?budget ?probe ctx ~expand
+let full ?(max_configs = 1_000_000) ?budget ?spans ~jobs ctx : Space.result =
+  if jobs <= 1 then Space.full ~max_configs ?budget ctx
   else begin
     let budget =
       match budget with
@@ -138,9 +136,6 @@ let explore ?(max_configs = 1_000_000) ?budget ?probe ?spans ~jobs ctx
        admitted by one worker is rebuilt from the same pools another
        worker's successors hit. *)
     let interner = Intern.create ~shared:true () in
-    Option.iter
-      (fun p -> Probe.set_pools p (fun () -> Intern.sizes interner))
-      probe;
     (* Seed: admit the initial configuration on worker 0. *)
     let c0, d0 = Config.intern interner (Step.init ctx) in
     Config.Digest_tbl.replace (shard_of shards d0).s_tbl d0 ();
@@ -220,18 +215,22 @@ let explore ?(max_configs = 1_000_000) ?budget ?probe ?spans ~jobs ctx
                       wq_push my c');
                   if Atomic.get stop = None then fire_each rest
             in
-            fire_each (expand c enabled)
+            fire_each enabled
       in
+      (* worker 0 alone reports progress, sampled like the kernel's *)
+      let pops = ref 0 in
       let rec loop () =
         if not (stopping ()) then begin
-          (if w = 0 then
-             match probe with
-             | None -> ()
-             | Some p ->
-                 Probe.tick p
-                   ~configurations:(Atomic.get admitted)
-                   ~frontier:(Atomic.get queued)
-                   ~transitions:(Atomic.get transitions));
+          if w = 0 then begin
+            incr pops;
+            if Journal.enabled () && !pops mod Journal.progress_every = 0
+            then
+              Journal.progress "parallel"
+                ~configurations:(Atomic.get admitted)
+                ~frontier:(Atomic.get queued)
+                ~transitions:(Atomic.get transitions)
+                ~pools:(Intern.sizes interner) ~budget []
+          end;
           match
             Budget.check budget ~configs:(Atomic.get admitted)
               ~transitions:(Atomic.get transitions)
@@ -320,6 +319,3 @@ let explore ?(max_configs = 1_000_000) ?budget ?probe ?spans ~jobs ctx
       ~log:(Step.logged log) t
   end
 
-let full ?max_configs ?budget ?probe ?spans ~jobs ctx =
-  explore ?max_configs ?budget ?probe ?spans ~jobs ctx
-    ~expand:(fun _ enabled -> enabled)

@@ -1,6 +1,6 @@
 (** Multi-domain state-space generation (OCaml 5 domains).
 
-    Drop-in parallel equivalent of {!Space.explore}: the visited set is
+    Drop-in parallel equivalent of {!Space.full}: the visited set is
     sharded into mutex-protected digest tables, each of [jobs] domains
     owns a work queue and steals from the others when its own runs dry,
     and global progress (admissions, transitions, the truncation latch)
@@ -26,7 +26,7 @@
     which configurations were admitted before the trip — and therefore
     the partial counts — is schedule-dependent, unlike the sequential
     engine.  The admitted-but-unexpanded frontier is still classified
-    into the terminal counts, exactly like {!Space.explore}. *)
+    into the terminal counts, exactly like {!Space.full}. *)
 
 open Cobegin_semantics
 
@@ -37,41 +37,25 @@ exception
     in-flight counter) and joins, and the failure is re-raised as this
     structured diagnostic on the calling domain — [cause] is the
     original exception, [backtrace] its captured trace.  Raised by
-    {!explore}/{!full} after the join; partial results are discarded
-    (a crashed expansion cannot vouch for them). *)
-
-val explore :
-  ?max_configs:int ->
-  ?budget:Budget.t ->
-  ?probe:Cobegin_obs.Probe.t ->
-  ?spans:Cobegin_obs.Span.t ->
-  jobs:int ->
-  Step.ctx ->
-  expand:(Config.t -> Step.action list -> Step.action list) ->
-  Space.result
-(** [explore ~jobs ctx ~expand] generates the configuration graph on
-    [jobs] domains.  [jobs <= 1] delegates to {!Space.explore} — the
-    sequential engine, byte-for-byte.  As there, [expand c enabled]
-    receives the enabled actions {!Space.classify} computed.  [expand]
-    must be a {e pure} function of its arguments (the full-interleaving
-    expansion is;
-    strategies with mutable selection state, e.g. {!Sleep}, are not and
-    stay sequential).  When [budget] is omitted, one is created with
-    [max_configs] in shared (multi-domain) mode; a caller-supplied
-    budget should be created with [~shared:true] so truncation is
-    latched once across domains.  [probe] is ticked by worker 0 only
-    (probes are single-domain); its samples report the run's pools.
-    When [spans] is given, each worker domain runs inside its own
-    ["worker<i>"] span, so the trace export renders one lane per
-    worker; workers also journal their start/finish (and failures, at
-    [Error]) when the process journal is running. *)
+    {!full} after the join; partial results are discarded (a crashed
+    expansion cannot vouch for them). *)
 
 val full :
   ?max_configs:int ->
   ?budget:Budget.t ->
-  ?probe:Cobegin_obs.Probe.t ->
   ?spans:Cobegin_obs.Span.t ->
   jobs:int ->
   Step.ctx ->
   Space.result
-(** Ordinary (full interleaving) generation on [jobs] domains. *)
+(** [full ~jobs ctx] generates the full-interleaving configuration
+    graph on [jobs] domains.  [jobs <= 1] runs {!Space.full} — the
+    sequential engine, byte-for-byte.  When [budget] is omitted, one is
+    created with [max_configs] in shared (multi-domain) mode; a
+    caller-supplied budget should be created with [~shared:true] so
+    truncation is latched once across domains.  Worker 0 journals
+    [parallel.progress] every {!Cobegin_obs.Journal.progress_every} of
+    its pops, with the run's counts, pools and budget headroom.  When
+    [spans] is given, each worker domain runs inside its own
+    ["worker<i>"] span, so the trace export renders one lane per
+    worker; workers also journal their start/finish (and failures, at
+    [Error]) when the process journal is running. *)

@@ -108,9 +108,9 @@ let admit recorded sleep' =
   if PidSet.subset recorded sleep' then None
   else Some (PidSet.inter recorded sleep')
 
-let explore ?max_configs ?budget ?probe ?stats ctx : Space.result =
+let explore ?max_configs ?budget ?stats ctx : Space.result =
   let r =
-    Space.generate ?max_configs ?budget ?probe ~site:"sleep" ~admit
+    Space.generate ?max_configs ?budget ~site:"sleep" ~admit
       ~expand:(expansion ?stats ctx) ctx (Space.start ctx awake)
   in
   Option.iter

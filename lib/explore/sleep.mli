@@ -47,11 +47,9 @@ val admit : sleep -> sleep -> sleep option
 val explore :
   ?max_configs:int ->
   ?budget:Budget.t ->
-  ?probe:Cobegin_obs.Probe.t ->
   ?stats:stats ->
   Step.ctx ->
   Space.result
 (** Persistent-set + sleep-set exploration: {!Space.generate} with
     {!expansion} and {!admit}.  Stops cleanly at budget exhaustion and
-    returns the partial result (see {!Space.explore}); [probe] is ticked
-    once per worklist pop. *)
+    returns the partial result (see {!Space.explore}). *)

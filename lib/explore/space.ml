@@ -15,14 +15,7 @@
 
 open Cobegin_semantics
 module Metrics = Cobegin_obs.Metrics
-module Probe = Cobegin_obs.Probe
 module Journal = Cobegin_obs.Journal
-
-(* Journal breadcrumbs are sampled — one Debug event per
-   [journal_every] pops — so a flight-recorder dump shows where the
-   engine was without the journal's lock ever entering the hot path
-   more than ~0.4% of iterations. *)
-let journal_every = 256
 
 (* Telemetry handles: process-global, no-ops (one branch) while
    telemetry is disabled. *)
@@ -30,8 +23,6 @@ let m_expansions = Metrics.counter "space.expansions"
 let m_transitions = Metrics.counter "space.transitions"
 let m_digest_hits = Metrics.counter "space.digest_hits"
 let m_admitted = Metrics.counter "space.admitted"
-let g_frontier = Metrics.gauge "space.frontier"
-let g_visited = Metrics.gauge "space.visited"
 
 type stats = {
   configurations : int;
@@ -144,19 +135,15 @@ let start ctx a =
 let no_revisits _ _ = None
 let all_actions _ () actions = List.map (fun a -> (a, ())) actions
 
-let generate ?(max_configs = 1_000_000) ?budget ?probe
-    ?(visit = fun _ _ -> ()) ?(boundary = ignore) ?(log = true) ~site ~admit
-    ~expand ctx st : result =
+let generate ?(max_configs = 1_000_000) ?budget ?(visit = fun _ _ -> ())
+    ?(boundary = ignore) ?(log = true) ~site ~admit ~expand ctx st : result =
   let budget =
     match budget with Some b -> b | None -> Budget.create ~max_configs ()
   in
-  let pop_site = site ^ ".pop" and progress = site ^ ".progress" in
+  let pop_site = site ^ ".pop" in
   let configurations () = Config.Digest_tbl.length st.visited in
   let stop = ref None in
   let pops = ref 0 in
-  Option.iter
-    (fun p -> Probe.set_pools p (fun () -> Intern.sizes st.interner))
-    probe;
   (* Fire [(action, annotation)] pairs in order; break out as soon as
      the budget stops the run: the remaining successors must not fire,
      or transitions and event logs inflate past the stop. *)
@@ -210,26 +197,12 @@ let generate ?(max_configs = 1_000_000) ?budget ?probe
         boundary st;
         Fault.hit pop_site;
         incr pops;
-        if Journal.enabled () && !pops mod journal_every = 0 then
-          Journal.emit ~level:Journal.Debug progress
-            [
-              ("pops", Journal.Int !pops);
-              ("configurations", Journal.Int (configurations ()));
-              ("frontier", Journal.Int (Queue.length st.queue));
-              ("transitions", Journal.Int st.transitions);
-            ];
-        (match probe with
-        | None -> ()
-        | Some p ->
-            Probe.tick p ~configurations:(configurations ())
-              ~frontier:(Queue.length st.queue) ~transitions:st.transitions);
-        if log then begin
-          Metrics.incr m_expansions;
-          if Metrics.enabled () then begin
-            Metrics.set g_frontier (Queue.length st.queue);
-            Metrics.set g_visited (configurations ())
-          end
-        end;
+        if Journal.enabled () && !pops mod Journal.progress_every = 0 then
+          Journal.progress site ~configurations:(configurations ())
+            ~frontier:(Queue.length st.queue) ~transitions:st.transitions
+            ~pools:(Intern.sizes st.interner) ~budget
+            [ ("pops", Journal.Int !pops) ];
+        if log then Metrics.incr m_expansions;
         st.max_frontier <- max st.max_frontier (Queue.length st.queue);
         let c, a = Queue.pop st.queue in
         let enabled = classify ctx st.terminals c in
@@ -251,15 +224,15 @@ let generate ?(max_configs = 1_000_000) ?budget ?probe
     ~transitions:st.transitions ~max_frontier:st.max_frontier
     ~log:(Step.logged st.events) terminals
 
-let explore ?max_configs ?budget ?probe ctx ~expand : result =
-  generate ?max_configs ?budget ?probe ~site:"space" ~admit:no_revisits
+let explore ?max_configs ?budget ctx ~expand : result =
+  generate ?max_configs ?budget ~site:"space" ~admit:no_revisits
     ~expand:(fun c () enabled ->
       List.map (fun a -> (a, ())) (expand c enabled))
     ctx (start ctx ())
 
 (* Ordinary (full interleaving) generation. *)
-let full ?max_configs ?budget ?probe ctx =
-  generate ?max_configs ?budget ?probe ~site:"space" ~admit:no_revisits
+let full ?max_configs ?budget ctx =
+  generate ?max_configs ?budget ~site:"space" ~admit:no_revisits
     ~expand:all_actions ctx (start ctx ())
 
 (* Canonical set of final stores, for strategy comparisons: sorted and

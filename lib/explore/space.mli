@@ -32,11 +32,6 @@ type result = {
           {!Step.log}), in no particular order *)
 }
 
-val journal_every : int
-(** Sampling period of the journal breadcrumbs: {!generate} emits one
-    Debug [<site>.progress] event per this many worklist pops, so an
-    enabled journal costs the ring lock on ~0.4% of iterations. *)
-
 (** {1 The exploration kernel}
 
     {!generate} is the one sequential BFS of the explicit-state
@@ -126,7 +121,6 @@ val all_actions :
 val generate :
   ?max_configs:int ->
   ?budget:Budget.t ->
-  ?probe:Cobegin_obs.Probe.t ->
   ?visit:(Config.t -> Step.action list -> unit) ->
   ?boundary:('a state -> unit) ->
   ?log:bool ->
@@ -161,8 +155,9 @@ val generate :
     first, before the first budget check.
 
     [site] names the run in the fault plan ([<site>.pop], hit once per
-    pop) and in the journal ([<site>.progress], sampled every
-    {!journal_every} pops, and [<site>.done]).  [log] (default [true])
+    pop) and in the journal ([<site>.progress] every
+    {!Cobegin_obs.Journal.progress_every} pops, with the sizes of [st]'s
+    pools and the budget's headroom, and [<site>.done]).  [log] (default [true])
     keeps the event log and counts the run in the [space.*] metrics;
     [Race.find] turns it off, since its pass re-walks a space whose
     exploration is accounted for elsewhere and reads no events.
@@ -171,13 +166,11 @@ val generate :
     [max_configs] (default one million).  Never raises on exhaustion:
     the partial result comes back tagged [Truncated _], with the
     frontier classified by {!drain}; [st] then holds the pre-drain
-    state.  [probe] is ticked once per pop, and its samples report the
-    sizes of [st]'s pools ({!Cobegin_obs.Probe.set_pools}). *)
+    state. *)
 
 val explore :
   ?max_configs:int ->
   ?budget:Budget.t ->
-  ?probe:Cobegin_obs.Probe.t ->
   Step.ctx ->
   expand:(Config.t -> Step.action list -> Step.action list) ->
   result
@@ -193,14 +186,11 @@ val explore :
     back with [status = Truncated _], and the admitted-but-unexpanded
     frontier is still {e classified} — terminal configurations sitting
     in the queue count toward [finals]/[deadlocks]/[errors] (without
-    firing anything).  When [probe] is given it is ticked once per
-    worklist pop — the same cadence as [Budget.check] — so long runs
-    emit live progress. *)
+    firing anything). *)
 
 val full :
   ?max_configs:int ->
   ?budget:Budget.t ->
-  ?probe:Cobegin_obs.Probe.t ->
   Step.ctx ->
   result
 (** Ordinary (full interleaving) generation. *)

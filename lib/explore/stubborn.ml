@@ -203,7 +203,7 @@ let choose_expansion ?stats mctx ctx (c : Config.t)
       actions
 
 (* Stubborn-set exploration of a program. *)
-let explore ?max_configs ?budget ?probe ?stats ctx : Space.result =
+let explore ?max_configs ?budget ?stats ctx : Space.result =
   let mctx = Mayaccess.make_ctx ctx.Step.prog in
-  Space.explore ?max_configs ?budget ?probe ctx
+  Space.explore ?max_configs ?budget ctx
     ~expand:(choose_expansion ?stats mctx ctx)

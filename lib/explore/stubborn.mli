@@ -43,10 +43,8 @@ val choose_expansion :
 val explore :
   ?max_configs:int ->
   ?budget:Budget.t ->
-  ?probe:Cobegin_obs.Probe.t ->
   ?stats:reduction_stats ->
   Step.ctx ->
   Space.result
 (** Stubborn-set exploration of a program.  Stops cleanly at budget
-    exhaustion and returns the partial result (see {!Space.explore});
-    [probe] is ticked once per worklist pop. *)
+    exhaustion and returns the partial result (see {!Space.explore}). *)

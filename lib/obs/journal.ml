@@ -7,7 +7,8 @@
    numbers are a total order.  The ring records every emitted event
    whatever the sink threshold says: the flight recorder must keep the
    debug breadcrumbs that precede a crash even when the sink only wants
-   warnings. *)
+   warnings.  The heartbeat is a third sink: it sees every progress
+   event, whatever the threshold, and prints at most one a second. *)
 
 type level = Debug | Info | Warn | Error
 
@@ -38,6 +39,9 @@ type event = {
   e_fields : (string * value) list;
 }
 
+(* the heartbeat prints the next progress event stamped [next] or later *)
+type heartbeat = { oc : out_channel; mutable next : float }
+
 type state = {
   threshold : level;
   clock : unit -> float;
@@ -45,6 +49,7 @@ type state = {
   ring : event option array; (* capacity slots, seq mod capacity *)
   mutable seq : int;
   mutable sink : out_channel option;
+  heartbeat : heartbeat option;
 }
 
 let enabled_flag = Atomic.make false
@@ -58,7 +63,7 @@ let state : state option ref = ref None
 let default_capacity = 256
 
 let start ?(threshold = Info) ?(capacity = default_capacity)
-    ?(clock = Unix.gettimeofday) ?sink () =
+    ?(clock = Unix.gettimeofday) ?sink ?progress () =
   Mutex.protect lock (fun () ->
       state :=
         Some
@@ -69,15 +74,18 @@ let start ?(threshold = Info) ?(capacity = default_capacity)
             ring = Array.make (max 1 capacity) None;
             seq = 0;
             sink;
+            heartbeat = Option.map (fun oc -> { oc; next = 1.0 }) progress;
           };
       Atomic.set enabled_flag true)
 
 let stop () =
   Mutex.protect lock (fun () ->
       Atomic.set enabled_flag false;
-      (match !state with
-      | Some { sink = Some oc; _ } -> flush oc
-      | _ -> ());
+      Option.iter
+        (fun st ->
+          Option.iter flush st.sink;
+          Option.iter (fun hb -> flush hb.oc) st.heartbeat)
+        !state;
       state := None)
 
 let add_value buf = function
@@ -108,6 +116,46 @@ let event_to_json ev =
   event_into buf ev;
   Buffer.contents buf
 
+let suffix ~prefix s =
+  if String.starts_with ~prefix s then
+    let n = String.length prefix in
+    Some (String.sub s n (String.length s - n))
+  else None
+
+(* One heartbeat line from a progress event (see [progress] for its
+   fields); the heap is read here, only when a line prints. *)
+let heartbeat_line ev =
+  let field k = List.assoc_opt k ev.e_fields in
+  let int k = match field k with Some (Int n) -> n | _ -> 0 in
+  let transitions = int "transitions" in
+  let buf = Buffer.create 160 in
+  Printf.bprintf buf
+    "[%s] %6.1fs configs=%d frontier=%d transitions=%d (%.0f/s) heap=%.1fMW"
+    ev.e_name ev.e_ts (int "configurations") (int "frontier") transitions
+    (if ev.e_ts > 0. then float_of_int transitions /. ev.e_ts else 0.)
+    (float_of_int (Gc.quick_stat ()).Gc.heap_words /. 1e6);
+  let text = function
+    | Int n -> string_of_int n
+    | Float x -> Printf.sprintf "%.0f" x
+    | Str s -> s
+    | Bool b -> string_of_bool b
+  in
+  (* the pools come before the budget in every progress event *)
+  let sep = ref " budget " in
+  List.iter
+    (fun (k, v) ->
+      match (suffix ~prefix:"pool." k, suffix ~prefix:"budget." k) with
+      | Some name, _ -> Printf.bprintf buf " %s=%s" name (text v)
+      | None, Some label -> (
+          match field (k ^ ".limit") with
+          | Some limit ->
+              Printf.bprintf buf "%s%s=%s/%s" !sep label (text v) (text limit);
+              sep := " "
+          | None -> ())
+      | None, None -> ())
+    ev.e_fields;
+  Buffer.contents buf
+
 let emit ?(level = Info) name fields =
   if Atomic.get enabled_flag then
     Mutex.protect lock (fun () ->
@@ -131,7 +179,44 @@ let emit ?(level = Info) name fields =
                 output_string oc (event_to_json ev);
                 output_char oc '\n';
                 flush oc
-            | _ -> ()))
+            | _ -> ());
+            match st.heartbeat with
+            | Some hb
+              when ev.e_ts >= hb.next
+                   && String.ends_with ~suffix:".progress" name ->
+                hb.next <- ev.e_ts +. 1.0;
+                output_string hb.oc (heartbeat_line ev);
+                output_char hb.oc '\n';
+                flush hb.oc
+            | _ -> ())
+
+let progress_every = 256
+
+let progress engine ~configurations ~frontier ~transitions ?(pools = [])
+    ?budget extra =
+  if Atomic.get enabled_flag then
+    let headroom =
+      match budget with
+      | None -> []
+      | Some b -> Budget.snapshot b ~configs:configurations ~transitions
+    in
+    emit ~level:Debug (engine ^ ".progress")
+      ((("configurations", Int configurations)
+       :: ("frontier", Int frontier)
+       :: ("transitions", Int transitions)
+       :: extra)
+      @ List.map (fun (name, n) -> ("pool." ^ name, Int n)) pools
+      @ List.concat_map
+          (fun h ->
+            let k = "budget." ^ Budget.reason_label h.Budget.h_reason in
+            (* counts stay integers; only the deadline is in seconds *)
+            let v x =
+              match h.Budget.h_reason with
+              | Budget.Deadline _ -> Float x
+              | _ -> Int (int_of_float x)
+            in
+            [ (k, v h.Budget.h_consumed); (k ^ ".limit", v h.h_limit) ])
+          headroom)
 
 (* Oldest first: slot order is seq mod capacity, so sorting the live
    slots by sequence number recovers emission order whatever the wrap

@@ -6,7 +6,7 @@
     atomic load and allocates nothing, so emission sites can stay in
     engine loops.
 
-    When started, the journal does two things with each event:
+    When started, the journal does up to three things with each event:
 
     - appends it to a {e bounded ring buffer} (default 256 slots) that
       always holds the most recent events of {e every} level — the
@@ -15,7 +15,9 @@
       sink was configured or the sink's threshold filtered the
       breadcrumbs out;
     - writes it to the optional JSONL sink (one JSON object per line,
-      flushed) when its level passes the sink threshold.
+      flushed) when its level passes the sink threshold;
+    - renders it on the optional heartbeat when it is a progress event
+      and a second has passed since the last line ([--progress]).
 
     Events carry a process-wide sequence number (a total order even
     across domains), a timestamp relative to {!start}, and the id of
@@ -56,22 +58,63 @@ val start :
   ?capacity:int ->
   ?clock:(unit -> float) ->
   ?sink:out_channel ->
+  ?progress:out_channel ->
   unit ->
   unit
 (** Enable the journal: reset the sequence counter and the ring (sized
     [capacity], default 256, clamped to at least 1), anchor timestamps
     at now, and attach [sink], to which events of level [>= threshold]
     (default [Info]) are written as JSONL.  The ring records every
-    event regardless of [threshold].  The caller owns [sink] — the
-    journal flushes it but never closes it.  [clock] is injectable for
-    deterministic tests (default [Unix.gettimeofday]). *)
+    event regardless of [threshold].
+
+    [progress] attaches the heartbeat: every [*.progress] event, whatever
+    [threshold] says, may print one human-readable line on it — the
+    event's name, seconds since [start], configurations, frontier,
+    transitions, the rate (transitions per second since [start]), the
+    major heap (read only when a line prints), the pool sizes and the
+    budget headroom.  A line prints once at least one second has passed
+    since [start], then at most once a second.
+
+    The caller owns both channels — the journal flushes them but never
+    closes them.  [clock] is injectable for deterministic tests (default
+    [Unix.gettimeofday]); it stamps events and paces the heartbeat. *)
 
 val stop : unit -> unit
-(** Disable and detach the sink (flushing it first).  The ring's
+(** Disable and detach the sinks (flushing them first).  The ring's
     contents are dropped. *)
 
 val emit : ?level:level -> string -> (string * value) list -> unit
 (** Record one event.  No-op (one atomic load) while disabled. *)
+
+(** {1 Progress}
+
+    Every engine loop reports progress through {!progress}, so the
+    event's shape is decided here. *)
+
+val progress_every : int
+(** The sampling period of the loops that pop a worklist: one progress
+    event per this many pops (256), so an enabled journal costs the
+    ring lock on ~0.4% of iterations. *)
+
+val progress :
+  string ->
+  configurations:int ->
+  frontier:int ->
+  transitions:int ->
+  ?pools:(string * int) list ->
+  ?budget:Budget.t ->
+  (string * value) list ->
+  unit
+(** [progress engine ~configurations ~frontier ~transitions extra]
+    records the Debug event [<engine>.progress].  Its fields, in order:
+    [configurations], [frontier] and [transitions]; the engine's own
+    [extra] fields; [pool.<name>] for each of [pools] (the engine's
+    intern-pool sizes); and for each limit [budget] configures
+    ({!Budget.snapshot} at [configurations] and [transitions]) the
+    fields [budget.<label>] (consumed) and [budget.<label>.limit] —
+    integers, but for the deadline's seconds.
+    No-op while disabled; callers guard the arguments they build with
+    {!enabled}. *)
 
 val ring_events : unit -> event list
 (** The flight recorder's current contents, oldest first (sorted by

@@ -41,3 +41,20 @@ let options ?only () =
     (fun acc f -> Term.(const (fun o update -> update o) $ acc $ term f))
     (Term.const Pipeline.default_options)
     (match only with None -> Pipeline.fields | Some ns -> List.map field ns)
+
+(* [c]'s own reading of "0" is the bound: a polymorphic comparison,
+   exact on the ints and floats these flags take *)
+let positive c =
+  let read = Arg.conv_parser c in
+  let zero =
+    match read "0" with Ok z -> z | Error _ -> invalid_arg "Cli.positive"
+  in
+  let parse s =
+    match read s with
+    | Ok x when x > zero -> Ok x
+    | Ok _ ->
+        Error
+          (Printf.sprintf "invalid value '%s', expected a positive number" s)
+    | Error (`Msg e) -> Error e
+  in
+  Arg.conv' (parse, Arg.conv_printer c)

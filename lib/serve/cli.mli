@@ -11,3 +11,10 @@ val options : ?only:string list -> unit -> Pipeline.options Cmdliner.Term.t
     applied.  [only] names the rows (by record field) whose flags the
     subcommand takes, all of them by default.
     @raise Invalid_argument when [only] names no row. *)
+
+val positive : 'a Cmdliner.Arg.conv -> 'a Cmdliner.Arg.conv
+(** [positive c] reads what [c] reads ([Arg.int], [Arg.float]) and
+    refuses zero, negatives and NaN with the usage error the table's
+    rows give (exit 124).  For the numeric flags outside the table:
+    serve's [-j] and [--cache-cap], explore's [--checkpoint-every] and
+    [--checkpoint-secs]. *)

@@ -56,3 +56,35 @@ let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
   let rec at i = i + nn <= nh && (String.sub haystack i nn = needle || at (i + 1)) in
   at 0
+
+(* Run [f] with the journal started (ring-only unless [sink] or
+   [progress]; the clock frozen at 0 unless [clock]), always stopping it
+   afterwards so other suites see the disabled default. *)
+let with_journal ?threshold ?capacity ?(clock = fun () -> 0.0) ?sink
+    ?progress f =
+  Cobegin_obs.Journal.start ?threshold ?capacity ~clock ?sink ?progress ();
+  Fun.protect ~finally:Cobegin_obs.Journal.stop f
+
+let read_lines path =
+  let ic = open_in path in
+  let lines = ref [] in
+  (try
+     while true do
+       lines := input_line ic :: !lines
+     done
+   with End_of_file -> ());
+  close_in ic;
+  List.rev !lines
+
+(* The lines [f oc] writes to a fresh temporary channel. *)
+let lines_written f =
+  let path = Filename.temp_file "lines" ".txt" in
+  let oc = open_out path in
+  Fun.protect
+    ~finally:(fun () ->
+      close_out_noerr oc;
+      Sys.remove path)
+    (fun () ->
+      f oc;
+      close_out oc;
+      read_lines path)

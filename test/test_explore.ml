@@ -564,26 +564,31 @@ let pool_tests =
       seed_gen (fun seed ->
         log_agrees (Cobegin_semantics.Step.make_ctx (random_program seed)));
     case "progress samples report the exploration's own pools" (fun () ->
-        let samples = ref [] in
-        let probe =
-          Cobegin_obs.Probe.make ~every_configs:100 ~every_s:1e9
-            (fun s -> samples := s :: !samples)
+        let module Journal = Cobegin_obs.Journal in
+        let evs =
+          with_journal ~capacity:10_000 (fun () ->
+              ignore
+                (Space.full
+                   (ctx_of (Cobegin_models.Corpus.find "phil3" |> Option.get)));
+              Journal.ring_events ())
         in
-        let r =
-          Space.full ~probe
-            (ctx_of (Cobegin_models.Corpus.find "phil3" |> Option.get))
-        in
-        match !samples with
-        | [] -> Alcotest.fail "no sample fired"
-        | last :: _ ->
-            let size name =
-              Option.value ~default:0
-                (List.assoc_opt name last.Cobegin_obs.Probe.p_pools)
-            in
-            check_bool "processes pooled" true (size "procs" > 0);
-            check_bool "no more stores than configurations" true
-              (size "stores" > 0
-              && size "stores" <= r.Space.stats.Space.configurations));
+        match
+          List.filter (fun e -> e.Journal.e_name = "space.progress") evs
+        with
+        | [] -> Alcotest.fail "no progress event"
+        | samples ->
+            List.iter
+              (fun e ->
+                let size k =
+                  match List.assoc_opt k e.Journal.e_fields with
+                  | Some (Journal.Int n) -> n
+                  | _ -> 0
+                in
+                check_bool "processes pooled" true (size "pool.procs" > 0);
+                check_bool "no more stores than configurations" true
+                  (size "pool.stores" > 0
+                  && size "pool.stores" <= size "configurations"))
+              samples);
     case "explorations in one process share no pool state" (fun () ->
         (* every parsed model numbers its labels from 1, so any two
            overlap: with a process-wide pool, the second run could fold

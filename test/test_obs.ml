@@ -1,13 +1,15 @@
 (* Telemetry (lib/obs): spans nest and export valid Chrome trace JSON,
    counters are monotone and reset cleanly, histograms bucket on the
-   log scale, probes fire on the configured cadence under a fake clock,
+   log scale, every engine loop journals progress and the heartbeat
+   paces itself under a fake clock,
    and — the contract the engines rely on — everything is a cheap no-op
    while telemetry is disabled. *)
 
 open Helpers
 module Metrics = Cobegin_obs.Metrics
 module Span = Cobegin_obs.Span
-module Probe = Cobegin_obs.Probe
+module Journal = Cobegin_obs.Journal
+module Space = Cobegin_explore.Space
 
 (* [json_valid] and [contains] moved to Helpers — the report/manifest/
    journal suites validate their artifacts through the same checker. *)
@@ -220,93 +222,158 @@ let metrics_tests =
           true (allocated < 1_000.));
   ]
 
-let probe_tests =
+let field k (e : Journal.event) = List.assoc_opt k e.Journal.e_fields
+
+let progress_of engine evs =
+  List.filter (fun e -> e.Journal.e_name = engine ^ ".progress") evs
+
+let phil3_src = Option.get (Cobegin_models.Corpus.find "phil3")
+let phil3 () = ctx_of phil3_src
+
+let progress_tests =
+  let budget = Budget.create ~max_configs:1000 () in
+  (* a progress event of the space kernel at fake time [t] *)
+  let at now (t, n) =
+    now := t;
+    Journal.progress "space" ~configurations:n ~frontier:1
+      ~transitions:(2 * n) ~budget []
+  in
   [
-    case "fires every N configurations" (fun () ->
-        let fired = ref [] in
-        let p =
-          Probe.make ~every_configs:100 ~every_s:1e9
-            ~clock:(fun () -> 0.0)
-            (fun s -> fired := s.Probe.p_configurations :: !fired)
-        in
-        for c = 1 to 350 do
-          Probe.tick p ~configurations:c ~frontier:1 ~transitions:(2 * c)
-        done;
-        check_int "three samples" 3 (Probe.fired p);
-        check_bool "at 100/200/300" true
-          (List.rev !fired = [ 100; 200; 300 ]));
-    case "fires on elapsed time under a fake clock" (fun () ->
+    case "heartbeat prints at most once a second under a fake clock"
+      (fun () ->
         let now = ref 0.0 in
-        let fired = ref 0 in
-        let p =
-          Probe.make ~every_configs:max_int ~every_s:10.0 ~check_every:1
-            ~clock:(fun () -> !now)
-            (fun _ -> incr fired)
+        let lines =
+          lines_written (fun oc ->
+              with_journal ~clock:(fun () -> !now) ~progress:oc (fun () ->
+                  List.iter (at now)
+                    [
+                      (0.2, 10); (0.9, 20); (1.0, 30); (1.5, 40); (1.99, 50);
+                      (2.0, 60); (2.5, 70); (3.1, 80); (3.2, 90);
+                    ];
+                  now := 9.0;
+                  Journal.emit "space.done" []))
         in
-        Probe.tick p ~configurations:1 ~frontier:1 ~transitions:1;
-        check_int "not yet" 0 !fired;
-        now := 11.0;
-        Probe.tick p ~configurations:2 ~frontier:1 ~transitions:2;
-        check_int "fired once" 1 !fired;
-        now := 15.0;
-        Probe.tick p ~configurations:3 ~frontier:1 ~transitions:3;
-        check_int "interval restarts at the last firing" 1 !fired;
-        now := 21.5;
-        Probe.tick p ~configurations:4 ~frontier:1 ~transitions:4;
-        check_int "fired again" 2 !fired);
+        check_int "lines at 1.0, 2.0 and 3.1 only" 3 (List.length lines);
+        let first = List.hd lines in
+        check_bool first true (contains first "[space.progress]");
+        check_bool "not before the first second" true
+          (contains first "1.0s configs=30 frontier=1 transitions=60");
+        check_bool "the rate since the start" true (contains first "(60/s)");
+        check_bool "the budget headroom" true
+          (contains first "budget configs=30/1000");
+        check_bool "the third line is 3.1 s in" true
+          (contains (List.nth lines 2) "3.1s configs=80"));
     case "samples carry rate, pools and budget headroom" (fun () ->
-        let captured = ref None in
-        let b = Budget.create ~max_configs:1000 () in
-        let p =
-          Probe.make ~every_configs:10 ~every_s:1e9
-            ~clock:
-              (let now = ref 0.0 in
-               fun () ->
-                 now := !now +. 1.0;
-                 !now)
-            ~pools:(fun () -> [ ("widgets", 7) ])
-            ~budget:b
-            (fun s -> captured := Some s)
+        (* a clock a second later at each read: every event prints *)
+        let now = ref 0.0 in
+        let clock () =
+          now := !now +. 1.0;
+          !now
         in
-        Probe.tick p ~configurations:50 ~frontier:5 ~transitions:100;
-        match !captured with
-        | None -> Alcotest.fail "no sample"
-        | Some s ->
-            check_bool "rate positive" true (s.Probe.p_rate > 0.);
-            check_bool "pools injected" true
-              (s.Probe.p_pools = [ ("widgets", 7) ]);
-            check_bool "headroom has the configs limit" true
-              (List.exists
-                 (fun h ->
-                   h.Budget.h_consumed = 50. && h.Budget.h_limit = 1000.)
-                 s.Probe.p_headroom);
-            check_bool "sample JSON valid" true
-              (json_valid (Probe.sample_to_json s)));
-    case "jsonl sink writes one valid object per line" (fun () ->
-        let path = Filename.temp_file "obs" ".jsonl" in
-        let oc = open_out path in
-        let p =
-          Probe.make ~every_configs:10 ~every_s:1e9
-            ~clock:(fun () -> 0.0)
-            (Probe.jsonl_sink oc)
+        let evs = ref [] in
+        let lines =
+          lines_written (fun oc ->
+              with_journal ~capacity:10_000 ~clock ~progress:oc (fun () ->
+                  ignore (Space.full ~budget (phil3 ()));
+                  evs := progress_of "space" (Journal.ring_events ())))
         in
-        for c = 1 to 30 do
-          Probe.tick p ~configurations:c ~frontier:1 ~transitions:c
-        done;
-        close_out oc;
-        let ic = open_in path in
-        let lines = ref [] in
-        (try
-           while true do
-             lines := input_line ic :: !lines
-           done
-         with End_of_file -> ());
-        close_in ic;
-        Sys.remove path;
-        check_int "three lines" 3 (List.length !lines);
+        check_int "557 configurations: two progress events" 2
+          (List.length !evs);
         List.iter
-          (fun l -> check_bool "line valid" true (json_valid l))
-          !lines);
+          (fun e ->
+            check_bool "the configs limit" true
+              (field "budget.configs.limit" e = Some (Journal.Int 1000));
+            check_bool "consumed = configurations" true
+              (field "budget.configs" e = field "configurations" e))
+          !evs;
+        check_int "a line per progress event" 2 (List.length lines);
+        List.iter
+          (fun l ->
+            List.iter
+              (fun part ->
+                check_bool (l ^ " has " ^ part) true (contains l part))
+              [ "/s) heap="; " procs="; " stores="; " budget configs=" ])
+          lines);
+    case "jsonl sink writes one valid object per line" (fun () ->
+        let lines =
+          lines_written (fun oc ->
+              with_journal ~threshold:Journal.Debug ~sink:oc (fun () ->
+                  ignore (Space.full (phil3 ()))))
+        in
+        List.iter (fun l -> check_bool "line valid" true (json_valid l)) lines;
+        check_int "557 configurations: two progress events" 2
+          (List.length
+             (List.filter (fun l -> contains l "\"space.progress\"") lines)));
+    case "an info sink drops progress events, the heartbeat keeps them"
+      (fun () ->
+        let now = ref 0.0 in
+        let heartbeat = ref [] in
+        let sink =
+          lines_written (fun sink ->
+              heartbeat :=
+                lines_written (fun progress ->
+                    with_journal ~threshold:Journal.Info
+                      ~clock:(fun () -> !now)
+                      ~sink ~progress
+                      (fun () ->
+                        at now (1.5, 10);
+                        Journal.emit "space.done" [])))
+        in
+        check_int "the sink holds the done event only" 1 (List.length sink);
+        check_bool "and not the progress event" false
+          (contains (List.hd sink) "progress");
+        check_int "the heartbeat printed the progress event" 1
+          (List.length !heartbeat));
+    case "every engine loop journals progress with its counts" (fun () ->
+        let open Cobegin_explore in
+        (* the sampled loops need a few hundred pops: phil4 for sleep and
+           for worker 0 of two *)
+        let phil4 = parse (Cobegin_models.Philosophers.program 4) in
+        let ctx4 () = Cobegin_semantics.Step.make_ctx phil4 in
+        let fig5 = parse Cobegin_models.Figures.fig5 in
+        let path = Filename.temp_file "obs" ".ckpt" in
+        let runs =
+          [
+            ("space", fun () -> ignore (Space.full (phil3 ())));
+            ("sleep", fun () -> ignore (Sleep.explore (ctx4 ())));
+            ( "checkpoint",
+              fun () -> ignore (Checkpoint.full ~path (phil3 ())) );
+            ( "races",
+              fun () -> ignore (Cobegin_analysis.Race.find (phil3 ())) );
+            ("parallel", fun () -> ignore (Parallel.full ~jobs:2 (ctx4 ())));
+            ( "abstract",
+              fun () ->
+                ignore (Cobegin_absint.Analyzer.analyze (parse phil3_src)) );
+            ( "interfere",
+              fun () -> ignore (Cobegin_absint.Interfere.run fig5) );
+          ]
+        in
+        List.iter
+          (fun (engine, run) ->
+            let evs =
+              with_journal ~capacity:100_000 (fun () ->
+                  run ();
+                  Journal.ring_events ())
+            in
+            match progress_of engine evs with
+            | [] -> Alcotest.failf "no %s.progress event" engine
+            | ps ->
+                List.iter
+                  (fun e ->
+                    check_bool (engine ^ " at debug") true
+                      (e.Journal.e_level = Journal.Debug);
+                    List.iter
+                      (fun k ->
+                        check_bool
+                          (Printf.sprintf "%s.progress carries %s" engine k)
+                          true
+                          (match field k e with
+                          | Some (Journal.Int _) -> true
+                          | _ -> false))
+                      [ "configurations"; "frontier"; "transitions" ])
+                  ps)
+          runs;
+        if Sys.file_exists path then Sys.remove path);
   ]
 
 let pipeline_tests =
@@ -382,16 +449,6 @@ let pipeline_tests =
         in
         check_bool "ids continue after reset" true
           (min_id >= List.length r1.Pipeline.telemetry));
-    case "engines tick a probe during exploration" (fun () ->
-        let open Cobegin_explore in
-        let fired = ref 0 in
-        let p =
-          Probe.make ~every_configs:10 ~every_s:1e9 (fun _ -> incr fired)
-        in
-        let r = Space.full ~probe:p (ctx_of Cobegin_models.Figures.fig5) in
-        check_bool "explored something" true
-          (r.Space.stats.Space.configurations > 20);
-        check_bool "probe fired" true (!fired > 0));
   ]
 
-let suite = span_tests @ metrics_tests @ probe_tests @ pipeline_tests
+let suite = span_tests @ metrics_tests @ progress_tests @ pipeline_tests

@@ -9,23 +9,6 @@ open Cobegin_core
 module Journal = Cobegin_obs.Journal
 module Manifest = Cobegin_obs.Manifest
 
-(* Run [f] with the journal started (ring-only unless [sink]), always
-   stopping it afterwards so other suites see the disabled default. *)
-let with_journal ?threshold ?capacity ?sink f =
-  Journal.start ?threshold ?capacity ~clock:(fun () -> 0.0) ?sink ();
-  Fun.protect ~finally:Journal.stop f
-
-let read_lines path =
-  let ic = open_in path in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> ());
-  close_in ic;
-  List.rev !lines
-
 let journal_tests =
   [
     case "disabled journal: emit is a no-op, dumps are empty" (fun () ->

@@ -443,12 +443,10 @@ let argv_of (o : Pipeline.options) =
   @ limit "--max-heap-mb" (fun w -> string_of_int (w / words_per_mb))
       o.max_heap_words
 
-let cli ?only argv =
+(* what [term] reads from [argv]; [None] when cmdliner refuses it *)
+let eval term argv =
   let quiet = Format.make_formatter (fun _ _ _ -> ()) ignore in
-  let cmd =
-    Cmdliner.Cmd.v (Cmdliner.Cmd.info "coanalyze")
-      (Cobegin_serve.Cli.options ?only ())
-  in
+  let cmd = Cmdliner.Cmd.v (Cmdliner.Cmd.info "coanalyze") term in
   match
     Cmdliner.Cmd.eval_value ~help:quiet ~err:quiet
       ~argv:(Array.of_list ("coanalyze" :: argv))
@@ -456,6 +454,8 @@ let cli ?only argv =
   with
   | Ok (`Ok o) -> Some o
   | Ok (`Help | `Version) | Error _ -> None
+
+let cli ?only argv = eval (Cobegin_serve.Cli.options ?only ()) argv
 
 let decode ~defaults s =
   match Sjson.parse s with
@@ -543,6 +543,28 @@ let table_tests =
           [ {|{"memory-model":"tso"}|}; {|{"find_races":true}|} ];
         check_bool "a subcommand takes only its rows" true
           (cli ~only:[ "max_configs" ] [ "--races" ] = None));
+    case "the numeric flags outside the table refuse zero and below"
+      (fun () ->
+        let flag c default =
+          Cmdliner.Arg.(
+            value
+            & opt (Cobegin_serve.Cli.positive c) default
+            & info [ "num" ])
+        in
+        let count = flag Cmdliner.Arg.int 1
+        and secs = flag Cmdliner.Arg.float 1. in
+        check_bool "--num 3" true (eval count [ "--num"; "3" ] = Some 3);
+        check_bool "--num 0.25" true
+          (eval secs [ "--num"; "0.25" ] = Some 0.25);
+        List.iter
+          (fun v ->
+            check_bool ("count " ^ v ^ " refused") true
+              (eval count [ "--num=" ^ v ] = None);
+            check_bool ("seconds " ^ v ^ " refused") true
+              (eval secs [ "--num=" ^ v ] = None))
+          [ "0"; "-1"; "nan"; "soon" ];
+        check_bool "a count is whole" true
+          (eval count [ "--num"; "1.5" ] = None));
     case "engine_of_string inverts engine_name on all 17 engines" (fun () ->
         List.iter
           (fun e ->
