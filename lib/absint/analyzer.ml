@@ -39,6 +39,7 @@ type summary = {
   max_frontier : int;
   finals : int;
   errors : int;
+  transitions : int;
   status : Budget.status;
   log : Alog.t;
 }
@@ -72,6 +73,7 @@ struct
       max_frontier = s.M.max_frontier;
       finals = s.M.finals;
       errors = s.M.errors;
+      transitions = s.M.pops;
       status = r.M.status;
       log = r.M.log;
     }

@@ -26,6 +26,8 @@ type summary = {
   max_frontier : int;  (** peak size of the worklist *)
   finals : int;  (** abstract final stores *)
   errors : int;  (** possible runtime failures (may-analysis) *)
+  transitions : int;
+      (** worklist pops: what the budget's transition limit counts *)
   status : Budget.status;  (** [Truncated _] when a budget fired *)
   log : Alog.t;
 }

@@ -821,6 +821,7 @@ module Make (N : Lattice.NUMERIC) = struct
     max_frontier : int; (* peak size of the worklist *)
     finals : int;
     errors : int;
+    pops : int; (* worklist pops: what the budget counts as transitions *)
   }
 
   type result = {
@@ -938,6 +939,7 @@ module Make (N : Lattice.NUMERIC) = struct
           max_frontier = !max_frontier;
           finals = List.length !finals;
           errors = !errors;
+          pops = !iterations;
         };
       log = !(ctx.log);
       final_stores = !finals;

@@ -470,7 +470,7 @@ let run_engine ~budget ?spans (opts : options) prog :
       let summary = Analyzer.analyze ~domain ~folding ~budget prog in
       ( {
           configurations = summary.Analyzer.abstract_configs;
-          transitions = 0;
+          transitions = summary.Analyzer.transitions;
           max_frontier = summary.Analyzer.max_frontier;
           finals = summary.Analyzer.finals;
           deadlocks = 0;

@@ -26,10 +26,21 @@ type t = {
 let empty =
   { freads = LS.empty; fwrites = LS.empty; mem_read = false; mem_write = false }
 
-(* Program-level context: procedure effect summaries. *)
+module Memo = Hashtbl.Make (struct
+  type t = Proc.t
+
+  let equal = Proc.equal
+  let hash = Proc.hash
+end)
+
+(* Program-level context: procedure effect summaries, and the summaries
+   of the processes seen so far.  The memo belongs to one exploration,
+   never to the whole OS process: [Proc.equal] identifies statements by
+   label, and two programs number their labels alike. *)
 type ctx = {
   effects : string -> Access.proc_effects option;
   any : Access.proc_effects;
+  memo : t Memo.t;
 }
 
 let make_ctx (prog : Ast.program) : ctx =
@@ -40,7 +51,7 @@ let make_ctx (prog : Ast.program) : ctx =
       Access.no_effects prog.Ast.procs
   in
   let effects_opt f = if Ast.has_proc prog f then Some (effects f) else None in
-  { effects = effects_opt; any }
+  { effects = effects_opt; any; memo = Memo.create 64 }
 
 let resolve env names =
   SS.fold
@@ -50,7 +61,7 @@ let resolve env names =
 
 (* Future accesses of process [p]: fold over its stack, tracking the
    environment in force for each item. *)
-let of_process ctx (p : Proc.t) : t =
+let summarize ctx (p : Proc.t) : t =
   let add_summary env (sum : Access.summary) acc =
     {
       freads = LS.union acc.freads (resolve env sum.Access.rvars);
@@ -79,12 +90,23 @@ let of_process ctx (p : Proc.t) : t =
   in
   go p.Proc.env empty p.Proc.stack
 
+(* The summary depends on the process alone, so it is computed once per
+   distinct process; pooled processes hit on [==]. *)
+let of_process ctx p =
+  match Memo.find_opt ctx.memo p with
+  | Some a -> a
+  | None ->
+      let a = summarize ctx p in
+      Memo.add ctx.memo p a;
+      a
+
 (* Does a concrete next-action footprint conflict with a future summary?
    [store] supplies the memory-coverage test for the token. *)
 let conflicts_footprint store (fp : Step.footprint) (fut : t) : bool =
   let mem_covered ls = LS.exists (fun l -> Store.is_mem_covered l store) ls in
-  (not (LS.is_empty (LS.inter fp.Step.fwrites (LS.union fut.freads fut.fwrites))))
-  || (not (LS.is_empty (LS.inter fp.Step.freads fut.fwrites)))
+  (not (LS.disjoint fp.Step.fwrites fut.freads))
+  || (not (LS.disjoint fp.Step.fwrites fut.fwrites))
+  || (not (LS.disjoint fp.Step.freads fut.fwrites))
   || ((fut.mem_read || fut.mem_write) && mem_covered fp.Step.fwrites)
   || (fut.mem_write && mem_covered fp.Step.freads)
 

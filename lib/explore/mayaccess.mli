@@ -22,12 +22,17 @@ type t = {
 val empty : t
 
 type ctx
-(** Per-program context: transitive procedure effect summaries. *)
+(** Per-exploration context: transitive procedure effect summaries and
+    the memo of {!of_process}.  Build one per exploration: the memo
+    identifies processes by {!Proc.equal}, which identifies statements
+    by label, so it must not outlive its program. *)
 
 val make_ctx : Cobegin_lang.Ast.program -> ctx
 
 val of_process : ctx -> Proc.t -> t
-(** Everything the process may access during the rest of its life. *)
+(** Everything the process may access during the rest of its life.
+    Computed once per distinct process (by {!Proc.hash} and
+    {!Proc.equal}) and memoized in the context. *)
 
 val conflicts_footprint : Store.t -> Step.footprint -> t -> bool
 (** Does a concrete next-action footprint conflict with a future

@@ -4,14 +4,18 @@
      "At each expansion step, let r_i and w_i be the set of locations to
       be read and written in process i's next actions ..."
 
-   Construction.  Build a graph over ALL live processes: an (undirected)
-   edge connects i and j whenever i's next-action footprint conflicts with
-   the may-access of j's entire remaining continuation, or vice versa.
-   Every connected component C containing an enabled process is a
-   persistent set: for any process i in C and j outside C, nothing j (or
-   anything j can ever do) does conflicts with or disables i's pending
-   action, so actions outside C commute with C's actions.  We expand the
-   component with the fewest enabled processes.
+   Construction.  Over ALL live processes, a directed conflict relation:
+   k -> j whenever k's next-action footprint fp(k) conflicts with the
+   may-access Fut(j) of j's entire remaining continuation.  From each
+   enabled seed grow the least set closed under -> and under
+   join-enabling (a member waiting at a join pulls in its live
+   children).  Every such closure S is a persistent set: for p in S and
+   j outside S, nothing j (or anything j can ever do) does conflicts
+   with, enables or disables p's pending action, so actions outside S
+   commute with S's.  We fire the enabled members of the closure with
+   the fewest of them, ties going to the lowest seed index.  Only this
+   one direction is needed: that j's *next* action touches what p will
+   touch *later* does not put j in S (proof: docs/INTERNALS.md §1).
 
    Guarantees: all final configurations and all deadlocks of the full
    graph are found (classic persistent-set preservation).  Error
@@ -39,14 +43,56 @@ type reduction_stats = {
 let new_stats () =
   { singleton_expansions = 0; component_expansions = 0; full_expansions = 0 }
 
-(* Union-find over process indices. *)
-let find parent i =
-  let rec go i = if parent.(i) = i then i else go parent.(i) in
-  go i
+(* The live processes of [c] (in pid order) and their directed conflict
+   relation: [conflict.(k).(j)] when k's next action conflicts with j's
+   future. *)
+let conflicts mctx ctx (c : Config.t) =
+  let procs = Array.of_list (Config.processes c) in
+  let store = c.Config.store in
+  let futures = Array.map (Mayaccess.of_process mctx) procs in
+  let conflict =
+    Array.mapi
+      (fun k p ->
+        let fp = Step.action_footprint ctx c p in
+        Array.mapi
+          (fun j fut -> j <> k && Mayaccess.conflicts_footprint store fp fut)
+          futures)
+      procs
+  in
+  (procs, conflict)
 
-let union parent i j =
-  let ri = find parent i and rj = find parent j in
-  if ri <> rj then parent.(ri) <- rj
+let index_of procs pid =
+  let rec go i =
+    if i = Array.length procs then None
+    else if Value.compare_pid procs.(i).Proc.pid pid = 0 then Some i
+    else go (i + 1)
+  in
+  go 0
+
+(* Membership, by process index, of the least set holding [seed] that is
+   closed under the conflict relation and under join-enabling. *)
+let grow procs conflict seed =
+  let in_set = Array.make (Array.length procs) false in
+  let rec add i =
+    if not in_set.(i) then begin
+      in_set.(i) <- true;
+      Array.iteri (fun j c -> if c then add j) conflict.(i);
+      match procs.(i).Proc.stack with
+      | Proc.Ijoin { children; _ } :: _ ->
+          List.iter (fun ch -> Option.iter add (index_of procs ch)) children
+      | _ -> ()
+    end
+  in
+  add seed;
+  in_set
+
+let closure mctx ctx c (seed : Proc.t) =
+  let procs, conflict = conflicts mctx ctx c in
+  match index_of procs seed.Proc.pid with
+  | None -> []
+  | Some i ->
+      let in_set = grow procs conflict i in
+      List.filteri (fun j _ -> in_set.(j)) (Array.to_list procs)
 
 let choose_procs ?stats mctx ctx (c : Config.t) (enabled : Proc.t list) :
     Proc.t list =
@@ -62,99 +108,44 @@ let choose_procs ?stats mctx ctx (c : Config.t) (enabled : Proc.t list) :
       end;
       enabled
   | _ ->
-      let procs = Array.of_list (Config.processes c) in
-      let n = Array.length procs in
-      let store = c.Config.store in
-      let footprints =
-        Array.map (fun p -> Step.action_footprint ctx c p) procs
+      let procs, conflict = conflicts mctx ctx c in
+      let is_enabled =
+        Array.map
+          (fun p ->
+            List.exists
+              (fun q -> Value.compare_pid p.Proc.pid q.Proc.pid = 0)
+              enabled)
+          procs
       in
-      let futures = Array.map (fun p -> Mayaccess.of_process mctx p) procs in
-      let parent = Array.init n (fun i -> i) in
-      for i = 0 to n - 1 do
-        for j = i + 1 to n - 1 do
-          if
-            Mayaccess.conflicts_footprint store footprints.(i) futures.(j)
-            || Mayaccess.conflicts_footprint store footprints.(j) futures.(i)
-          then union parent i j
-        done
-      done;
-      let enabled_pids = List.map (fun p -> p.Proc.pid) enabled in
-      let is_enabled i =
-        List.exists
-          (fun pid -> Value.compare_pid pid procs.(i).Proc.pid = 0)
-          enabled_pids
-      in
-      (* components of the data-conflict graph *)
-      let components = Hashtbl.create 8 in
-      for i = 0 to n - 1 do
-        let r = find parent i in
-        let old = try Hashtbl.find components r with Not_found -> [] in
-        Hashtbl.replace components r (i :: old)
-      done;
-      let index_of_pid pid =
-        let found = ref (-1) in
-        Array.iteri
-          (fun k p ->
-            if Value.compare_pid p.Proc.pid pid = 0 then found := k)
-          procs;
-        !found
-      in
-      (* A candidate persistent set must be closed under *enabling*: a
-         process waiting at a join inside the set is enabled by the
-         termination of its children, so the children (with their own
-         conflict components) must be inside too.  This closure is
-         directed — a child in the set does not drag its parent in. *)
-      let closure_of seed_root =
-        let in_set = Array.make n false in
-        let work = Queue.create () in
-        let add_component root =
-          List.iter
-            (fun i ->
-              if not in_set.(i) then begin
-                in_set.(i) <- true;
-                Queue.add i work
-              end)
-            (try Hashtbl.find components root with Not_found -> [])
-        in
-        add_component seed_root;
-        while not (Queue.is_empty work) do
-          let i = Queue.pop work in
-          match procs.(i).Proc.stack with
-          | Proc.Ijoin { children; _ } :: _ ->
-              List.iter
-                (fun child ->
-                  let j = index_of_pid child in
-                  if j >= 0 && not in_set.(j) then
-                    add_component (find parent j))
-                children
-          | _ -> ()
-        done;
-        let members = ref [] in
-        Array.iteri (fun i b -> if b then members := i :: !members) in_set;
-        !members
-      in
-      (* evaluate the closure of each component containing an enabled
-         process; pick the one firing the fewest enabled processes *)
+      (* the closure of each enabled seed, in index order; a closure
+         with one enabled member (its seed) cannot be beaten *)
       let best = ref None in
-      let roots =
-        Hashtbl.fold (fun root members acc -> (root, members) :: acc) components []
-        |> List.sort (fun (r1, _) (r2, _) -> Int.compare r1 r2)
-      in
-      List.iter
-        (fun (root, members) ->
-          if List.exists is_enabled members then begin
-            let closed = closure_of root in
-            let enabled_members = List.filter is_enabled closed in
-            let k = List.length enabled_members in
-            if k > 0 then
+      Array.iteri
+        (fun i e ->
+          match !best with
+          | Some (1, _) -> ()
+          | _ when not e -> ()
+          | _ -> (
+              let in_set = grow procs conflict i in
+              let k = ref 0 in
+              Array.iteri
+                (fun j b -> if b && is_enabled.(j) then incr k)
+                in_set;
               match !best with
-              | Some (_, k') when k' <= k -> ()
-              | _ -> best := Some (enabled_members, k)
-          end)
-        roots;
+              | Some (k', _) when k' <= !k -> ()
+              | _ -> best := Some (!k, in_set)))
+        is_enabled;
+      (* highest pid first, the order the expansion has always fired
+         in: sleep sets depend on it *)
       let chosen =
         match !best with
-        | Some (members, _) -> List.map (fun i -> procs.(i)) members
+        | Some (_, in_set) ->
+            let chosen = ref [] in
+            Array.iteri
+              (fun j p ->
+                if in_set.(j) && is_enabled.(j) then chosen := p :: !chosen)
+              procs;
+            !chosen
         | None -> enabled
       in
       Option.iter

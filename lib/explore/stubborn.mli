@@ -1,12 +1,13 @@
 (** Stubborn-set (persistent-set) reduction for programs: the paper's
     Algorithm 1 generalized.
 
-    At each configuration a graph is built over all live processes: an
-    edge joins i and j when i's next-action footprint conflicts with the
-    may-access of j's whole continuation or vice versa.  Any connected
-    component closed under join-enabling (a waiting parent pulls its live
-    children in) and containing an enabled process is a persistent set;
-    the one firing the fewest enabled processes is expanded.
+    At each configuration, process k conflicts with process j when k's
+    next-action footprint conflicts with the may-access of j's whole
+    continuation; the relation is directed.  From each enabled seed the
+    least set closed under it and under join-enabling (a waiting parent
+    pulls its live children in) is a persistent set; the enabled members
+    of the one with the fewest of them are expanded, ties going to the
+    lowest seed index.
 
     Guarantees: all final configurations and deadlocks of the full graph
     are found.  Error configurations reachable only through ignored
@@ -39,6 +40,11 @@ val choose_expansion :
     is a persistent set of processes (as [Arun] actions); under
     TSO/PSO the may-access analysis does not model pending flushes, so
     every step degenerates to full expansion (sound, no reduction). *)
+
+val closure : Mayaccess.ctx -> Step.ctx -> Config.t -> Proc.t -> Proc.t list
+(** [closure mctx ctx c p] is the directed closure of the live process
+    [p] at [c], enabled or not, in pid order: the set
+    {!choose_expansion} weighs for the seed [p]. *)
 
 val explore :
   ?max_configs:int ->

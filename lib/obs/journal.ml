@@ -39,8 +39,20 @@ type event = {
   e_fields : (string * value) list;
 }
 
-(* the heartbeat prints the next progress event stamped [next] or later *)
-type heartbeat = { oc : out_channel; mutable next : float }
+(* The heartbeat prints the next progress event stamped [next] or later.
+   Engines run one after another with their counts restarting at zero,
+   so a rate is taken since the running engine started: [since] is the
+   stamp of the event journaled just before the first progress event of
+   [engine] — the previous engine's last sign of life, or its [*.done]
+   event, after which [engine] is forgotten — and [last] the stamp of
+   the latest event. *)
+type heartbeat = {
+  oc : out_channel;
+  mutable next : float;
+  mutable engine : string;
+  mutable since : float;
+  mutable last : float;
+}
 
 type state = {
   threshold : level;
@@ -74,7 +86,11 @@ let start ?(threshold = Info) ?(capacity = default_capacity)
             ring = Array.make (max 1 capacity) None;
             seq = 0;
             sink;
-            heartbeat = Option.map (fun oc -> { oc; next = 1.0 }) progress;
+            heartbeat =
+              Option.map
+                (fun oc ->
+                  { oc; next = 1.0; engine = ""; since = 0.0; last = 0.0 })
+                progress;
           };
       Atomic.set enabled_flag true)
 
@@ -123,16 +139,18 @@ let suffix ~prefix s =
   else None
 
 (* One heartbeat line from a progress event (see [progress] for its
-   fields); the heap is read here, only when a line prints. *)
-let heartbeat_line ev =
+   fields) of an engine running since [since]; the heap is read here,
+   only when a line prints. *)
+let heartbeat_line ~since ev =
   let field k = List.assoc_opt k ev.e_fields in
   let int k = match field k with Some (Int n) -> n | _ -> 0 in
   let transitions = int "transitions" in
+  let elapsed = ev.e_ts -. since in
   let buf = Buffer.create 160 in
   Printf.bprintf buf
     "[%s] %6.1fs configs=%d frontier=%d transitions=%d (%.0f/s) heap=%.1fMW"
     ev.e_name ev.e_ts (int "configurations") (int "frontier") transitions
-    (if ev.e_ts > 0. then float_of_int transitions /. ev.e_ts else 0.)
+    (if elapsed > 0. then float_of_int transitions /. elapsed else 0.)
     (float_of_int (Gc.quick_stat ()).Gc.heap_words /. 1e6);
   let text = function
     | Int n -> string_of_int n
@@ -181,14 +199,23 @@ let emit ?(level = Info) name fields =
                 flush oc
             | _ -> ());
             match st.heartbeat with
-            | Some hb
-              when ev.e_ts >= hb.next
-                   && String.ends_with ~suffix:".progress" name ->
-                hb.next <- ev.e_ts +. 1.0;
-                output_string hb.oc (heartbeat_line ev);
-                output_char hb.oc '\n';
-                flush hb.oc
-            | _ -> ())
+            | None -> ()
+            | Some hb ->
+                if String.ends_with ~suffix:".progress" name then begin
+                  if name <> hb.engine then begin
+                    hb.engine <- name;
+                    hb.since <- hb.last
+                  end;
+                  if ev.e_ts >= hb.next then begin
+                    hb.next <- ev.e_ts +. 1.0;
+                    output_string hb.oc (heartbeat_line ~since:hb.since ev);
+                    output_char hb.oc '\n';
+                    flush hb.oc
+                  end
+                end
+                else if String.ends_with ~suffix:".done" name then
+                  hb.engine <- "";
+                hb.last <- ev.e_ts)
 
 let progress_every = 256
 

@@ -70,7 +70,9 @@ val start :
     [progress] attaches the heartbeat: every [*.progress] event, whatever
     [threshold] says, may print one human-readable line on it — the
     event's name, seconds since [start], configurations, frontier,
-    transitions, the rate (transitions per second since [start]), the
+    transitions, the rate (transitions per second since the engine
+    started: since the event journaled before its first progress event,
+    so a [*.done] event or another engine's progress), the
     major heap (read only when a line prints), the pool sizes and the
     budget headroom.  A line prints once at least one second has passed
     since [start], then at most once a second.

@@ -36,6 +36,30 @@ let truncation_tests =
         match r.Space.status with
         | Budget.Truncated (Budget.Transitions 10) -> ()
         | _ -> Alcotest.fail "expected transition truncation");
+    case "the abstract engine reports the pops its transition budget counts"
+      (fun () ->
+        let options =
+          {
+            Pipeline.default_options with
+            engine =
+              Pipeline.Abstract
+                ( Cobegin_absint.Analyzer.Intervals,
+                  Cobegin_absint.Machine.Control );
+            max_transitions = Some 100;
+          }
+        in
+        let phil3 = Option.get (Cobegin_models.Corpus.find "phil3") in
+        let r = Pipeline.analyze_source ~options phil3 in
+        check_bool "truncated by the transition budget" true
+          (r.Pipeline.status = Budget.Truncated (Budget.Transitions 100));
+        check_int "stats" 100 r.Pipeline.stats.Pipeline.transitions;
+        let json = Cobegin_serve.Sjson.parse (Report.to_json r) in
+        check_bool "JSON" true
+          (Option.bind (Result.to_option json) (fun j ->
+               Option.bind
+                 (Cobegin_serve.Sjson.member "stats" j)
+                 (Cobegin_serve.Sjson.member "transitions"))
+          = Some (Cobegin_serve.Sjson.Int 100)));
     case "petri reachability truncates instead of failing" (fun () ->
         let net = Cobegin_models.Philosophers.net 5 in
         let r = Cobegin_petri.Reach.full ~max_states:10 net in

@@ -137,6 +137,225 @@ let property_tests =
         else final_reprs full = final_reprs stub);
   ]
 
+(* The directed persistent sets (docs/INTERNALS.md §1).  The oracle is
+   the undirected rule they replaced: i and j are joined when either
+   one's next action conflicts with the other's future, a member waiting
+   at a join takes its live children in, and the join-closed component
+   with the fewest enabled processes fires.  [undirected mctx ctx c] is
+   each live process's join-closed component, as pids. *)
+let undirected mctx ctx c =
+  let module Sem = Cobegin_semantics in
+  let procs = Array.of_list (Sem.Config.processes c) in
+  let n = Array.length procs in
+  let store = c.Sem.Config.store in
+  let fp = Array.map (Sem.Step.action_footprint ctx c) procs in
+  let fut = Array.map (Mayaccess.of_process mctx) procs in
+  let edge i j =
+    i <> j
+    && (Mayaccess.conflicts_footprint store fp.(i) fut.(j)
+       || Mayaccess.conflicts_footprint store fp.(j) fut.(i))
+  in
+  let component seed =
+    let in_set = Array.make n false in
+    let rec add i =
+      if not in_set.(i) then begin
+        in_set.(i) <- true;
+        for j = 0 to n - 1 do
+          if edge i j then add j
+        done;
+        match procs.(i).Sem.Proc.stack with
+        | Sem.Proc.Ijoin { children; _ } :: _ ->
+            Array.iteri
+              (fun j q -> if List.mem q.Sem.Proc.pid children then add j)
+              procs
+        | _ -> ()
+      end
+    in
+    add seed;
+    List.filteri (fun j _ -> in_set.(j)) (Array.to_list procs)
+    |> List.map (fun p -> p.Sem.Proc.pid)
+  in
+  List.init n (fun i -> (procs.(i).Sem.Proc.pid, component i))
+
+(* At every configuration the full engine reaches, the failures (empty
+   when all hold) of: each enabled seed's directed closure lies inside
+   its undirected component; the chosen set is the enabled part of the
+   closure with the fewest enabled members, the lowest seed winning a
+   tie; and it fires no more processes than the oracle would. *)
+let per_state_failures ctx =
+  let module Sem = Cobegin_semantics in
+  let mctx = Mayaccess.make_ctx ctx.Sem.Step.prog in
+  let failures = ref [] in
+  let pid p = p.Sem.Proc.pid in
+  let visit c actions =
+    let seeds =
+      List.filter_map
+        (function Sem.Step.Arun p -> Some p | Sem.Step.Aflush _ -> None)
+        actions
+    in
+    if seeds <> [] then begin
+      let enabled = List.map pid seeds in
+      let enabled_in s =
+        List.sort compare (List.filter (fun q -> List.mem q enabled) s)
+      in
+      let components = undirected mctx ctx c in
+      let closures =
+        List.map
+          (fun p -> List.map pid (Stubborn.closure mctx ctx c p))
+          seeds
+      in
+      let fail what =
+        failures :=
+          Format.asprintf "%s at %a" what Sem.Config.pp c :: !failures
+      in
+      List.iter2
+        (fun seed closure ->
+          let component = List.assoc seed components in
+          if not (List.for_all (fun q -> List.mem q component) closure) then
+            fail "closure outside its component")
+        enabled closures;
+      let fewest sets =
+        List.fold_left
+          (fun best s ->
+            match best with
+            | Some b when List.length b <= List.length s -> best
+            | _ -> Some s)
+          None
+          (List.map enabled_in sets)
+        |> Option.get
+      in
+      let chosen =
+        List.map Sem.Step.action_pid
+          (Stubborn.choose_expansion mctx ctx c actions)
+      in
+      if List.sort compare chosen <> fewest closures then
+        fail "not the smallest closure";
+      if
+        List.length chosen
+        > List.length
+            (fewest (List.map (fun seed -> List.assoc seed components) enabled))
+      then fail "fires more than the undirected rule"
+    end
+  in
+  ignore
+    (Space.generate ~visit ~site:"space" ~admit:Space.no_revisits
+       ~expand:Space.all_actions ctx (Space.start ctx ()));
+  !failures
+
+let summary_equal (a : Mayaccess.t) (b : Mayaccess.t) =
+  let module LS = Cobegin_semantics.Value.LocSet in
+  LS.equal a.Mayaccess.freads b.Mayaccess.freads
+  && LS.equal a.Mayaccess.fwrites b.Mayaccess.fwrites
+  && a.Mayaccess.mem_read = b.Mayaccess.mem_read
+  && a.Mayaccess.mem_write = b.Mayaccess.mem_write
+
+(* Generator programs with locks, loops and procedures. *)
+let agreement_cfg =
+  {
+    Cobegin_models.Generator.default_cfg with
+    num_branches = 3;
+    stmts_per_branch = 2;
+    with_locks = true;
+    with_loops = true;
+    with_procs = true;
+  }
+
+let directed_tests =
+  let complete r = Budget.is_complete r.Space.status in
+  let agrees full r =
+    (not (complete r))
+    || final_reprs r = final_reprs full
+       && r.Space.stats.Space.deadlocks = full.Space.stats.Space.deadlocks
+  in
+  [
+    qtest ~count:300
+      "stubborn and sleep keep full's final stores and deadlocks" seed_gen
+      (fun seed ->
+        let ctx =
+          Cobegin_semantics.Step.make_ctx
+            (random_program ~cfg:agreement_cfg seed)
+        in
+        let full = Space.full ~max_configs:20_000 ctx in
+        (not (complete full))
+        || agrees full (Stubborn.explore ~max_configs:20_000 ctx)
+           && agrees full (Sleep.explore ~max_configs:20_000 ctx));
+    case "philosophers 2 to 5: stubborn and sleep find full's deadlocks"
+      (fun () ->
+        List.iter
+          (fun n ->
+            let ctx () = ctx_of (Cobegin_models.Philosophers.program n) in
+            let full = Space.full (ctx ()) in
+            List.iter
+              (fun (engine, r) ->
+                check_int
+                  (Printf.sprintf "philosophers-%d %s" n engine)
+                  full.Space.stats.Space.deadlocks
+                  r.Space.stats.Space.deadlocks)
+              [
+                ("stubborn", Stubborn.explore (ctx ()));
+                ("sleep", Sleep.explore (ctx ()));
+              ])
+          [ 2; 3; 4; 5 ]);
+    case "a tie between closures goes to the lowest seed" (fun () ->
+        (* two independent conflicting pairs: the closures of the first
+           and of the third branch both have two enabled members *)
+        let module Sem = Cobegin_semantics in
+        let ctx =
+          ctx_of
+            "proc main() { var a = 0; var b = 0; cobegin { a = 1; } { a = \
+             2; } { b = 1; } { b = 2; } coend; }"
+        in
+        let rec go c =
+          match Sem.Step.enabled_actions ctx c with
+          | [ a ] -> go (fst (Sem.Step.fire_action ctx c a))
+          | actions -> (c, actions)
+        in
+        let c, actions = go (Sem.Step.init ctx) in
+        let pids = List.map Sem.Step.action_pid in
+        check_int "four branches enabled" 4 (List.length actions);
+        let mctx = Mayaccess.make_ctx ctx.Sem.Step.prog in
+        check_bool "the first pair, highest pid first" true
+          (pids (Stubborn.choose_expansion mctx ctx c actions)
+          = List.rev (pids (List.filteri (fun i _ -> i < 2) actions))));
+    case "each closure lies in its component and fires no more (corpus)"
+      (fun () ->
+        List.iter
+          (fun (name, src) ->
+            match per_state_failures (ctx_of src) with
+            | [] -> ()
+            | f :: _ -> Alcotest.failf "%s: %s" name f)
+          Cobegin_models.Corpus.all);
+    qtest ~count:50
+      "each closure lies in its component and fires no more (random)"
+      seed_gen (fun seed ->
+        per_state_failures
+          (Cobegin_semantics.Step.make_ctx
+             (random_program ~cfg:agreement_cfg seed))
+        = []);
+    case "the memoized summary equals a fresh one (corpus)" (fun () ->
+        List.iter
+          (fun (name, src) ->
+            let ctx = ctx_of src in
+            let prog = ctx.Cobegin_semantics.Step.prog in
+            let mctx = Mayaccess.make_ctx prog in
+            let visit c _ =
+              List.iter
+                (fun p ->
+                  if
+                    not
+                      (summary_equal
+                         (Mayaccess.of_process mctx p)
+                         (Mayaccess.of_process (Mayaccess.make_ctx prog) p))
+                  then
+                    Alcotest.failf "%s: %a" name Cobegin_semantics.Proc.pp p)
+                (Cobegin_semantics.Config.processes c)
+            in
+            ignore
+              (Space.generate ~visit ~site:"space" ~admit:Space.no_revisits
+                 ~expand:Space.all_actions ctx (Space.start ctx ())))
+          Cobegin_models.Corpus.all);
+  ]
+
 let composition_tests =
   [
     qtest ~count:20 "coarsening composed with sleep sets preserves finals"
@@ -648,6 +867,7 @@ let pool_tests =
   ]
 
 let suite =
-  count_tests @ all_figures_agree @ property_tests @ composition_tests
+  count_tests @ all_figures_agree @ property_tests @ directed_tests
+  @ composition_tests
   @ forktree_tests @ trace_tests @ sleep_tests @ replay_tests
   @ mayaccess_tests @ visitor_tests @ pool_tests

@@ -66,12 +66,51 @@ let sc_pins =
     ("phil2r2", (177, 288, 13, 1, 4, 0));
   ]
 
+(* The reduced engines' SC statistics on every corpus model: stubborn,
+   then sleep, in the same order.  They pin the directed persistent sets
+   (docs/INTERNALS.md §1) and the firing order sleep sets depend on. *)
+let reduced_pins =
+  [
+    ("fig2", (20, 20, 3, 3, 0, 0), (20, 19, 3, 3, 0, 0));
+    ("fig3", (11, 10, 2, 2, 0, 0), (11, 10, 2, 2, 0, 0));
+    ("fig5", (13, 13, 2, 1, 0, 0), (13, 13, 2, 1, 0, 0));
+    ("example8", (13, 12, 2, 2, 0, 0), (13, 12, 2, 2, 0, 0));
+    ("fig8", (49, 49, 4, 3, 0, 0), (44, 43, 3, 3, 0, 0));
+    ("busywait", (11, 10, 1, 1, 0, 0), (11, 10, 1, 1, 0, 0));
+    ("mutex", (17, 17, 2, 1, 0, 0), (17, 17, 2, 1, 0, 0));
+    ("mutex_racy", (18, 19, 4, 3, 0, 0), (18, 18, 4, 3, 0, 0));
+    ("firstclass", (9, 8, 1, 1, 0, 0), (9, 8, 1, 1, 0, 0));
+    ("peterson", (41, 45, 4, 2, 0, 0), (41, 42, 4, 2, 0, 0));
+    ("peterson_broken", (71, 83, 9, 2, 0, 4), (71, 87, 10, 2, 0, 4));
+    ("peterson_fenced", (61, 65, 6, 2, 0, 0), (58, 59, 4, 2, 0, 0));
+    ("dekker", (74, 99, 10, 2, 0, 0), (71, 84, 10, 2, 0, 0));
+    ("dekker_fenced", (88, 113, 10, 2, 0, 0), (83, 96, 10, 2, 0, 0));
+    ("barrier2", (211, 264, 16, 4, 0, 0), (189, 188, 13, 4, 0, 0));
+    ("readers_writers", (50, 54, 5, 1, 0, 0), (48, 49, 5, 1, 0, 0));
+    ("phil2", (37, 40, 4, 1, 1, 0), (36, 36, 4, 1, 1, 0));
+    ("phil3", (142, 166, 16, 1, 1, 0), (106, 110, 12, 1, 1, 0));
+    ("phil2r2", (97, 112, 8, 1, 4, 0), (93, 99, 8, 1, 4, 0));
+  ]
+
 let sc_pin_tests =
   List.map
     (fun (name, expected) ->
       case (Printf.sprintf "SC counts unchanged: %s" name) (fun () ->
           check_counts name expected (full_of Step.Sc name)))
     sc_pins
+  @ [
+      case "SC stubborn and sleep counts pinned on every corpus model"
+        (fun () ->
+          check_int "every model pinned" (List.length Corpus.all)
+            (List.length reduced_pins);
+          List.iter
+            (fun (name, stubborn, sleep) ->
+              let ctx () = ctx_of_model Step.Sc (corpus_src name) in
+              check_counts (name ^ " stubborn") stubborn
+                (Stubborn.explore (ctx ()));
+              check_counts (name ^ " sleep") sleep (Sleep.explore (ctx ())))
+            reduced_pins);
+    ]
 
 (* Under SC the action interface degenerates to one [Arun] per enabled
    process, in pid order — the buffer machinery is invisible. *)

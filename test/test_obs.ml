@@ -263,6 +263,39 @@ let progress_tests =
           (contains first "budget configs=30/1000");
         check_bool "the third line is 3.1 s in" true
           (contains (List.nth lines 2) "3.1s configs=80"));
+    case "each engine's heartbeat reads its own rate" (fun () ->
+        (* counts restart at zero with each engine: a rate since the
+           journal started would read the second engine far too slow *)
+        let now = ref 0.0 in
+        let tick engine t transitions =
+          now := t;
+          Journal.progress engine ~configurations:1 ~frontier:1 ~transitions
+            []
+        in
+        let lines =
+          lines_written (fun oc ->
+              with_journal ~clock:(fun () -> !now) ~progress:oc (fun () ->
+                  tick "space" 1.0 1000;
+                  tick "space" 9.0 9000;
+                  now := 10.0;
+                  Journal.emit "space.done" [];
+                  (* the same kernel again, started at the done event *)
+                  tick "space" 10.5 250;
+                  tick "space" 12.0 4000;
+                  (* another engine with no done event between *)
+                  tick "parallel" 13.5 3000))
+        in
+        List.iter2
+          (fun l (at, rate) ->
+            check_bool l true (contains l at && contains l rate))
+          lines
+          [
+            ("1.0s", "(1000/s)");
+            ("9.0s", "(1000/s)");
+            ("10.5s", "(500/s)");
+            ("12.0s", "(2000/s)");
+            ("13.5s", "(2000/s)");
+          ]);
     case "samples carry rate, pools and budget headroom" (fun () ->
         (* a clock a second later at each read: every event prints *)
         let now = ref 0.0 in
