@@ -334,7 +334,9 @@ let analyze_cmd =
               (* static suite alone: no exploration, no budget; the
                  canonical-order self-check makes non-canonical output a
                  crash the CI sweep catches *)
-              let r = Cobegin_static.Lint.run prog in
+              let r =
+                Cobegin_static.Lint.run (Cobegin_static.Lockset.of_program prog)
+              in
               Cobegin_static.Report.assert_canonical
                 r.Cobegin_static.Lint.findings;
               Format.printf "%a@." Cobegin_static.Lint.pp r;
@@ -664,7 +666,8 @@ let interfere_cmd =
             let budget = Pipeline.budget_of_options options in
             with_progress progress @@ fun () ->
             match
-              Interfere.run ~domain ~locksets:(not no_locksets) ~budget prog
+              Interfere.run ~domain ~locksets:(not no_locksets) ~budget
+                (Cobegin_static.Lockset.of_program prog)
             with
             | s ->
                 Format.printf "%a@." Interfere.pp_summary s;

@@ -75,18 +75,22 @@ let pp_verdicts ppf v =
     (List.length v.error_sites)
     pp_labels v.error_sites (List.length v.races)
 
-(* Domain-independent payload every functor instantiation reports. *)
-type outcome = {
-  o_rounds : int;
-  o_widenings : int;
-  o_visits : int;
-  o_status : Budget.status;
-  o_shared : string list;
-  o_protected : (string * string) list;
-  o_interference : (string * string) list;
-  o_bindings : (string * string) list;
-  o_verdicts : verdicts;
-  o_check : (Value.loc * Value.t) list -> (Value.loc * Value.t) list;
+(* What every functor instantiation reports (fields documented in the
+   .mli). *)
+type summary = {
+  domain : Analyzer.domain;
+  locksets : bool;
+  rounds : int;
+  widenings : int;
+  stmt_visits : int;
+  status : Budget.status;
+  shared : string list;
+  protected_ : (string * string) list;
+  interference : (string * string) list;
+  bindings : (string * string) list;
+  reachable : int list;
+  verdicts : verdicts;
+  check : (Value.loc * Value.t) list -> (Value.loc * Value.t) list;
 }
 
 (* --- shared variables and lock protection, from the MHP contexts --- *)
@@ -126,11 +130,10 @@ let compute_shared mhp =
 (* A variable is protected by lock [l] when every site of every context
    in which it is cross-shared accesses it holding [l], with [l] eligible
    and acquired by the accessing process itself after the generating fork
-   (the same relative-to-the-fork rule [Lockset.races] uses: locks merely
-   inherited at the fork are held by every branch at once and give no
-   mutual exclusion between them).  Address-taken variables are never
-   protected — a pointer write can bypass any locking discipline. *)
-let compute_protection mhp ls ~shared ~addr_taken =
+   ([Lockset.protection], the rule [Lockset.races] suppresses by).
+   Address-taken variables are never protected — a pointer write can
+   bypass any locking discipline. *)
+let compute_protection ls ~shared ~addr_taken =
   let eligible = Lockset.eligible ls in
   if SS.is_empty eligible then (SM.empty, SM.empty)
   else begin
@@ -146,8 +149,7 @@ let compute_protection mhp ls ~shared ~addr_taken =
         let cross =
           SS.inter (cross_shared ctx) (SS.diff shared addr_taken)
         in
-        if not (SS.is_empty cross) then begin
-          let inherited = Lockset.must_held ls ctx.Mhp.c_label in
+        if not (SS.is_empty cross) then
           List.iter
             (fun (b : Mhp.branch) ->
               List.iter
@@ -155,18 +157,12 @@ let compute_protection mhp ls ~shared ~addr_taken =
                   let touched =
                     SS.inter (SS.union s.Mhp.s_vr s.Mhp.s_vw) cross
                   in
-                  if not (SS.is_empty touched) then begin
-                    let p =
-                      SS.inter
-                        (SS.diff (Lockset.must_held ls s.Mhp.s_label) inherited)
-                        eligible
-                    in
-                    SS.iter (fun x -> constrain x p) touched
-                  end)
+                  if not (SS.is_empty touched) then
+                    let p = Lockset.protection ls ctx s in
+                    SS.iter (fun x -> constrain x p) touched)
                 b.Mhp.b_sites)
-            ctx.Mhp.c_branches
-        end)
-      (Mhp.contexts mhp);
+            ctx.Mhp.c_branches)
+      (Mhp.contexts (Lockset.mhp ls));
     SM.fold
       (fun x locks (by_var, by_lock) ->
         if SS.is_empty locks then (by_var, by_lock)
@@ -179,118 +175,6 @@ let compute_protection mhp ls ~shared ~addr_taken =
               by_lock ))
       !prot (SM.empty, SM.empty)
   end
-
-(* --- abstract race candidates --- *)
-
-module RaceSet = Set.Make (struct
-  type t = Lockset.race
-
-  let compare = Lockset.compare_race
-end)
-
-(* The same enumeration as [Lockset.races] (conflicts between MHP pairs
-   of non-synchronization sites), with lock suppression optional and
-   both endpoints required to be abstractly reachable. *)
-let compute_races mhp ls ~use_locks ~reach =
-  let add_race acc l1 l2 ~ww what =
-    let a, b = if l1 <= l2 then (l1, l2) else (l2, l1) in
-    RaceSet.add
-      { Lockset.r_stmt1 = a; r_stmt2 = b; r_ww = ww; r_what = what }
-      acc
-  in
-  let conflicts acc (s1 : Mhp.site) (s2 : Mhp.site) =
-    let l1 = s1.Mhp.s_label and l2 = s2.Mhp.s_label in
-    let acc =
-      SS.fold
-        (fun x acc -> add_race acc l1 l2 ~ww:true x)
-        (SS.inter s1.Mhp.s_vw s2.Mhp.s_vw)
-        acc
-    in
-    let acc =
-      SS.fold
-        (fun x acc -> add_race acc l1 l2 ~ww:false x)
-        (SS.diff
-           (SS.union
-              (SS.inter s1.Mhp.s_vw s2.Mhp.s_vr)
-              (SS.inter s2.Mhp.s_vw s1.Mhp.s_vr))
-           (SS.inter s1.Mhp.s_vw s2.Mhp.s_vw))
-        acc
-    in
-    let acc =
-      if
-        (s1.Mhp.s_mem_wr && (s2.Mhp.s_mem_rd || s2.Mhp.s_mem_wr))
-        || (s2.Mhp.s_mem_wr && s1.Mhp.s_mem_rd)
-      then
-        add_race acc l1 l2
-          ~ww:(s1.Mhp.s_mem_wr && s2.Mhp.s_mem_wr)
-          "memory"
-      else acc
-    in
-    let tok_vs_at acc (a : Mhp.site) (b : Mhp.site) =
-      let acc =
-        if a.Mhp.s_mem_wr then
-          SS.fold
-            (fun x acc ->
-              add_race acc a.Mhp.s_label b.Mhp.s_label
-                ~ww:(SS.mem x b.Mhp.s_aw) x)
-            (SS.union b.Mhp.s_ar b.Mhp.s_aw)
-            acc
-        else acc
-      in
-      if a.Mhp.s_mem_rd then
-        SS.fold
-          (fun x acc ->
-            add_race acc a.Mhp.s_label b.Mhp.s_label ~ww:false x)
-          b.Mhp.s_aw acc
-      else acc
-    in
-    tok_vs_at (tok_vs_at acc s1 s2) s2 s1
-  in
-  let set =
-    List.fold_left
-      (fun acc (c : Mhp.context) ->
-        let inherited = Lockset.must_held ls c.Mhp.c_label in
-        let protection (s : Mhp.site) =
-          if use_locks then
-            SS.inter
-              (SS.diff (Lockset.must_held ls s.Mhp.s_label) inherited)
-              (Lockset.eligible ls)
-          else SS.empty
-        in
-        let rec cross acc = function
-          | [] -> acc
-          | (b : Mhp.branch) :: rest ->
-              let acc =
-                List.fold_left
-                  (fun acc (b' : Mhp.branch) ->
-                    List.fold_left
-                      (fun acc s1 ->
-                        if
-                          s1.Mhp.s_sync
-                          || not (IS.mem s1.Mhp.s_label reach)
-                        then acc
-                        else
-                          let p1 = protection s1 in
-                          List.fold_left
-                            (fun acc s2 ->
-                              if
-                                s2.Mhp.s_sync
-                                || not (IS.mem s2.Mhp.s_label reach)
-                                || not
-                                     (SS.is_empty
-                                        (SS.inter p1 (protection s2)))
-                              then acc
-                              else conflicts acc s1 s2)
-                            acc b'.Mhp.b_sites)
-                      acc b.Mhp.b_sites)
-                  acc rest
-              in
-              cross acc rest
-        in
-        cross acc c.Mhp.c_branches)
-      RaceSet.empty (Mhp.contexts mhp)
-  in
-  RaceSet.elements set
 
 (* --- the per-domain engine --- *)
 
@@ -1137,13 +1021,13 @@ module Make (N : Lattice.NUMERIC) = struct
       c.called
 
   let analyze ?(widen = N.widen) ?(locksets = true) ?(widen_after = 2)
-      ?(max_rounds = 200) ?budget (prog : Ast.program) : outcome =
-    let mhp = Mhp.of_program prog in
-    let ls = Lockset.analyze mhp in
+      ?(max_rounds = 200) ?budget ~domain (ls : Lockset.t) : summary =
+    let mhp = Lockset.mhp ls in
+    let prog = Mhp.program mhp in
     let at = Mhp.addr_taken mhp in
     let shared = compute_shared mhp in
     let prot, prot_by =
-      if locksets then compute_protection mhp ls ~shared ~addr_taken:at
+      if locksets then compute_protection ls ~shared ~addr_taken:at
       else (SM.empty, SM.empty)
     in
     let cands =
@@ -1203,7 +1087,11 @@ module Make (N : Lattice.NUMERIC) = struct
         assert_may_fail = IS.elements c.v_assert;
         never_proceeds = IS.elements c.v_never;
         error_sites = IS.elements c.v_error;
-        races = compute_races mhp ls ~use_locks:locksets ~reach:c.reach;
+        races =
+          List.filter
+            (fun (r : Lockset.race) ->
+              IS.mem r.r_stmt1 c.reach && IS.mem r.r_stmt2 c.reach)
+            (Lockset.races ~locks:locksets ls);
       }
     in
     (* the soundness oracle: map each concrete allocation site to the
@@ -1264,16 +1152,19 @@ module Make (N : Lattice.NUMERIC) = struct
         (SM.bindings m)
     in
     {
-      o_rounds = nrounds;
-      o_widenings = c.widenings;
-      o_visits = c.visits;
-      o_status = status;
-      o_shared = SS.elements shared;
-      o_protected = SM.bindings prot;
-      o_interference = printed c.interf;
-      o_bindings = printed vals;
-      o_verdicts = verdicts;
-      o_check = check;
+      domain;
+      locksets;
+      rounds = nrounds;
+      widenings = c.widenings;
+      stmt_visits = c.visits;
+      status;
+      shared = SS.elements shared;
+      protected_ = SM.bindings prot;
+      interference = printed c.interf;
+      bindings = printed vals;
+      reachable = IS.elements c.reach;
+      verdicts;
+      check;
     }
 end
 
@@ -1284,22 +1175,6 @@ module I_const = Make (Const)
 module I_sign = Make (Sign)
 module I_parity = Make (Parity)
 module I_int_parity = Make (Int_parity)
-
-type summary = {
-  domain : Analyzer.domain;
-  locksets : bool;
-  rounds : int;
-  widenings : int;
-  stmt_visits : int;
-  status : Budget.status;
-  shared : string list;
-  protected_ : (string * string) list;
-  interference : (string * string) list;
-  bindings : (string * string) list;
-  verdicts : verdicts;
-  check :
-    (Value.loc * Value.t) list -> (Value.loc * Value.t) list;
-}
 
 (* Widening thresholds: the program's integer constants (and their
    negations), so interference fixpoints land on the constants loops
@@ -1338,35 +1213,21 @@ let harvest_thresholds (prog : Ast.program) =
        [ 0; 1 ] prog)
 
 let run ?(domain = Analyzer.Intervals) ?(locksets = true) ?(widen_after = 2)
-    ?(max_rounds = 200) ?budget (prog : Ast.program) : summary =
-  let mk (o : outcome) =
-    {
-      domain;
-      locksets;
-      rounds = o.o_rounds;
-      widenings = o.o_widenings;
-      stmt_visits = o.o_visits;
-      status = o.o_status;
-      shared = o.o_shared;
-      protected_ = o.o_protected;
-      interference = o.o_interference;
-      bindings = o.o_bindings;
-      verdicts = o.o_verdicts;
-      check = o.o_check;
-    }
-  in
+    ?(max_rounds = 200) ?budget (ls : Lockset.t) : summary =
   (* intervals widen with thresholds; every other domain with its own *)
   let analyze =
     match domain with
     | Analyzer.Intervals ->
         I_interval.analyze
-          ~widen:(Interval.widen_thresholds (harvest_thresholds prog))
+          ~widen:
+            (Interval.widen_thresholds
+               (harvest_thresholds (Mhp.program (Lockset.mhp ls))))
     | Analyzer.Constants -> I_const.analyze ?widen:None
     | Analyzer.Signs -> I_sign.analyze ?widen:None
     | Analyzer.Parities -> I_parity.analyze ?widen:None
     | Analyzer.Interval_parity -> I_int_parity.analyze ?widen:None
   in
-  mk (analyze ~locksets ~widen_after ~max_rounds ?budget prog)
+  analyze ~locksets ~widen_after ~max_rounds ?budget ~domain ls
 
 let pp_summary ppf s =
   Format.fprintf ppf

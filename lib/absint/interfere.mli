@@ -50,8 +50,9 @@ type verdicts = {
       (** labels where a run-time error (type confusion, bad deref,
           bad call) may occur *)
   races : Cobegin_static.Lockset.race list;
-      (** abstract race candidates: conflicting MHP accesses, lockset-
-          refined, both endpoints abstractly reachable *)
+      (** abstract race candidates: [Lockset.races ~locks:locksets]
+          restricted to races whose two endpoints are both abstractly
+          reachable *)
 }
 
 val pp_verdicts : Format.formatter -> verdicts -> unit
@@ -73,6 +74,8 @@ type summary = {
   bindings : (string * string) list;
       (** (variable, printed abstract over-approximation of every value
           it ever holds) *)
+  reachable : int list;
+      (** labels the final reporting pass reached, ascending *)
   verdicts : verdicts;
   check :
     (Cobegin_semantics.Value.loc * Cobegin_semantics.Value.t) list ->
@@ -87,9 +90,12 @@ val run :
   ?widen_after:int ->
   ?max_rounds:int ->
   ?budget:Budget.t ->
-  Ast.program ->
+  Cobegin_static.Lockset.t ->
   summary
-(** Defaults: intervals (with widening thresholds harvested from the
+(** Analyzes the program of a static base
+    ({!Cobegin_static.Lockset.of_program}), whose MHP contexts, locksets
+    and lock-suppressed races it reads.
+    Defaults: intervals (with widening thresholds harvested from the
     program's integer constants), locksets on, widening from round 2,
     at most 200 rounds (then [Truncated (Fuel _)]). *)
 

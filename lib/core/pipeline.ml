@@ -117,7 +117,7 @@ type field = {
 let string_of_value = function
   | Bool b -> string_of_bool b
   | Int i -> string_of_int i
-  | Float x -> Printf.sprintf "%g" x
+  | Float x -> Printf.sprintf "%.17g" x
   | Name s -> s
 
 let read_int s = Option.map (fun i -> Int i) (int_of_string_opt s)
@@ -601,12 +601,25 @@ let analyze ?(options = default_options) ?spans (prog : Ast.program) :
     in
     go 1
   in
+  (* The static base (MHP and locksets) of the lint and the interference
+     engine, built inside whichever of the two stages runs first.  Only
+     a success is kept: a crash while building it stays that stage's
+     failure, and the other stage then builds its own. *)
+  let base = ref None in
+  let static_base () =
+    match !base with
+    | Some ls -> ls
+    | None ->
+        let ls = Cobegin_static.Lockset.of_program prog in
+        base := Some ls;
+        ls
+  in
   (* the static lints run before (and independently of) exploration:
      they are polynomial in program size, so no budget governs them *)
   let static =
     if options.lint then
       stage "static-lint" ~default:None (fun () ->
-          Some (Cobegin_static.Lint.run prog))
+          Some (Cobegin_static.Lint.run (static_base ())))
     else None
   in
   (* the interference engine is thread-modular — polynomial, but its
@@ -620,7 +633,7 @@ let analyze ?(options = default_options) ?spans (prog : Ast.program) :
         | Concrete_full | Concrete_stubborn -> Analyzer.Intervals
       in
       stage "interfere" ~default:None (fun () ->
-          Some (Interfere.run ~domain ~budget prog))
+          Some (Interfere.run ~domain ~budget (static_base ())))
     else None
   in
   (* Exploration runs under a degradation ladder instead of the plain

@@ -129,7 +129,8 @@ val fields : field list
 (** The table, in the record's declaration order. *)
 
 val string_of_value : value -> string
-(** A value's text in the fingerprint: floats print with [%g]. *)
+(** A value's text in the fingerprint: floats print with [%.17g], so
+    two distinct timeouts never share a run key. *)
 
 val options_fingerprint : options -> string
 (** Canonical fingerprint of an option record: every row of {!fields},

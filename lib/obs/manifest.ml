@@ -1,6 +1,6 @@
 (* Digest-addressed run manifests (see manifest.mli). *)
 
-let format_version = 1
+let format_version = 2
 
 (* FNV-1a 64-bit: offset basis then xor-multiply per byte.  Int64
    arithmetic so the result is identical on every platform. *)

@@ -93,11 +93,11 @@ let options_of_json ~(defaults : Pipeline.options) json =
   | Sjson.Obj fields -> List.fold_left decode (Ok defaults) fields
   | _ -> Error "options must be an object"
 
-(* Floats go out with 17 digits, so decoding gives the record back. *)
+(* Floats go out with 17 digits ([Pipeline.string_of_value]), so
+   decoding gives the record back. *)
 let options_to_json (o : Pipeline.options) =
   let json = function
     | Pipeline.Name s -> Obs_json.string s
-    | Pipeline.Float x -> Printf.sprintf "%.17g" x
     | v -> Pipeline.string_of_value v
   in
   "{"

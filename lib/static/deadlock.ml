@@ -28,7 +28,7 @@ let compare_cycle a b = compare (a.locks, a.sites) (b.locks, b.sites)
 
 type edge = { e_from : string; e_to : string; e_site : int }
 
-let edges (mhp : Mhp.t) (ls : Lockset.t) : edge list =
+let edges (ls : Lockset.t) : edge list =
   let stable = Lockset.stable ls in
   fold_program
     (fun acc s ->
@@ -42,7 +42,7 @@ let edges (mhp : Mhp.t) (ls : Lockset.t) : edge list =
             acc
       | _ -> acc)
     []
-    (Mhp.program mhp)
+    (Mhp.program (Lockset.mhp ls))
 
 (* Strongly connected components (Tarjan) over the lock names. *)
 let sccs (nodes : string list) (succ : string -> string list) :
@@ -85,8 +85,9 @@ let sccs (nodes : string list) (succ : string -> string list) :
   List.iter (fun v -> if not (Hashtbl.mem index v) then strong v) nodes;
   !out
 
-let find (mhp : Mhp.t) (ls : Lockset.t) : cycle list =
-  let es = edges mhp ls in
+let find (ls : Lockset.t) : cycle list =
+  let mhp = Lockset.mhp ls in
+  let es = edges ls in
   let nodes =
     List.sort_uniq compare
       (List.concat_map (fun e -> [ e.e_from; e.e_to ]) es)

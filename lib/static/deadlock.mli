@@ -11,7 +11,7 @@ type cycle = {
 
 val compare_cycle : cycle -> cycle -> int
 
-val find : Mhp.t -> Lockset.t -> cycle list
+val find : Lockset.t -> cycle list
 (** Canonically ordered by lock set. *)
 
 val pp_cycle : Format.formatter -> cycle -> unit

@@ -136,11 +136,11 @@ let await_findings (mhp : Mhp.t) =
                (String.concat ", " (SS.elements vars))))
     awaits
 
-let run (prog : Ast.program) : result =
-  let mhp = Mhp.of_program prog in
-  let ls = Lockset.analyze mhp in
-  let races = Lockset.races mhp ls in
-  let cycles = Deadlock.find mhp ls in
+let run (ls : Lockset.t) : result =
+  let mhp = Lockset.mhp ls in
+  let prog = Mhp.program mhp in
+  let races = Lockset.races ls in
+  let cycles = Deadlock.find ls in
   let findings =
     Report.sort
       (race_findings races @ cycle_findings cycles @ lock_findings prog ls

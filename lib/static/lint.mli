@@ -7,13 +7,14 @@
     ["double-acquire"] (an error — the process provably blocks
     forever), ["release-unheld"], ["await-no-writer"]. *)
 
-open Cobegin_lang
-
 type result = {
   races : Lockset.race list;
   cycles : Deadlock.cycle list;
   findings : Report.finding list;  (** canonical order, all rules *)
 }
 
-val run : Ast.program -> result
+val run : Lockset.t -> result
+(** The lint over one static base ({!Lockset.of_program}); its races are
+    {!Lockset.races} of that base. *)
+
 val pp : Format.formatter -> result -> unit

@@ -38,17 +38,23 @@ open Cobegin_lang
 open Ast
 module SS = Ast.StringSet
 
+type race = { r_stmt1 : int; r_stmt2 : int; r_ww : bool; r_what : string }
+
 type t = {
+  mhp : Mhp.t;
   stable : SS.t;
   eligible : SS.t;
   must : (int, SS.t) Hashtbl.t;
   may : (int, SS.t) Hashtbl.t;
   local_must : (int, SS.t) Hashtbl.t;
+  mutable suppressed : race list option;
+      (* [races] with lock suppression, once enumerated *)
 }
 
 let find_set tbl l =
   match Hashtbl.find_opt tbl l with Some s -> s | None -> SS.empty
 
+let mhp t = t.mhp
 let must_held t l = find_set t.must l
 let may_held t l = find_set t.may l
 let local_must_held t l = find_set t.local_must l
@@ -241,11 +247,24 @@ let analyze (mhp : Mhp.t) : t =
         | _ -> acc)
       SS.empty prog
   in
-  { stable; eligible = SS.diff stable bad; must; may; local_must }
+  {
+    mhp;
+    stable;
+    eligible = SS.diff stable bad;
+    must;
+    may;
+    local_must;
+    suppressed = None;
+  }
+
+let of_program prog = analyze (Mhp.of_program prog)
+
+(* Eligible locks the site's process holds, acquired since the context's
+   fork: locks held at the fork are held by every branch at once. *)
+let protection t (c : Mhp.context) (s : Mhp.site) =
+  SS.inter (SS.diff (must_held t s.s_label) (must_held t c.c_label)) t.eligible
 
 (* --- static races --- *)
-
-type race = { r_stmt1 : int; r_stmt2 : int; r_ww : bool; r_what : string }
 
 let compare_race a b =
   compare
@@ -258,7 +277,7 @@ module RaceSet = Set.Make (struct
   let compare = compare_race
 end)
 
-let races (mhp : Mhp.t) (t : t) : race list =
+let enumerate ~locks t =
   let add_race acc l1 l2 ~ww what =
     let a, b = if l1 <= l2 then (l1, l2) else (l2, l1) in
     RaceSet.add { r_stmt1 = a; r_stmt2 = b; r_ww = ww; r_what = what } acc
@@ -311,38 +330,49 @@ let races (mhp : Mhp.t) (t : t) : race list =
   let set =
     List.fold_left
       (fun acc (c : Mhp.context) ->
-        let inherited = must_held t c.c_label in
-        let protection (s : Mhp.site) =
-          SS.inter (SS.diff (must_held t s.Mhp.s_label) inherited) t.eligible
+        (* each branch's race candidates with their protection *)
+        let guarded =
+          List.map
+            (fun (b : Mhp.branch) ->
+              List.filter_map
+                (fun (s : Mhp.site) ->
+                  if s.s_sync then None
+                  else Some (s, if locks then protection t c s else SS.empty))
+                b.b_sites)
+            c.c_branches
         in
         let rec cross acc = function
           | [] -> acc
-          | (b : Mhp.branch) :: rest ->
+          | b :: rest ->
               let acc =
                 List.fold_left
-                  (fun acc (b' : Mhp.branch) ->
+                  (fun acc b' ->
                     List.fold_left
-                      (fun acc s1 ->
-                        if s1.Mhp.s_sync then acc
-                        else
-                          let p1 = protection s1 in
-                          List.fold_left
-                            (fun acc s2 ->
-                              if s2.Mhp.s_sync then acc
-                              else if
-                                not (SS.is_empty (SS.inter p1 (protection s2)))
-                              then acc
-                              else conflicts acc s1 s2)
-                            acc b'.Mhp.b_sites)
-                      acc b.Mhp.b_sites)
+                      (fun acc (s1, p1) ->
+                        List.fold_left
+                          (fun acc (s2, p2) ->
+                            if SS.disjoint p1 p2 then conflicts acc s1 s2
+                            else acc)
+                          acc b')
+                      acc b)
                   acc rest
               in
               cross acc rest
         in
-        cross acc c.c_branches)
-      RaceSet.empty (Mhp.contexts mhp)
+        cross acc guarded)
+      RaceSet.empty (Mhp.contexts t.mhp)
   in
   RaceSet.elements set
+
+let races ?(locks = true) t =
+  if not locks then enumerate ~locks t
+  else
+    match t.suppressed with
+    | Some rs -> rs
+    | None ->
+        let rs = enumerate ~locks t in
+        t.suppressed <- Some rs;
+        rs
 
 let race_pairs rs =
   List.sort_uniq compare (List.map (fun r -> (r.r_stmt1, r.r_stmt2)) rs)

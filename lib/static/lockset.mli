@@ -17,9 +17,14 @@ open Cobegin_lang
 module SS = Ast.StringSet
 
 type t
+(** The static base of one analysis: the lockset facts together with the
+    {!Mhp.t} they were computed from.  It memoizes its lock-suppressed
+    race list, so it belongs to one analysis and one domain. *)
 
-val analyze : Mhp.t -> t
+val of_program : Ast.program -> t
+(** Builds the {!Mhp.t} of the program and the locksets over it. *)
 
+val mhp : t -> Mhp.t
 val stable : t -> SS.t
 val eligible : t -> SS.t
 
@@ -35,6 +40,11 @@ val local_must_held : t -> int -> SS.t
 (** The subset of [must_held] acquired by the executing process itself
     since its own fork. *)
 
+val protection : t -> Mhp.context -> Mhp.site -> SS.t
+(** The eligible locks the site's process holds, acquired since the
+    context's fork.  Locks held at the fork are held by every branch at
+    once, so they give no mutual exclusion between the branches. *)
+
 (** {1 Static races} *)
 
 type race = {
@@ -46,8 +56,12 @@ type race = {
 
 val compare_race : race -> race -> int
 
-val races : Mhp.t -> t -> race list
-(** Canonically ordered, duplicate-free. *)
+val races : ?locks:bool -> t -> race list
+(** Conflicting pairs of non-synchronization sites that some context
+    places in distinct branches, unless both sites' {!protection}s share
+    a lock; [~locks:false] skips that suppression.  Canonically ordered,
+    duplicate-free.  The suppressed list (the default) is enumerated at
+    most once per [t]. *)
 
 val race_pairs : race list -> (int * int) list
 (** The distinct [(stmt1, stmt2)] pairs of a race list, ascending. *)

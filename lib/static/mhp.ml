@@ -35,14 +35,6 @@ open Cobegin_lang
 open Ast
 module SS = Ast.StringSet
 
-module IntPairSet = Set.Make (struct
-  type t = int * int
-
-  let compare = compare
-end)
-
-let norm_pair a b = if a <= b then (a, b) else (b, a)
-
 type site = {
   s_label : int;
   s_sync : bool; (* await / lock / unlock: excluded from race candidates *)
@@ -68,7 +60,8 @@ type t = {
   prog : Ast.program;
   addr_taken : SS.t;
   contexts : context list;
-  pairs : IntPairSet.t;
+  index : (int, (int * int) list) Hashtbl.t;
+      (* label -> the (context, branch) indices of its sites *)
   call_sites : call_site list;
   callable : SS.t; (* procedures some call may invoke *)
   proc_of_label : (int, string) Hashtbl.t;
@@ -207,6 +200,9 @@ let mk_site ~visible ~addr_taken (s : Ast.stmt) : site =
   }
 
 (* --- the analysis --- *)
+
+(* a label's (context, branch) positions, most recent first *)
+let positions index l = Option.value ~default:[] (Hashtbl.find_opt index l)
 
 let of_program (prog : Ast.program) : t =
   let addr_taken = Ast.addr_taken_of_program prog in
@@ -382,37 +378,26 @@ let of_program (prog : Ast.program) : t =
     (fun p -> ignore (walk (SS.of_list p.params) p.body))
     prog.procs;
   let contexts = List.rev !contexts in
-  (* the raw MHP relation: label pairs across distinct branches *)
-  let pairs =
-    List.fold_left
-      (fun acc c ->
-        let rec cross acc = function
-          | [] -> acc
-          | b :: rest ->
-              let acc =
-                List.fold_left
-                  (fun acc b' ->
-                    List.fold_left
-                      (fun acc s1 ->
-                        List.fold_left
-                          (fun acc s2 ->
-                            IntPairSet.add
-                              (norm_pair s1.s_label s2.s_label)
-                              acc)
-                          acc b'.b_sites)
-                      acc b.b_sites)
-                  acc rest
-              in
-              cross acc rest
-        in
-        cross acc c.c_branches)
-      IntPairSet.empty contexts
-  in
+  (* the MHP relation as an index: every label's (context, branch)
+     positions, each recorded once *)
+  let index = Hashtbl.create 256 in
+  List.iteri
+    (fun ci c ->
+      List.iteri
+        (fun bi b ->
+          List.iter
+            (fun s ->
+              match positions index s.s_label with
+              | pos :: _ when pos = (ci, bi) -> ()
+              | at -> Hashtbl.replace index s.s_label ((ci, bi) :: at))
+            b.b_sites)
+        c.c_branches)
+    contexts;
   {
     prog;
     addr_taken;
     contexts;
-    pairs;
+    index;
     call_sites;
     callable;
     proc_of_label;
@@ -420,14 +405,15 @@ let of_program (prog : Ast.program) : t =
 
 let program t = t.prog
 let contexts t = t.contexts
-let pairs t = IntPairSet.elements t.pairs
-let may_happen_parallel t l1 l2 = IntPairSet.mem (norm_pair l1 l2) t.pairs
+
+(* one context lists the two labels under distinct branches *)
+let may_happen_parallel t l1 l2 =
+  let at2 = positions t.index l2 in
+  List.exists
+    (fun (c1, b1) -> List.exists (fun (c2, b2) -> c1 = c2 && b1 <> b2) at2)
+    (positions t.index l1)
+
 let addr_taken t = t.addr_taken
 let call_sites t = t.call_sites
 let callable_procs t = t.callable
 let proc_of_label t l = Hashtbl.find_opt t.proc_of_label l
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>%d cobegin context(s), %d MHP pair(s)@]"
-    (List.length t.contexts)
-    (IntPairSet.cardinal t.pairs)

@@ -45,10 +45,12 @@ type t
 val of_program : Ast.program -> t
 val program : t -> Ast.program
 val contexts : t -> context list
-val pairs : t -> (int * int) list
-(** Normalized ([fst <= snd]) MHP pairs, ascending. *)
 
 val may_happen_parallel : t -> int -> int -> bool
+(** Some context lists the two labels under distinct branches.  Answered
+    from a per-label index of (context, branch) positions, so the
+    relation itself is never enumerated. *)
+
 val addr_taken : t -> SS.t
 val call_sites : t -> call_site list
 val callable_procs : t -> SS.t
@@ -56,4 +58,3 @@ val callable_procs : t -> SS.t
     lock-stability, see [Lockset]). *)
 
 val proc_of_label : t -> int -> string option
-val pp : Format.formatter -> t -> unit

@@ -8,6 +8,10 @@ open Helpers
 module Space = Cobegin_explore.Space
 module Config = Cobegin_semantics.Config
 module Store = Cobegin_semantics.Store
+module Lockset = Cobegin_static.Lockset
+
+let interfere ?domain ?locksets ?budget prog =
+  Interfere.run ?domain ?locksets ?budget (Lockset.of_program prog)
 
 (* Every store binding of every terminal configuration (final, deadlock,
    error) of a completed explicit run. *)
@@ -35,7 +39,7 @@ let assert_sound ~name prog (r : Space.result) =
     (fun domain ->
       List.iter
         (fun locksets ->
-          let s = Interfere.run ~domain ~locksets prog in
+          let s = interfere ~domain ~locksets prog in
           match s.Interfere.check bindings with
           | [] -> ()
           | vs ->
@@ -73,7 +77,7 @@ let random_soundness =
           let bindings = terminal_bindings r in
           List.for_all
             (fun locksets ->
-              let s = Interfere.run ~locksets prog in
+              let s = interfere ~locksets prog in
               s.Interfere.check bindings = [])
             [ true; false ])
 
@@ -88,7 +92,7 @@ let peterson_pin () =
   let src = Option.get (Cobegin_models.Corpus.find "peterson") in
   List.iter
     (fun locksets ->
-      let s = Interfere.run ~locksets (parse src) in
+      let s = interfere ~locksets (parse src) in
       check_bool
         (Printf.sprintf "peterson unprovable (locksets=%b)" locksets)
         false
@@ -112,12 +116,12 @@ proc main() {
 |}
 
 let lock_critical_pin () =
-  let with_locks = Interfere.run ~locksets:true (parse lock_critical_src) in
+  let with_locks = interfere ~locksets:true (parse lock_critical_src) in
   check_bool "provable with locksets" true
     (with_locks.Interfere.verdicts.Interfere.assert_may_fail = []);
   check_bool "incrit is protected" true
     (List.mem_assoc "incrit" with_locks.Interfere.protected_);
-  let without = Interfere.run ~locksets:false (parse lock_critical_src) in
+  let without = interfere ~locksets:false (parse lock_critical_src) in
   check_bool "unprovable without locksets" false
     (without.Interfere.verdicts.Interfere.assert_may_fail = [])
 
@@ -128,7 +132,7 @@ let mutex_pin () =
   let src = Option.get (Cobegin_models.Corpus.find "mutex") in
   List.iter
     (fun locksets ->
-      let s = Interfere.run ~locksets (parse src) in
+      let s = interfere ~locksets (parse src) in
       check_bool
         (Printf.sprintf "mutex assert-after-join unprovable (locksets=%b)"
            locksets)
@@ -140,7 +144,7 @@ let mutex_pin () =
 
 let never_proceeds () =
   let s =
-    Interfere.run
+    interfere
       (parse
          {|
 proc main() {
@@ -157,7 +161,7 @@ proc main() {
 
 let error_sites () =
   let s =
-    Interfere.run (parse {|
+    interfere (parse {|
 proc main() {
   var x = 1;
   var y = *x;
@@ -170,23 +174,88 @@ proc main() {
 let races_refined () =
   (* fig2 has unprotected cross writes; philosophers' accesses are all
      lock-protected *)
-  let fig2 = Interfere.run (parse (Option.get (Cobegin_models.Corpus.find "fig2"))) in
+  let fig2 = interfere (parse (Option.get (Cobegin_models.Corpus.find "fig2"))) in
   check_bool "fig2 has race candidates" false
     (fig2.Interfere.verdicts.Interfere.races = []);
   let mutex_src = Option.get (Cobegin_models.Corpus.find "mutex") in
-  let mutex = Interfere.run (parse mutex_src) in
+  let mutex = interfere (parse mutex_src) in
   check_bool "mutex lockset-clean" true
     (mutex.Interfere.verdicts.Interfere.races = []);
-  let mutex_raw = Interfere.run ~locksets:false (parse mutex_src) in
+  let mutex_raw = interfere ~locksets:false (parse mutex_src) in
   check_bool "mutex races without lockset refinement" false
     (mutex_raw.Interfere.verdicts.Interfere.races = [])
+
+(* --- race candidates: the static base's races, reach-filtered --- *)
+
+(* The law on one program and lockset mode: the candidates are
+   [Lockset.races ~locks] restricted to the races whose two endpoints the
+   reporting pass reached — a sublist of it, in its order, with both
+   endpoints of each candidate abstractly reachable. *)
+let candidates_law ~locksets prog =
+  let ls = Lockset.of_program prog in
+  let s = Interfere.run ~locksets ls in
+  let reached l = List.mem l s.Interfere.reachable in
+  s.Interfere.verdicts.Interfere.races
+  = List.filter
+      (fun (r : Lockset.race) -> reached r.r_stmt1 && reached r.r_stmt2)
+      (Lockset.races ~locks:locksets ls)
+
+let candidates_law_corpus () =
+  List.iter
+    (fun (name, src) ->
+      List.iter
+        (fun locksets ->
+          check_bool
+            (Printf.sprintf "%s (locksets=%b)" name locksets)
+            true
+            (candidates_law ~locksets (parse src)))
+        [ true; false ])
+    Cobegin_models.Corpus.all
+
+let candidates_law_random =
+  qtest ~count:100 "random programs: candidates are reach-filtered races"
+    seed_gen (fun seed ->
+      let prog = random_program seed in
+      candidates_law ~locksets:true prog && candidates_law ~locksets:false prog)
+
+(* Candidate counts per corpus model, locksets on; with locksets off
+   only [unlocked] differ. *)
+let locked_counts =
+  [
+    ("fig2", 2); ("fig3", 1); ("fig5", 1); ("example8", 2); ("fig8", 3);
+    ("busywait", 1); ("mutex_racy", 3); ("peterson", 9);
+    ("peterson_broken", 9); ("peterson_fenced", 9); ("dekker", 19);
+    ("dekker_fenced", 19); ("readers_writers", 2);
+  ]
+
+let unlocked = [ ("mutex", 1); ("barrier2", 11); ("readers_writers", 4) ]
+
+let candidates_pinned () =
+  List.iter
+    (fun (name, src) ->
+      let ls = Lockset.of_program (parse src) in
+      let count locksets =
+        List.length
+          (Interfere.run ~locksets ls).Interfere.verdicts.Interfere.races
+      in
+      let locked =
+        Option.value ~default:0 (List.assoc_opt name locked_counts)
+      in
+      check_bool (name ^ ": the lint's races") true
+        ((Interfere.run ls).Interfere.verdicts.Interfere.races
+        = (Cobegin_static.Lint.run ls).Cobegin_static.Lint.races);
+      check_int (name ^ " with locksets") locked (count true);
+      check_int (name ^ " without locksets")
+        (Option.value ~default:locked (List.assoc_opt name unlocked))
+        (count false))
+    Cobegin_models.Corpus.all
 
 (* --- governance seams --- *)
 
 let budget_truncation () =
   let src = Option.get (Cobegin_models.Corpus.find "peterson") in
   let budget = Budget.create ~max_configs:1 ~check_every:1 () in
-  let s = Interfere.run ~budget (parse src) in
+  let s = interfere ~budget (parse src) in
   check_bool "tiny budget truncates the fixpoint" false
     (Budget.is_complete s.Interfere.status)
 
@@ -197,7 +266,7 @@ let chaos_site () =
       Fault.install plan;
       Fun.protect ~finally:Fault.clear (fun () ->
           let src = Option.get (Cobegin_models.Corpus.find "fig2") in
-          match Interfere.run (parse src) with
+          match interfere (parse src) with
           | _ -> Alcotest.fail "expected the injected fault to escape"
           | exception Fault.Injected { site = "interfere.iter"; _ } -> ())
 
@@ -246,7 +315,7 @@ let metrics_namespace () =
     (fun () ->
       M.reset ();
       let src = Option.get (Cobegin_models.Corpus.find "fig2") in
-      ignore (Interfere.run (parse src));
+      ignore (interfere (parse src));
       check_bool "interfere.rounds counted" true
         (M.counter_value (M.counter "interfere.rounds") > 0);
       check_bool "interfere.stmt_visits counted" true
@@ -263,6 +332,10 @@ let suite =
     case "verdict: never-satisfiable await" never_proceeds;
     case "verdict: error sites" error_sites;
     case "verdict: races refined by locksets" races_refined;
+    case "candidates are reach-filtered static races (corpus)"
+      candidates_law_corpus;
+    candidates_law_random;
+    case "candidate counts pinned on the corpus" candidates_pinned;
     case "budget truncation" budget_truncation;
     case "chaos: interfere.iter is a fault site" chaos_site;
     case "pipeline: supervised retry past a crash" pipeline_supervision;

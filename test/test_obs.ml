@@ -378,7 +378,10 @@ let progress_tests =
               fun () ->
                 ignore (Cobegin_absint.Analyzer.analyze (parse phil3_src)) );
             ( "interfere",
-              fun () -> ignore (Cobegin_absint.Interfere.run fig5) );
+              fun () ->
+                ignore
+                  (Cobegin_absint.Interfere.run
+                     (Cobegin_static.Lockset.of_program fig5)) );
           ]
         in
         List.iter

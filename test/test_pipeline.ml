@@ -102,6 +102,22 @@ let integration_tests =
         check_int "no deadlocks" 0 report.Pipeline.stats.Pipeline.deadlocks);
   ]
 
+(* The bytes of a report's top-level [static] or [interference] value:
+   from its key to the key that follows it. *)
+let json_section json key =
+  let index_from i sub =
+    let n = String.length sub in
+    let rec go i =
+      if i + n > String.length json then Alcotest.failf "%s not in report" sub
+      else if String.sub json i n = sub then i
+      else go (i + 1)
+    in
+    go i
+  in
+  let next = if key = "static" then "interference" else "telemetry" in
+  let start = index_from 0 (Printf.sprintf ",%S:" key) in
+  String.sub json start (index_from start (Printf.sprintf ",%S:" next) - start)
+
 let lint_stage_tests =
   [
     case "lint option runs the static pre-stage" (fun () ->
@@ -136,6 +152,65 @@ let lint_stage_tests =
         (* the rest of the pipeline still ran *)
         check_bool "exploration ran" true
           (report.Pipeline.stats.Pipeline.configurations > 0));
+    case "the shared static base answers as a fresh one does (corpus)"
+      (fun () ->
+        let options =
+          { Pipeline.default_options with lint = true; interfere = true }
+        in
+        List.iter
+          (fun (name, src) ->
+            let r = Pipeline.analyze ~options (parse src) in
+            let ls = Cobegin_static.Lockset.of_program r.Pipeline.program in
+            let lint = Cobegin_static.Lint.run ls in
+            let inter = Cobegin_absint.Interfere.run ls in
+            match (r.Pipeline.static, r.Pipeline.interference) with
+            | Some l, Some i ->
+                check_bool (name ^ ": lint findings") true
+                  (l.Cobegin_static.Lint.findings
+                  = lint.Cobegin_static.Lint.findings);
+                check_bool (name ^ ": interference verdicts") true
+                  (i.Cobegin_absint.Interfere.verdicts
+                   = inter.Cobegin_absint.Interfere.verdicts
+                  && i.Cobegin_absint.Interfere.bindings
+                     = inter.Cobegin_absint.Interfere.bindings)
+            | _ -> Alcotest.failf "%s: a static stage is missing" name)
+          Cobegin_models.Corpus.all);
+    case "a crash in one consumer of the static base spares the other"
+      (fun () ->
+        let options =
+          {
+            Pipeline.default_options with
+            lint = true;
+            interfere = true;
+            retries = 0;
+          }
+        in
+        List.iter
+          (fun name ->
+            let src = Option.get (Cobegin_models.Corpus.find name) in
+            let run () = Pipeline.analyze_source ~options src in
+            let json r = Cobegin_core.Report.to_json r in
+            let clean = json (run ()) in
+            let lint_crashed =
+              with_chaos "crash@pipeline.static-lint:1" run
+            in
+            check_bool (name ^ ": no static section") true
+              (lint_crashed.Pipeline.static = None);
+            check_bool (name ^ ": one stage failure, static-lint") true
+              (List.map
+                 (fun (f : Pipeline.stage_failure) -> f.Pipeline.stage)
+                 lint_crashed.Pipeline.stage_failures
+              = [ "static-lint" ]);
+            check_string (name ^ ": interference section")
+              (json_section clean "interference")
+              (json_section (json lint_crashed) "interference");
+            let interfere_crashed =
+              with_chaos "crash@pipeline.interfere:1" run
+            in
+            check_string (name ^ ": static section")
+              (json_section clean "static")
+              (json_section (json interfere_crashed) "static"))
+          [ "fig2"; "mutex"; "peterson"; "phil2" ]);
   ]
 
 let stubborn_vs_full_analysis =

@@ -412,7 +412,7 @@ let frozen_fingerprint (o : Pipeline.options) =
       "inline=" ^ string_of_bool o.inline;
       "max_configs=" ^ string_of_int o.max_configs;
       "max_transitions=" ^ opt string_of_int o.max_transitions;
-      "timeout_s=" ^ opt (Printf.sprintf "%g") o.timeout_s;
+      "timeout_s=" ^ opt (Printf.sprintf "%.17g") o.timeout_s;
       "max_heap_words=" ^ opt string_of_int o.max_heap_words;
       "find_races=" ^ string_of_bool o.find_races;
       "lint=" ^ string_of_bool o.lint;
@@ -481,6 +481,20 @@ let table_tests =
             check_string "fingerprint" (frozen_fingerprint o)
               (Pipeline.options_fingerprint o))
           (Pipeline.default_options :: sample_options));
+    case "timeouts enter the run key at full precision" (fun () ->
+        let prog = Cobegin_lang.Parser.parse_string Cobegin_models.Figures.fig2 in
+        let key t =
+          Pipeline.run_key
+            { Pipeline.default_options with timeout_s = Some t }
+            prog
+        in
+        check_bool "100.0000001 and 100.0000004 key apart" true
+          (key 100.0000001 <> key 100.0000004);
+        check_bool "a whole timeout prints as an integer" true
+          (contains
+             (Pipeline.options_fingerprint
+                { Pipeline.default_options with timeout_s = Some 100. })
+             ";timeout_s=100;"));
     case "decoding the client's encoding gives the record back" (fun () ->
         List.iter
           (fun o ->

@@ -7,7 +7,25 @@ open Cobegin_static
 open Helpers
 module SS = Cobegin_lang.Ast.StringSet
 
-let lint src = Lint.run (parse src)
+let lint_prog prog = Lint.run (Lockset.of_program prog)
+let lint src = lint_prog (parse src)
+
+let labels prog =
+  List.rev (Cobegin_lang.Ast.fold_program (fun acc s -> s.label :: acc) [] prog)
+
+(* The normalized label pairs [Mhp.may_happen_parallel] admits, asked of
+   every label pair of the program. *)
+let mhp_pairs prog =
+  let mhp = Mhp.of_program prog in
+  let ls = labels prog in
+  List.concat_map
+    (fun l1 ->
+      List.filter_map
+        (fun l2 ->
+          if l1 <= l2 && Mhp.may_happen_parallel mhp l1 l2 then Some (l1, l2)
+          else None)
+        ls)
+    ls
 
 let static_pairs src = Lockset.race_pairs (lint src).Lint.races
 
@@ -82,8 +100,8 @@ let race_tests =
         check_bool "strictly ascending" true (sorted rs));
     case "sequential program: no MHP pairs, no races" (fun () ->
         let prog = parse "proc main() { var x = 0; x = 1; x = x + 1; }" in
-        check_bool "no pairs" true (Mhp.pairs (Mhp.of_program prog) = []);
-        check_bool "no races" true ((Lint.run prog).Lint.races = []));
+        check_bool "no pairs" true (mhp_pairs prog = []);
+        check_bool "no races" true ((lint_prog prog).Lint.races = []));
     case "interior statements of called procedures join the MHP relation"
       (fun () ->
         let prog =
@@ -91,14 +109,13 @@ let race_tests =
             "proc work(p) { var t = p + 1; t = t * 2; }\n\
              proc main() { cobegin { work(1); } { work(2); } coend; }"
         in
-        let mhp = Mhp.of_program prog in
         (* the worker body is reachable from both branches: its labels
            are MHP with themselves *)
         check_bool "self-pairs exist" true
-          (List.exists (fun (a, b) -> a = b) (Mhp.pairs mhp));
+          (List.exists (fun (a, b) -> a = b) (mhp_pairs prog));
         (* ...but its locals are per-instance: no races by name *)
         check_bool "no races on locals" true
-          ((Lint.run prog).Lint.races = []));
+          ((lint_prog prog).Lint.races = []));
     case "pointer accesses race through the memory token" (fun () ->
         let r =
           lint
@@ -106,6 +123,74 @@ let race_tests =
              2; } coend; }"
         in
         check_bool "has races" true (r.Lint.races <> []));
+  ]
+
+(* --- MHP against the pair set it replaced --- *)
+
+module PairSet = Set.Make (struct
+  type t = int * int
+
+  let compare = compare
+end)
+
+(* The relation as [Mhp] used to store it: each site of a branch crossed
+   with each site of every later branch of the same context. *)
+let oracle_pairs mhp =
+  List.fold_left
+    (fun acc (c : Mhp.context) ->
+      let rec cross acc = function
+        | [] -> acc
+        | (b : Mhp.branch) :: rest ->
+            let acc =
+              List.fold_left
+                (fun acc (b' : Mhp.branch) ->
+                  List.fold_left
+                    (fun acc (s1 : Mhp.site) ->
+                      List.fold_left
+                        (fun acc (s2 : Mhp.site) ->
+                          let l1 = s1.s_label and l2 = s2.s_label in
+                          PairSet.add (min l1 l2, max l1 l2) acc)
+                        acc b'.b_sites)
+                    acc b.b_sites)
+                acc rest
+            in
+            cross acc rest
+      in
+      cross acc c.c_branches)
+    PairSet.empty (Mhp.contexts mhp)
+
+(* [may_happen_parallel] equals oracle membership on every ordered label
+   pair, self-pairs included. *)
+let mhp_matches_oracle prog =
+  let mhp = Mhp.of_program prog in
+  let oracle = oracle_pairs mhp in
+  let ls = labels prog in
+  List.for_all
+    (fun l1 ->
+      List.for_all
+        (fun l2 ->
+          Mhp.may_happen_parallel mhp l1 l2
+          = PairSet.mem (min l1 l2, max l1 l2) oracle)
+        ls)
+    ls
+
+let mhp_oracle_tests =
+  [
+    case "MHP index equals the pair-set oracle on the corpus" (fun () ->
+        List.iter
+          (fun (name, src) ->
+            check_bool name true (mhp_matches_oracle (parse src)))
+          Cobegin_models.Corpus.all);
+    qtest ~count:40 "random programs: MHP index equals the pair-set oracle"
+      seed_gen (fun seed ->
+        let cfg =
+          {
+            Cobegin_models.Generator.default_cfg with
+            num_branches = 3;
+            stmts_per_branch = 6;
+          }
+        in
+        mhp_matches_oracle (random_program ~cfg seed));
   ]
 
 let deadlock_tests =
@@ -131,6 +216,15 @@ let deadlock_tests =
              unlock(a); } coend; }"
         in
         check_bool "no cycles" true (r.Lint.cycles = []));
+    case "lock-order cycles pinned on the corpus" (fun () ->
+        (* the cycle check is the only reader of [may_happen_parallel] *)
+        List.iter
+          (fun (name, src) ->
+            let want =
+              if List.mem name [ "phil2"; "phil3"; "phil2r2" ] then 1 else 0
+            in
+            check_int name want (List.length (lint src).Lint.cycles))
+          Cobegin_models.Corpus.all);
     case "opposite order but sequential: no MHP, no cycle" (fun () ->
         let r =
           lint
@@ -268,4 +362,4 @@ let stability_tests =
 
 let suite =
   cross_validation_tests @ random_cross_validation @ race_tests
-  @ deadlock_tests @ lint_rule_tests @ report_tests @ stability_tests
+  @ mhp_oracle_tests @ deadlock_tests @ lint_rule_tests @ report_tests @ stability_tests
