@@ -318,16 +318,25 @@ let e11 () =
         r.Space.stats.Space.finals r.Space.stats.Space.errors
         r.Space.stats.Space.deadlocks)
     Protocols.all_named;
-  let broken_ctx = Step.make_ctx (parse Protocols.peterson_broken) in
-  (match Cobegin_explore.Trace.error_witness broken_ctx with
-  | Some w ->
-      row "violating schedule for peterson_broken (%d steps): %s@."
-        (List.length w.Cobegin_explore.Trace.schedule)
-        (String.concat "→"
-           (List.map
-              (Format.asprintf "%a" Value.pp_pid)
-              w.Cobegin_explore.Trace.schedule))
-  | None -> row "no violation found (unexpected)@.");
+  (* shortest violating schedules: peterson_broken under SC, and
+     peterson itself under TSO, where a flush is a step like any other *)
+  List.iter
+    (fun (name, src, model) ->
+      let ctx = Step.make_ctx ~model (parse src) in
+      match Cobegin_explore.Trace.error_witness ctx with
+      | Some w ->
+          row "violating schedule for %s under %s (%d steps): %s@." name
+            (Step.model_name model)
+            (List.length w.Cobegin_explore.Trace.schedule)
+            (String.concat "→"
+               (List.map
+                  (Format.asprintf "%a" Replay.pp_step)
+                  w.Cobegin_explore.Trace.schedule))
+      | None -> row "no violation found for %s (unexpected)@." name)
+    [
+      ("peterson_broken", Protocols.peterson_broken, Step.Sc);
+      ("peterson", Protocols.peterson, Step.Tso);
+    ];
   (* and the program-level philosophers, with locks *)
   row "@.philosophers as a lock program (full vs stubborn vs sleep):@.";
   row "%4s %10s %10s %10s %10s@." "n" "full" "stubborn" "sleep" "deadlocks";

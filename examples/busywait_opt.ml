@@ -23,7 +23,7 @@ let () =
 
   (* 2. every interleaving satisfies the final assertion: exploration
      finds no error configuration *)
-  Format.printf "=== exploration ===@.%a@.@." Pipeline.pp_stats
+  Format.printf "=== exploration ===@.%a@.@." Cobegin_explore.Space.pp_stats
     report.Pipeline.stats;
   assert (report.Pipeline.stats.Pipeline.errors = 0);
 

@@ -57,30 +57,28 @@ let pp_summary ppf s =
 (* The one body every domain shares: [M] is that domain's machine. *)
 module Run (N : Lattice.NUMERIC) (M : module type of Machine.Make (N)) =
 struct
-  let analyze ~domain ~folding ?widen_after ?max_configs ?budget
-      ?max_iterations ~k_pstring ~max_call_depth prog =
+  let analyze ~domain ~folding ?widen_after ?max_configs ?budget ~k_pstring
+      ~max_call_depth prog =
     let ctx = M.make_ctx ~params:{ M.k_pstring; max_call_depth } prog in
-    let r =
-      M.explore ~folding ?widen_after ?max_configs ?budget ?max_iterations ctx
-    in
+    let r = M.explore ~folding ?widen_after ?max_configs ?budget ctx in
     let s = r.M.stats in
     {
       domain;
       folding;
-      abstract_configs = s.M.abstract_configs;
-      revisits = s.M.revisits;
-      widenings = s.M.widenings;
-      max_frontier = s.M.max_frontier;
-      finals = s.M.finals;
-      errors = s.M.errors;
-      transitions = s.M.pops;
+      abstract_configs = s.Kernel.configurations;
+      revisits = r.M.revisits;
+      widenings = r.M.widenings;
+      max_frontier = s.max_frontier;
+      finals = s.finals;
+      errors = s.errors;
+      transitions = s.transitions;
       status = r.M.status;
       log = r.M.log;
     }
 end
 
 let analyze ?(domain = Intervals) ?(folding = Machine.Control) ?widen_after
-    ?max_configs ?budget ?max_iterations ?(k_pstring = 8)
+    ?max_configs ?budget ?(k_pstring = 8)
     ?(max_call_depth = 64) (prog : Cobegin_lang.Ast.program) : summary =
   let run =
     match domain with
@@ -100,5 +98,5 @@ let analyze ?(domain = Intervals) ?(folding = Machine.Control) ?widen_after
         let module R = Run (Int_parity) (Int_parity_machine) in
         R.analyze
   in
-  run ~domain ~folding ?widen_after ?max_configs ?budget ?max_iterations
-    ~k_pstring ~max_call_depth prog
+  run ~domain ~folding ?widen_after ?max_configs ?budget ~k_pstring
+    ~max_call_depth prog

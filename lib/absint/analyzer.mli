@@ -27,7 +27,8 @@ type summary = {
   finals : int;  (** abstract final stores *)
   errors : int;  (** possible runtime failures (may-analysis) *)
   transitions : int;
-      (** worklist pops: what the budget's transition limit counts *)
+      (** abstract shapes fired: what the budget's transition limit
+          counts *)
   status : Budget.status;  (** [Truncated _] when a budget fired *)
   log : Alog.t;
 }
@@ -40,13 +41,12 @@ val analyze :
   ?widen_after:int ->
   ?max_configs:int ->
   ?budget:Budget.t ->
-  ?max_iterations:int ->
   ?k_pstring:int ->
   ?max_call_depth:int ->
   Cobegin_lang.Ast.program ->
   summary
 (** Run the abstract machine.  Defaults: intervals, Control folding,
     widening after 3 revisits, k_pstring = 8, call depth 64.
-    [budget] (which subsumes [max_configs]) and [max_iterations] (the
-    fixpoint fuel) bound the run; exhaustion never raises — the summary
-    comes back with its partial counts and [status = Truncated _]. *)
+    [budget] (which subsumes [max_configs]) bounds the run; exhaustion
+    never raises — the summary comes back with its partial counts, the
+    queued terminals drained in, and [status = Truncated _]. *)

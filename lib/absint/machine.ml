@@ -812,136 +812,130 @@ module Make (N : Lattice.NUMERIC) = struct
                     sh.env)
          a.procs
 
-  (* --- exploration --- *)
+  (* --- exploration: the abstract instance of the kernel --- *)
 
-  type stats = {
-    abstract_configs : int;
-    revisits : int; (* joins into an existing key *)
-    widenings : int;
-    max_frontier : int; (* peak size of the worklist *)
-    finals : int;
-    errors : int;
-    pops : int; (* worklist pops: what the budget counts as transitions *)
+  (* A folded abstract configuration: the join of everything offered
+     under its key so far, and how many of those joins grew it. *)
+  type node = { mutable cfg : config; mutable visits : int }
+
+  (* One run: its folding, the widening delay and the revisit counts. *)
+  type run = {
+    ctx : ctx;
+    folding : folding;
+    widen_after : int;
+    mutable revisits : int; (* joins into an existing key *)
+    mutable widenings : int;
   }
 
+  module Nodes = struct
+    type ctx = run
+
+    (* The shape to fire, with the configuration popped: every shape
+       fires from that snapshot, even when a successor joins into the
+       popped node in the middle of its expansion. *)
+    type action = { snapshot : config; binding : apid * shape }
+    type config = node
+
+    type key = int
+
+    module Tbl = Key_tbl
+
+    type pools = { keys : Key_pool.t; nodes : node Tbl.t; fold : folding }
+
+    let new_pools run =
+      { keys = Key_pool.create 256; nodes = Tbl.create 256; fold = run.folding }
+
+    (* A new key records the offered node; a known one returns the node
+       recorded under it, for [merge] to join into. *)
+    let intern p n =
+      let _, k = Key_pool.intern p.keys (key_of ~folding:p.fold n.cfg) in
+      match Tbl.find_opt p.nodes k with
+      | Some recorded -> (recorded, k)
+      | None ->
+          Tbl.replace p.nodes k n;
+          (n, k)
+
+    let pool_sizes _ = []
+
+    (* The abstract log lives in [ctx.log]. *)
+    include Kernel.No_log
+
+    let init run = { cfg = init run.ctx; visits = 0 }
+
+    (* Terminals are recorded as snapshots: a final keeps the store it
+       had at the pop.  A configuration with nothing enabled is not
+       counted (the abstract engine reports no deadlocks). *)
+    let classify run (t : node Kernel.terminals) n =
+      let c = n.cfg in
+      if c.err then begin
+        t.errors <- { n with cfg = c } :: t.errors;
+        []
+      end
+      else if PM.is_empty c.procs then begin
+        t.finals <- { n with cfg = c } :: t.finals;
+        []
+      end
+      else
+        List.map
+          (fun binding -> { snapshot = c; binding })
+          (enabled_shapes run.ctx c)
+
+    let fire run _ a =
+      ( List.map
+          (fun c' -> { cfg = c'; visits = 0 })
+          (fire run.ctx a.snapshot a.binding),
+        () )
+
+    (* The revisit rule: join, widen after [widen_after] growing joins,
+       expand again when the join grew. *)
+    let merge run ~into n =
+      run.revisits <- run.revisits + 1;
+      Obs_metrics.incr m_fold_hits;
+      let joined = join_config ~folding:run.folding into.cfg n.cfg in
+      if config_leq joined into.cfg then false
+      else begin
+        into.cfg <-
+          (if into.visits >= run.widen_after then begin
+             run.widenings <- run.widenings + 1;
+             Obs_metrics.incr m_widenings;
+             widen_config into.cfg joined
+           end
+           else joined);
+        into.visits <- into.visits + 1;
+        true
+      end
+  end
+
+  module K = Kernel.Make (Nodes)
+
   type result = {
-    stats : stats;
+    stats : Kernel.stats; (* transitions are shapes fired; no deadlocks *)
+    revisits : int; (* joins into an existing key *)
+    widenings : int;
     status : Budget.status;
     log : Alog.t;
     final_stores : V.t AM.t list;
   }
 
-  let pp_stats ppf s =
-    Format.fprintf ppf
-      "abstract configurations=%d revisits=%d widenings=%d finals=%d errors=%d"
-      s.abstract_configs s.revisits s.widenings s.finals s.errors
-
-  (* Worklist exploration with key folding.  [widen_after] visits of the
-     same key, joins become widenings, which bounds chains through the
-     store lattice.  [max_iterations] is the fixpoint fuel: a cap on
-     worklist pops, the last line of defence against slowly converging
-     widening chains.  Exhausting any limit stops the run cleanly; the
-     table accumulated so far is still a valid under-approximation of
-     the abstract graph and the log a valid (partial) instrumentation. *)
+  (* Worklist exploration with key folding, on the kernel.  After
+     [widen_after] growing joins into the same key, joins become
+     widenings, which bounds chains through the store lattice.
+     Exhausting the budget stops the run cleanly; the table accumulated
+     so far is still a valid under-approximation of the abstract graph
+     and the log a valid (partial) instrumentation. *)
   let explore ?(folding = Control) ?(widen_after = 3)
-      ?(max_configs = 100_000) ?budget ?max_iterations ctx : result =
-    let budget =
-      match budget with
-      | Some b -> b
-      | None -> Budget.create ~max_configs ()
+      ?(max_configs = 100_000) ?budget ctx : result =
+    let run = { ctx; folding; widen_after; revisits = 0; widenings = 0 } in
+    let r =
+      K.generate ~max_configs ?budget ~log:false ~site:"abstract"
+        ~admit:K.no_revisits ~expand:K.all_actions run (K.start run ())
     in
-    let keys = Key_pool.create 256 in
-    let table : (config * int) Key_tbl.t = Key_tbl.create 256 in
-    let queue = Queue.create () in
-    let revisits = ref 0 and widenings = ref 0 and max_frontier = ref 0 in
-    let finals = ref [] and errors = ref 0 in
-    let iterations = ref 0 in
-    let stop = ref None in
-    let c0 = init ctx in
-    let _, k0 = Key_pool.intern keys (key_of ~folding c0) in
-    Key_tbl.replace table k0 (c0, 0);
-    Queue.add k0 queue;
-    while !stop = None && not (Queue.is_empty queue) do
-      (match max_iterations with
-      | Some fuel when !iterations >= fuel -> stop := Some (Budget.Fuel fuel)
-      | _ -> (
-          match
-            Budget.check budget ~configs:(Key_tbl.length table)
-              ~transitions:!iterations
-          with
-          | Some r -> stop := Some r
-          | None -> ()));
-      if !stop = None then begin
-        max_frontier := max !max_frontier (Queue.length queue);
-        incr iterations;
-        if
-          Obs_journal.enabled ()
-          && !iterations mod Obs_journal.progress_every = 0
-        then
-          Obs_journal.progress "abstract"
-            ~configurations:(Key_tbl.length table)
-            ~frontier:(Queue.length queue) ~transitions:!iterations ~budget
-            [];
-        let k = Queue.pop queue in
-        match Key_tbl.find_opt table k with
-        | None -> ()
-        | Some (c, _visits) ->
-            if c.err then incr errors
-            else if PM.is_empty c.procs then finals := c.store :: !finals
-            else
-              (* stop the expansion as soon as the budget trips *)
-              List.iter
-                (fun binding ->
-                  if !stop = None then
-                    List.iter
-                      (fun c' ->
-                        if !stop = None then
-                          let _, k' =
-                            Key_pool.intern keys (key_of ~folding c')
-                          in
-                          match Key_tbl.find_opt table k' with
-                          | None -> (
-                              match
-                                Budget.config_guard budget
-                                  ~configs:(Key_tbl.length table)
-                              with
-                              | Some r -> stop := Some r
-                              | None ->
-                                  Key_tbl.replace table k' (c', 0);
-                                  Queue.add k' queue)
-                          | Some (old_, v') ->
-                              incr revisits;
-                              Obs_metrics.incr m_fold_hits;
-                              let joined = join_config ~folding old_ c' in
-                              if not (config_leq joined old_) then begin
-                                let next =
-                                  if v' >= widen_after then begin
-                                    incr widenings;
-                                    Obs_metrics.incr m_widenings;
-                                    widen_config old_ joined
-                                  end
-                                  else joined
-                                in
-                                Key_tbl.replace table k' (next, v' + 1);
-                                Queue.add k' queue
-                              end)
-                      (fire ctx c binding))
-                (enabled_shapes ctx c)
-      end
-    done;
     {
-      status = Budget.status_of !stop;
-      stats =
-        {
-          abstract_configs = Key_tbl.length table;
-          revisits = !revisits;
-          widenings = !widenings;
-          max_frontier = !max_frontier;
-          finals = List.length !finals;
-          errors = !errors;
-          pops = !iterations;
-        };
+      stats = r.K.stats;
+      revisits = run.revisits;
+      widenings = run.widenings;
+      status = r.K.status;
       log = !(ctx.log);
-      final_stores = !finals;
+      final_stores = List.map (fun n -> n.cfg.store) r.K.final_configs;
     }
 end

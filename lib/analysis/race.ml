@@ -72,7 +72,7 @@ let is_sync (p : Proc.t) =
    but the exploration still fires them: under TSO/PSO flush
    interleavings reach configurations (stale reads) the process-only
    view would miss. *)
-let scan ctx races c enabled =
+let scan ctx races c () enabled =
   let with_fp =
     List.filter_map
       (function

@@ -22,7 +22,7 @@ type reason =
   | Transitions of int  (** fired-transition budget (the limit) *)
   | Deadline of float  (** wall-clock limit, in seconds *)
   | Heap_words of int  (** major-heap watermark, in words *)
-  | Fuel of int  (** fixpoint iteration fuel (abstract machine) *)
+  | Fuel of int  (** fixpoint round fuel (interference engine) *)
   | Crash of string
       (** a stage or engine crashed and the supervisor exhausted its
           recovery ladder; the string is the final diagnostic.  The

@@ -54,6 +54,8 @@ let known_sites =
     "sleep.pop";
     "reach.pop";
     "races.pop";
+    "abstract.pop";
+    "trace.pop";
     "checkpoint.pop";
     "checkpoint.save";
     "interfere.iter";

@@ -25,12 +25,12 @@
     load.
 
     Site catalog: [pipeline.<stage>] (one per pipeline stage, hit just
-    before the stage body), [space.pop], [sleep.pop], [reach.pop],
-    [races.pop], [checkpoint.pop], [checkpoint.save] (once per worklist
-    pop /
-    checkpoint write), [interfere.iter] (once per interference fixpoint
-    round), and [parallel.worker<d>] (once per pop of worker
-    domain [d]).  Telemetry: injected faults count into the
+    before the stage body), [<site>.pop] for every run of the
+    exploration kernel — [space], [sleep], [reach], [races],
+    [checkpoint], [abstract], [trace] — (once per worklist pop),
+    [checkpoint.save] (once per checkpoint write), [interfere.iter]
+    (once per interference fixpoint round), and [parallel.worker<d>]
+    (once per pop of worker domain [d]).  Telemetry: injected faults count into the
     [fault.crashes] / [fault.delays] / [fault.ooms] / [fault.kills]
     counters. *)
 

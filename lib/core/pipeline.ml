@@ -293,7 +293,7 @@ let fields =
 
 type exploration_stats = Report.exploration_stats = {
   configurations : int;
-  transitions : int; (* 0 for abstract engines *)
+  transitions : int; (* for abstract engines, the shapes fired *)
   max_frontier : int; (* peak worklist size *)
   finals : int;
   deadlocks : int; (* 0 for abstract engines *)
@@ -423,6 +423,7 @@ let transform (opts : options) prog =
    up, and only analyzes on a miss. *)
 let run_key (o : options) prog =
   Cobegin_obs.Manifest.key
+    ~analyzer:(Cobegin_obs.Manifest.analyzer ())
     ~program_digest:(Report.program_digest (transform o prog))
     ~options_fingerprint:(options_fingerprint o)
     ~memory_model:(Step.model_name o.memory_model)
@@ -455,14 +456,7 @@ let run_engine ~budget ?spans (opts : options) prog :
         | Concrete_full -> (Space.full ~budget ctx, None)
         | _ -> (Stubborn.explore ~budget ctx, None)
       in
-      ( {
-          configurations = result.Space.stats.Space.configurations;
-          transitions = result.Space.stats.Space.transitions;
-          max_frontier = result.Space.stats.Space.max_frontier;
-          finals = result.Space.stats.Space.finals;
-          deadlocks = result.Space.stats.Space.deadlocks;
-          errors = result.Space.stats.Space.errors;
-        },
+      ( result.Space.stats,
         Event.of_concrete result.Space.log,
         result.Space.status,
         races )
@@ -795,20 +789,13 @@ let analyze_source ?options ?spans src =
 let parallelization (r : report) : Parallelize.report =
   Parallelize.analyze r.program r.log
 
-let pp_stats ppf (s : exploration_stats) =
-  Format.fprintf ppf
-    "configurations=%d transitions=%d max_frontier=%d finals=%d deadlocks=%d \
-     errors=%d"
-    s.configurations s.transitions s.max_frontier s.finals s.deadlocks
-    s.errors
-
 let pp_report ppf (r : report) =
   Format.fprintf ppf
     "@[<v>engine: %s@ %a@ status: %a%a@ @ critical references: %a@ @ side \
      effects:@ %a@ @ parallel dependences:@ %a@ @ lifetimes:@ %a@ @ \
      placement:@ %a@ @ deallocation plan:@ %a%a%a%a%a@]"
     (Report.engine_name r.engine_used)
-    pp_stats r.stats Budget.pp_status r.status
+    Kernel.pp_stats r.stats Budget.pp_status r.status
     (fun ppf (fs, rungs) ->
       List.iter (fun f -> Format.fprintf ppf "@ %a" pp_stage_failure f) fs;
       match rungs with

@@ -143,14 +143,16 @@ val options_fingerprint : options -> string
 val run_key : options -> Ast.program -> string
 (** The digest-addressed key the run's result is memoized under — the
     {!Cobegin_obs.Manifest.key} of the post-transform program digest,
-    {!options_fingerprint}, memory model and manifest format version,
+    {!options_fingerprint}, memory model, the running analyzer build
+    ({!Cobegin_obs.Manifest.analyzer}) and manifest format version,
     identical to the key a [--manifest] record of the same run carries.
     Cheap (transforms are linear), so a result cache derives it before
     deciding whether to analyze at all. *)
 
 type exploration_stats = Report.exploration_stats = {
   configurations : int;
-  transitions : int;  (** 0 for abstract engines *)
+  transitions : int;
+      (** actions fired; for abstract engines, the shapes fired *)
   max_frontier : int;  (** peak worklist size during the engine run *)
   finals : int;
   deadlocks : int;  (** 0 for abstract engines *)
@@ -301,5 +303,4 @@ val parallelization : report -> Parallelize.report
 (** Shasha–Snir conflict/delay/parallelization report for programs whose
     entry contains one cobegin of straight-line segments (Figure 8). *)
 
-val pp_stats : Format.formatter -> exploration_stats -> unit
 val pp_report : Format.formatter -> report -> unit

@@ -75,9 +75,11 @@ let engine_of_string s =
   | [ "abstract"; d; f ] -> abstract d f
   | _ -> None
 
-type exploration_stats = {
+(* The kernel's counts.  An abstract engine's transitions are the
+   shapes it fired; it reports no deadlocks. *)
+type exploration_stats = Kernel.stats = {
   configurations : int;
-  transitions : int; (* 0 for abstract engines *)
+  transitions : int;
   max_frontier : int; (* peak worklist size *)
   finals : int;
   deadlocks : int; (* 0 for abstract engines *)

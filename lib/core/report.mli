@@ -45,9 +45,11 @@ val engine_of_string : string -> engine option
 val domain_name : Analyzer.domain -> string
 val folding_name : Machine.folding -> string
 
-type exploration_stats = {
+(** The exploration kernel's counts ({!Kernel.stats}). *)
+type exploration_stats = Kernel.stats = {
   configurations : int;
-  transitions : int;  (** 0 for abstract engines *)
+  transitions : int;
+      (** actions fired; for abstract engines, the shapes fired *)
   max_frontier : int;  (** peak worklist size during the engine run *)
   finals : int;
   deadlocks : int;  (** 0 for abstract engines *)

@@ -83,9 +83,9 @@ let rec atomic_max cell v =
 
 (* Per-worker accumulators: mutated only by the owning domain, read by
    the main domain after the join. *)
-type acc = { terminals : Space.terminals; log : Step.log }
+type acc = { terminals : Config.t Kernel.terminals; log : Step.log }
 
-let new_acc () = { terminals = Space.no_terminals (); log = Step.new_log () }
+let new_acc () = { terminals = Kernel.no_terminals (); log = Step.new_log () }
 
 (* Schedule-independent terminal lists: sorted by the canonical
    representation, which does not depend on the order in which the
@@ -178,7 +178,7 @@ let full ?(max_configs = 1_000_000) ?budget ?spans ~jobs ctx : Space.result =
                   end)
       in
       let process c =
-        match Space.classify ctx acc.terminals c with
+        match Space.Instance.classify ctx acc.terminals c with
         | [] -> ()
         | enabled ->
             let rec fire_each = function
@@ -291,7 +291,7 @@ let full ?(max_configs = 1_000_000) ?budget ?spans ~jobs ctx : Space.result =
              })
           bt
     | None -> ());
-    let merged = Space.no_terminals () in
+    let merged = Kernel.no_terminals () in
     Array.iter
       (fun { terminals = t; _ } ->
         merged.finals <- t.finals @ merged.finals;
@@ -304,7 +304,9 @@ let full ?(max_configs = 1_000_000) ?budget ?spans ~jobs ctx : Space.result =
       if Atomic.get stop = None then merged
       else
         Space.drain ctx merged
-          (Seq.concat_map (fun wq -> Queue.to_seq wq.q) (Array.to_seq queues))
+          (Seq.concat_map
+             (fun wq -> Seq.map (fun c -> (c, ())) (Queue.to_seq wq.q))
+             (Array.to_seq queues))
     in
     t.finals <- sort_canonical t.finals;
     t.deadlocks <- sort_canonical t.deadlocks;

@@ -52,4 +52,4 @@ val explore :
   Space.result
 (** Persistent-set + sleep-set exploration: {!Space.generate} with
     {!expansion} and {!admit}.  Stops cleanly at budget exhaustion and
-    returns the partial result (see {!Space.explore}). *)
+    returns the partial result (see {!Space.full}). *)

@@ -196,5 +196,7 @@ let choose_expansion ?stats mctx ctx (c : Config.t)
 (* Stubborn-set exploration of a program. *)
 let explore ?max_configs ?budget ?stats ctx : Space.result =
   let mctx = Mayaccess.make_ctx ctx.Step.prog in
-  Space.explore ?max_configs ?budget ctx
-    ~expand:(choose_expansion ?stats mctx ctx)
+  Space.generate ?max_configs ?budget ~site:"space" ~admit:Space.no_revisits
+    ~expand:(fun c () enabled ->
+      Space.all_actions c () (choose_expansion ?stats mctx ctx c enabled))
+    ctx (Space.start ctx ())

@@ -53,4 +53,4 @@ val explore :
   Step.ctx ->
   Space.result
 (** Stubborn-set exploration of a program.  Stops cleanly at budget
-    exhaustion and returns the partial result (see {!Space.explore}). *)
+    exhaustion and returns the partial result (see {!Space.full}). *)

@@ -1,69 +1,43 @@
-(* Witness traces: breadth-first search for a configuration satisfying a
-   predicate, keeping parent links so the schedule (sequence of pids) that
-   reaches it can be reported.  Used by the race reporter and by tests
-   that need a concrete interleaving exhibiting an outcome. *)
+(* Witness traces: a kernel run (site [trace]) whose annotation is the
+   schedule that first reached each configuration, stopped at the first
+   popped configuration satisfying a predicate.  The order is breadth
+   first, so that schedule is a shortest one.  Flushes are steps like
+   any other action, so relaxed-memory outcomes get witnesses too.
+   Used by corun and by tests that need a concrete interleaving
+   exhibiting an outcome. *)
 
 open Cobegin_semantics
 
 type witness = {
-  schedule : Value.pid list; (* pids fired, in order *)
+  schedule : Replay.step list; (* steps fired, in order *)
   target : Config.t;
   explored : int;
 }
 
-(* The search owns its interner, like every exploration: admitted
-   configurations are rebuilt from its pools (Config.intern).  The
-   parent map is keyed by digest and records the parent's digest. *)
 let search ?(max_configs = 200_000) ctx ~(pred : Config.t -> bool) :
     witness option =
-  let interner = Intern.create () in
-  let visited = Config.Digest_tbl.create 1024 in
-  let queue = Queue.create () in
-  (* parent map: digest -> (parent digest, pid fired) *)
-  let parents = Config.Digest_tbl.create 1024 in
-  let rebuild d =
-    let rec go d acc =
-      match Config.Digest_tbl.find_opt parents d with
-      | None -> acc
-      | Some (parent, pid) -> go parent (pid :: acc)
-    in
-    go d []
+  let exception Found of witness in
+  (* annotations hold the schedule most recent step first *)
+  let st = Space.start ctx [] in
+  let visit c rev_schedule _ =
+    if pred c then
+      raise
+        (Found
+           {
+             schedule = List.rev rev_schedule;
+             target = c;
+             explored = Config.Digest_tbl.length st.Space.visited;
+           })
   in
-  let result = ref None in
-  let c0, d0 = Config.intern interner (Step.init ctx) in
-  Config.Digest_tbl.replace visited d0 ();
-  Queue.add (c0, d0) queue;
-  (try
-     while not (Queue.is_empty queue) do
-       let c, d = Queue.pop queue in
-       if pred c then begin
-         result :=
-           Some
-             {
-               schedule = rebuild d;
-               target = c;
-               explored = Config.Digest_tbl.length visited;
-             };
-         raise Exit
-       end;
-       if not (Config.is_error c) then
-         List.iter
-           (fun p ->
-             let c', d' =
-               Config.intern interner (fst (Step.fire ctx c p))
-             in
-             if
-               (not (Config.Digest_tbl.mem visited d'))
-               && Config.Digest_tbl.length visited < max_configs
-             then begin
-               Config.Digest_tbl.replace visited d' ();
-               Config.Digest_tbl.replace parents d' (d, p.Proc.pid);
-               Queue.add (c', d') queue
-             end)
-           (Step.enabled_processes ctx c)
-     done
-   with Exit -> ());
-  !result
+  let expand _ rev_schedule enabled =
+    List.map (fun a -> (a, Replay.step_of_action a :: rev_schedule)) enabled
+  in
+  match
+    Space.generate ~max_configs ~visit ~log:false ~site:"trace"
+      ~admit:Space.no_revisits ~expand ctx st
+  with
+  | _ -> None
+  | exception Found w -> Some w
 
 (* Convenience: a schedule reaching an error configuration. *)
 let error_witness ?max_configs ctx =
@@ -79,5 +53,5 @@ let pp_witness ppf w =
     (List.length w.schedule) w.explored
     (Format.pp_print_list
        ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " → ")
-       Value.pp_pid)
+       Replay.pp_step)
     w.schedule

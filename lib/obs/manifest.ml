@@ -1,6 +1,6 @@
 (* Digest-addressed run manifests (see manifest.mli). *)
 
-let format_version = 2
+let format_version = 3
 
 (* FNV-1a 64-bit: offset basis then xor-multiply per byte.  Int64
    arithmetic so the result is identical on every platform. *)
@@ -13,7 +13,22 @@ let fnv1a64 s =
     s;
   !h
 
-let key ~program_digest ~options_fingerprint ~memory_model =
+(* The hex digest of the running executable, read on first use.  Two
+   domains may both read it first; they compute the same string. *)
+let running = Atomic.make None
+
+let analyzer () =
+  match Atomic.get running with
+  | Some d -> d
+  | None ->
+      let d =
+        try Digest.to_hex (Digest.file Sys.executable_name)
+        with Sys_error _ -> ""
+      in
+      Atomic.set running (Some d);
+      d
+
+let key ~analyzer ~program_digest ~options_fingerprint ~memory_model =
   Printf.sprintf "%016Lx"
     (fnv1a64
        (String.concat "\x00"
@@ -21,6 +36,7 @@ let key ~program_digest ~options_fingerprint ~memory_model =
             program_digest;
             options_fingerprint;
             memory_model;
+            analyzer;
             string_of_int format_version;
           ]))
 
@@ -30,6 +46,7 @@ type t = {
   mf_program_digest : string;
   mf_options_fingerprint : string;
   mf_memory_model : string;
+  mf_analyzer : string;
   mf_status : string;
   mf_exit_code : int;
   mf_elapsed_s : float;
@@ -38,14 +55,16 @@ type t = {
   mf_checkpoint : string option;
 }
 
-let make ~program_digest ~options_fingerprint ~memory_model ~status
-    ~exit_code ~elapsed_s ?metrics ?chaos ?checkpoint () =
+let make ?(analyzer = analyzer ()) ~program_digest ~options_fingerprint
+    ~memory_model ~status ~exit_code ~elapsed_s ?metrics ?chaos ?checkpoint ()
+    =
   {
-    mf_key = key ~program_digest ~options_fingerprint ~memory_model;
+    mf_key = key ~analyzer ~program_digest ~options_fingerprint ~memory_model;
     mf_format_version = format_version;
     mf_program_digest = program_digest;
     mf_options_fingerprint = options_fingerprint;
     mf_memory_model = memory_model;
+    mf_analyzer = analyzer;
     mf_status = status;
     mf_exit_code = exit_code;
     mf_elapsed_s = elapsed_s;
@@ -75,6 +94,7 @@ let to_json m =
   field "program_digest" (str m.mf_program_digest);
   field "options_fingerprint" (str m.mf_options_fingerprint);
   field "memory_model" (str m.mf_memory_model);
+  field "analyzer" (str m.mf_analyzer);
   field "status" (str m.mf_status);
   field "exit_code" (fun () ->
       Buffer.add_string buf (string_of_int m.mf_exit_code));

@@ -2,8 +2,8 @@
 
     One JSON record per analysis run, addressed by a key derived from
     everything that determines the run's result: the program digest,
-    the canonical options fingerprint, the memory model and the
-    manifest format version.  Two runs with the same key computed the
+    the canonical options fingerprint, the memory model, the analyzer
+    build and the manifest format version.  Two runs with the same key computed the
     same analysis, so the key is exactly what a result cache (the
     planned [serve] daemon) looks up before re-analyzing.
 
@@ -20,13 +20,21 @@ val fnv1a64 : string -> int64
 (** FNV-1a, 64-bit — the key hash.  Stable across processes and OCaml
     versions (pure arithmetic on the bytes). *)
 
+val analyzer : unit -> string
+(** The hex digest of the running executable ([Digest.file
+    Sys.executable_name]; [""] when it cannot be read), computed once
+    per process, on first use: a report depends on the build that
+    wrote it, so a cache must not serve it to another build. *)
+
 val key :
+  analyzer:string ->
   program_digest:string ->
   options_fingerprint:string ->
   memory_model:string ->
   string
 (** The 16-hex-digit run key: [fnv1a64] over the NUL-separated
-    components plus {!format_version}. *)
+    components plus {!format_version}.  [analyzer] is {!analyzer} but in
+    tests. *)
 
 type t = {
   mf_key : string;  (** {!key} of the components below *)
@@ -34,6 +42,7 @@ type t = {
   mf_program_digest : string;
   mf_options_fingerprint : string;
   mf_memory_model : string;
+  mf_analyzer : string;  (** the analyzer build ({!analyzer}) *)
   mf_status : string;  (** [Budget.status_to_string] of the run *)
   mf_exit_code : int;
   mf_elapsed_s : float;
@@ -45,6 +54,7 @@ type t = {
 }
 
 val make :
+  ?analyzer:string ->
   program_digest:string ->
   options_fingerprint:string ->
   memory_model:string ->
@@ -56,7 +66,8 @@ val make :
   ?checkpoint:string ->
   unit ->
   t
-(** Computes the key from the identity components. *)
+(** Computes the key from the identity components; [analyzer]
+    defaults to {!analyzer}[ ()]. *)
 
 val to_json : t -> string
 (** One JSON object; absent provenance fields are [null]. *)

@@ -81,9 +81,6 @@ let fire (m : marking) (t : transition) : marking =
   List.iter (fun (p, w) -> m'.(p) <- m'.(p) + w) t.post;
   m'
 
-let is_deadlock net (m : marking) =
-  Array.for_all (fun t -> not (enabled m t)) net.transitions
-
 (* Structural indices used by the stubborn-set closure. *)
 type indices = {
   consumers : int list array; (* place -> transitions with the place in pre *)

@@ -46,8 +46,6 @@ val enabled_transitions : t -> marking -> transition list
 val fire : marking -> transition -> marking
 (** @raise Invalid_argument when the transition is not enabled. *)
 
-val is_deadlock : t -> marking -> bool
-
 (** Structural indices used by the stubborn-set closure. *)
 type indices = {
   consumers : int list array;  (** place -> transitions consuming from it *)

@@ -41,80 +41,66 @@ module MarkingTbl = Hashtbl.Make (struct
   let hash (m : Net.marking) = Cobegin_hash.hash_int_array m
 end)
 
-(* Generic exploration parameterized by the expansion strategy: [expand m]
-   returns the transitions to fire at marking [m] (all of them enabled).
-   Budget exhaustion stops the generation cleanly: the partial marking
-   graph is returned tagged [Truncated]. *)
+(* Markings as a state space of the exploration kernel: a marking is
+   its own key, transitions fire one successor and log nothing, and a
+   marking with nothing enabled is a deadlock. *)
+module Markings = struct
+  type ctx = Net.t
+  type config = Net.marking
+  type action = Net.transition
+  type key = Net.marking
+
+  module Tbl = MarkingTbl
+
+  type pools = unit
+
+  let new_pools _ = ()
+  let intern () m = (m, m)
+  let pool_sizes () = []
+
+  include Kernel.No_log
+
+  let init = Net.initial_marking
+
+  let classify net (t : Net.marking Kernel.terminals) m =
+    match Net.enabled_transitions net m with
+    | [] ->
+        t.deadlocks <- m :: t.deadlocks;
+        []
+    | enabled -> enabled
+
+  let fire _ m t = ([ Net.fire m t ], ())
+  let merge _ ~into:_ _ = false
+end
+
+module K = Kernel.Make (Markings)
+
+(* Generation under an expansion strategy: [expand m enabled] returns
+   the transitions to fire at marking [m], a subset of the transitions
+   [enabled] there.  Budget exhaustion stops the generation cleanly:
+   the partial marking graph is returned tagged [Truncated], with the
+   queued deadlocks drained in. *)
 let explore ?(max_states = 10_000_000) ?budget net ~expand =
-  let budget =
-    match budget with
-    | Some b -> b
-    | None -> Budget.create ~max_configs:max_states ()
+  let r =
+    K.generate ~max_configs:max_states ?budget ~log:false ~site:"reach"
+      ~admit:K.no_revisits
+      ~expand:(fun m () enabled -> K.all_actions m () (expand m enabled))
+      net (K.start net ())
   in
-  let visited = MarkingTbl.create 1024 in
-  let queue = Queue.create () in
-  let edges = ref 0 in
-  let deadlocks = ref [] in
-  let max_frontier = ref 0 in
-  let stop = ref None in
-  let m0 = Net.initial_marking net in
-  MarkingTbl.add visited m0 ();
-  Queue.add m0 queue;
-  while !stop = None && not (Queue.is_empty queue) do
-    match
-      Budget.check budget ~configs:(MarkingTbl.length visited)
-        ~transitions:!edges
-    with
-    | Some r -> stop := Some r
-    | None ->
-        Fault.hit "reach.pop";
-        max_frontier := max !max_frontier (Queue.length queue);
-        let m = Queue.pop queue in
-        if Net.is_deadlock net m then deadlocks := m :: !deadlocks
-        else begin
-          (* stop firing the remaining transitions once the budget
-             stops the run (mirrors Space.explore) *)
-          let rec fire_each = function
-            | [] -> ()
-            | t :: rest ->
-                incr edges;
-                let m' = Net.fire m t in
-                (if not (MarkingTbl.mem visited m') then
-                   match
-                     Budget.config_guard budget
-                       ~configs:(MarkingTbl.length visited)
-                   with
-                   | Some r -> stop := Some r
-                   | None ->
-                       MarkingTbl.add visited m' ();
-                       Queue.add m' queue);
-                if !stop = None then fire_each rest
-          in
-          fire_each (expand m)
-        end
-  done;
-  (* Classify the admitted-but-unpopped frontier on truncation, so a
-     Truncated report doesn't undercount deadlocks (no expansion, no
-     new edges — mirrors Space.explore). *)
-  if !stop <> None then
-    Queue.iter
-      (fun m -> if Net.is_deadlock net m then deadlocks := m :: !deadlocks)
-      queue;
   {
-    status = Budget.status_of !stop;
+    status = r.K.status;
     stats =
       {
-        states = MarkingTbl.length visited;
-        edges = !edges;
-        deadlocks = List.length !deadlocks;
-        max_frontier = !max_frontier;
+        states = r.K.stats.configurations;
+        edges = r.K.stats.transitions;
+        deadlocks = r.K.stats.deadlocks;
+        max_frontier = r.K.stats.max_frontier;
       };
-    deadlock_markings = !deadlocks;
+    deadlock_markings = r.K.deadlock_configs;
   }
 
 let full ?max_states ?budget net =
-  explore ?max_states ?budget net ~expand:(fun m ->
-      Net.enabled_transitions net m)
+  explore ?max_states ?budget net ~expand:(fun _ enabled -> enabled)
 
 (* Stubborn closure from a seed transition.  Returns the tids in the
    closure.  [scapegoat] picks, for a disabled transition, one input place
@@ -162,8 +148,7 @@ let closure net idx (m : Net.marking) ~seed =
 
 (* Pick the stubborn set with the fewest enabled transitions among the
    closures seeded at each enabled transition. *)
-let stubborn_expand net idx (m : Net.marking) =
-  let enabled = Net.enabled_transitions net m in
+let stubborn_expand net idx (m : Net.marking) enabled =
   match enabled with
   | [] -> []
   | _ ->

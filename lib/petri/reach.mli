@@ -27,11 +27,13 @@ val explore :
   ?max_states:int ->
   ?budget:Budget.t ->
   Net.t ->
-  expand:(Net.marking -> Net.transition list) ->
+  expand:(Net.marking -> Net.transition list -> Net.transition list) ->
   result
-(** Generic BFS under an expansion strategy; [expand] must return enabled
-    transitions only.  Never raises on exhaustion: the partial marking
-    graph comes back with [status = Truncated _]. *)
+(** The exploration kernel ({!Kernel.Make}, fault site [reach.pop],
+    journal events [reach.progress] and [reach.done]) over markings:
+    [expand m enabled] returns the transitions to fire at [m], a subset
+    of its enabled transitions [enabled].  Never raises on exhaustion:
+    the partial marking graph comes back with [status = Truncated _]. *)
 
 val full : ?max_states:int -> ?budget:Budget.t -> Net.t -> result
 (** Ordinary reachability. *)
@@ -41,9 +43,12 @@ val closure : Net.t -> Net.indices -> Net.marking -> seed:int -> int list
     members drag in input-sharing transitions; disabled members drag in
     the producers of one insufficiently marked input place. *)
 
-val stubborn_expand : Net.t -> Net.indices -> Net.marking -> Net.transition list
-(** The enabled members of the smallest stubborn closure over all enabled
-    seeds. *)
+val stubborn_expand :
+  Net.t -> Net.indices -> Net.marking -> Net.transition list ->
+  Net.transition list
+(** [stubborn_expand net idx m enabled]: the enabled members of the
+    smallest stubborn closure over the seeds [enabled], the transitions
+    enabled at [m]. *)
 
 val stubborn : ?max_states:int -> ?budget:Budget.t -> Net.t -> result
 (** Stubborn-set reachability. *)

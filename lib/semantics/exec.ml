@@ -17,7 +17,7 @@ let final_config = function
   | Terminated c | Error (_, c) | Deadlock c | Out_of_fuel c -> c
 
 (* [pick] chooses among the enabled actions (never called on []). *)
-let run ?(max_steps = 10_000) ctx ~pick : run =
+let run ?(max_steps = 10_000) ?from ctx ~pick : run =
   let rec go c trace fuel =
     if Config.is_error c then
       {
@@ -36,7 +36,7 @@ let run ?(max_steps = 10_000) ctx ~pick : run =
             ({ chosen = Step.action_pid a; events } :: trace)
             (fuel - 1)
   in
-  go (Step.init ctx) [] max_steps
+  go (match from with Some c -> c | None -> Step.init ctx) [] max_steps
 
 let run_random ?max_steps ctx ~seed : run =
   let rng = Random.State.make [| seed |] in

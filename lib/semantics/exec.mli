@@ -19,10 +19,15 @@ type run = {
 val final_config : outcome -> Config.t
 
 val run :
-  ?max_steps:int -> Step.ctx -> pick:(Step.action list -> Step.action) -> run
-(** [pick] chooses among the enabled actions (under TSO/PSO these
-    include buffer flushes, recorded in the trace under the flushing
-    process's pid); it is never called on the empty list. *)
+  ?max_steps:int ->
+  ?from:Config.t ->
+  Step.ctx ->
+  pick:(Step.action list -> Step.action) ->
+  run
+(** Run from [from] (default: the initial configuration).  [pick]
+    chooses among the enabled actions (under TSO/PSO these include
+    buffer flushes, recorded in the trace under the flushing process's
+    pid); it is never called on the empty list. *)
 
 val run_random : ?max_steps:int -> Step.ctx -> seed:int -> run
 val run_round_robin : ?max_steps:int -> Step.ctx -> run

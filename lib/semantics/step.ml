@@ -974,9 +974,3 @@ let successors ctx (c : Config.t) : (Value.pid * Config.t * events) list =
       let c', evs = fire_action ctx c a in
       (action_pid a, c', evs))
     (enabled_actions ctx c)
-
-(* Deadlock: not terminated, no error, but nothing can move. *)
-let is_deadlock ctx (c : Config.t) =
-  (not (Config.is_error c))
-  && (not (Config.all_terminated c))
-  && enabled_actions ctx c = []

@@ -163,6 +163,3 @@ val action_footprint_of : ctx -> Config.t -> action -> footprint
 val successors : ctx -> Config.t -> (Value.pid * Config.t * events) list
 (** Full expansion: one successor per enabled action (flushes included
     under TSO/PSO). *)
-
-val is_deadlock : ctx -> Config.t -> bool
-(** Not terminated, no error, nothing enabled. *)

@@ -45,6 +45,8 @@ type t = {
 }
 
 let make cfg =
+  (* digest this build once, at set-up: every run key includes it *)
+  ignore (Cobegin_obs.Manifest.analyzer ());
   {
     cfg;
     cache = Cache.create ?dir:cfg.cache_dir ~capacity:cfg.capacity ();

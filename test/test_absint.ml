@@ -268,6 +268,58 @@ let update_tests =
           (c.Analyzer.finals > 0 && k.Analyzer.finals > 0));
   ]
 
+(* The abstract machine on the exploration kernel: every complete run's
+   counts and log equal the pins taken from the worklist it replaced
+   (Absint_pins); a truncated run drains the queued terminals. *)
+let kernel_tests =
+  let domains =
+    [
+      ("intervals", Analyzer.Intervals); ("constants", Analyzer.Constants);
+      ("signs", Analyzer.Signs); ("parity", Analyzer.Parities);
+      ("intparity", Analyzer.Interval_parity);
+    ]
+  and foldings =
+    [ ("exact", Machine.Exact); ("control", Machine.Control); ("clan", Machine.Clan) ]
+  in
+  [
+    case "complete corpus runs equal the pinned counts and logs" (fun () ->
+        List.iter
+          (fun (model, domain, folding, counts, digest) ->
+            let s =
+              Analyzer.analyze ~domain:(List.assoc domain domains)
+                ~folding:(List.assoc folding foldings)
+                (parse (Option.get (Cobegin_models.Corpus.find model)))
+            in
+            let name = String.concat "/" [ model; domain; folding ] in
+            check_bool (name ^ " complete") true (Budget.is_complete s.Analyzer.status);
+            check_bool (name ^ " counts") true
+              (counts
+              = Analyzer.
+                  ( s.abstract_configs, s.revisits, s.widenings,
+                    s.max_frontier, s.finals, s.errors ));
+            check_string (name ^ " log") digest
+              (String.sub
+                 (Digest.to_hex
+                    (Digest.string (Format.asprintf "%a" Alog.pp s.Analyzer.log)))
+                 0 12))
+          Absint_pins.complete;
+        check_int "every corpus run is pinned"
+          (List.length Cobegin_models.Corpus.all * 15)
+          (List.length Absint_pins.complete));
+    case "a truncated run counts the terminals left in its queue" (fun () ->
+        let s =
+          Analyzer.analyze ~domain:Analyzer.Signs ~folding:Machine.Control
+            ~max_configs:30
+            (parse Cobegin_models.Protocols.peterson)
+        in
+        check_bool "truncated" true
+          (s.Analyzer.status = Budget.Truncated (Budget.Configs 30));
+        check_int "configurations" 30 s.Analyzer.abstract_configs;
+        check_int "revisits" 10 s.Analyzer.revisits;
+        check_int "widenings" 0 s.Analyzer.widenings;
+        check_int "errors, one of them drained" 2 s.Analyzer.errors);
+  ]
+
 let suite =
   basic_tests @ folding_tests @ soundness_tests @ machine_unit_tests
-  @ update_tests
+  @ update_tests @ kernel_tests

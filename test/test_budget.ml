@@ -36,7 +36,7 @@ let truncation_tests =
         match r.Space.status with
         | Budget.Truncated (Budget.Transitions 10) -> ()
         | _ -> Alcotest.fail "expected transition truncation");
-    case "the abstract engine reports the pops its transition budget counts"
+    case "the abstract engine reports the transitions its budget counts"
       (fun () ->
         let options =
           {

@@ -187,7 +187,7 @@ let per_state_failures ctx =
   let mctx = Mayaccess.make_ctx ctx.Sem.Step.prog in
   let failures = ref [] in
   let pid p = p.Sem.Proc.pid in
-  let visit c actions =
+  let visit c () actions =
     let seeds =
       List.filter_map
         (function Sem.Step.Arun p -> Some p | Sem.Step.Aflush _ -> None)
@@ -338,7 +338,7 @@ let directed_tests =
             let ctx = ctx_of src in
             let prog = ctx.Cobegin_semantics.Step.prog in
             let mctx = Mayaccess.make_ctx prog in
-            let visit c _ =
+            let visit c () _ =
               List.iter
                 (fun p ->
                   if
@@ -500,7 +500,10 @@ let replay_tests =
                   Cobegin_semantics.Replay.pp_step_error e));
     case "replaying a bogus schedule reports the bad step" (fun () ->
         let ctx = ctx_of Cobegin_models.Figures.fig2 in
-        match Cobegin_semantics.Replay.replay ctx [ [ (999, 0) ] ] with
+        match
+          Cobegin_semantics.Replay.replay ctx
+            [ Cobegin_semantics.Replay.Run [ (999, 0) ] ]
+        with
         | Cobegin_semantics.Replay.Stuck
             (Cobegin_semantics.Replay.Pid_not_found (_, 0), _) ->
             ()
@@ -523,6 +526,86 @@ let replay_tests =
             | Cobegin_semantics.Replay.Replayed c ->
                 Cobegin_semantics.Config.is_error c
             | Cobegin_semantics.Replay.Stuck _ -> false));
+  ]
+
+(* Witnesses from the kernel: schedules are steps, so under TSO/PSO a
+   witness names the flushes it needs. *)
+let witness_tests =
+  let module Sem = Cobegin_semantics in
+  let models = Sem.Step.[ Sc; Tso; Pso ] in
+  let replays_to ctx w ok =
+    match Sem.Replay.replay ctx w.Trace.schedule with
+    | Sem.Replay.Replayed c -> ok c
+    | Sem.Replay.Stuck _ -> false
+  in
+  [
+    case "an error witness exists exactly where full finds an error"
+      (fun () ->
+        let pairs = ref 0 in
+        List.iter
+          (fun (name, src) ->
+            List.iter
+              (fun model ->
+                let ctx = Sem.Step.make_ctx ~model (parse src) in
+                let errors = (Space.full ctx).Space.stats.Space.errors in
+                let label = name ^ " " ^ Sem.Step.model_name model in
+                match Trace.error_witness ctx with
+                | None -> check_int (label ^ ": no witness, no error") 0 errors
+                | Some w ->
+                    incr pairs;
+                    check_bool (label ^ ": full finds the error") true (errors > 0);
+                    check_bool (label ^ ": replays to an error") true
+                      (replays_to ctx w Sem.Config.is_error))
+              models)
+          Cobegin_models.Corpus.all;
+        check_int "model and memory-model pairs with errors" 8 !pairs);
+    case "peterson_broken under SC keeps its shortest witness" (fun () ->
+        match
+          Trace.error_witness (ctx_of Cobegin_models.Protocols.peterson_broken)
+        with
+        | None -> Alcotest.fail "no witness"
+        | Some w ->
+            check_int "steps" 14 (List.length w.Trace.schedule);
+            check_int "explored" 66 w.Trace.explored);
+    qtest ~count:100 "a final store under TSO/PSO has a replayable witness"
+      seed_gen (fun seed ->
+        let cfg =
+          {
+            Cobegin_models.Generator.default_cfg with
+            num_branches = 2;
+            stmts_per_branch = 3;
+          }
+        in
+        let prog = random_program ~cfg seed in
+        List.for_all
+          (fun model ->
+            let ctx = Sem.Step.make_ctx ~model prog in
+            let full = Space.full ~max_configs:20_000 ctx in
+            let stores = Space.final_store_reprs full in
+            (not (Budget.is_complete full.Space.status))
+            ||
+            let store = List.nth stores (seed mod List.length stores) in
+            match
+              Trace.final_witness ctx ~pred:(fun s -> Sem.Store.repr s = store)
+            with
+            | None -> false
+            | Some w ->
+                replays_to ctx w (fun c ->
+                    Sem.Config.all_terminated c
+                    && Sem.Store.repr c.Sem.Config.store = store))
+          Sem.Step.[ Tso; Pso ]);
+    case "a flush that is not enabled is reported at its position" (fun () ->
+        let ctx =
+          Sem.Step.make_ctx ~model:Sem.Step.Tso
+            (parse Cobegin_models.Figures.fig2)
+        in
+        let loc = { Sem.Value.l_pid = []; l_site = 0; l_seq = 0; l_off = 0 } in
+        match
+          Sem.Replay.replay ctx
+            Sem.Replay.[ Run []; Flush ([], loc) ]
+        with
+        | Sem.Replay.Stuck (Sem.Replay.Pid_not_enabled ([], 1), _) -> ()
+        | _ -> Alcotest.fail "expected Pid_not_enabled at step 1");
   ]
 
 (* Continuation summaries (Mayaccess): the soundness ingredient of the
@@ -615,7 +698,7 @@ let visitor_tests =
     let ctx = ctx_of src in
     let n = ref 0 in
     let r =
-      Space.generate ?max_configs ~visit:(fun _ _ -> incr n) ~site:"space"
+      Space.generate ?max_configs ~visit:(fun _ _ _ -> incr n) ~site:"space"
         ~admit:Space.no_revisits ~expand:(expand ctx) ctx
         (Space.start ctx ())
     in
@@ -869,5 +952,5 @@ let pool_tests =
 let suite =
   count_tests @ all_figures_agree @ property_tests @ directed_tests
   @ composition_tests
-  @ forktree_tests @ trace_tests @ sleep_tests @ replay_tests
+  @ forktree_tests @ trace_tests @ sleep_tests @ replay_tests @ witness_tests
   @ mayaccess_tests @ visitor_tests @ pool_tests

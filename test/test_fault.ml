@@ -277,6 +277,16 @@ let counts (s : Pipeline.exploration_stats) =
     s.Pipeline.deadlocks,
     s.Pipeline.errors )
 
+let peterson = Option.get (Cobegin_models.Corpus.find "peterson")
+
+let abstract =
+  {
+    Pipeline.default_options with
+    engine =
+      Pipeline.Abstract
+        (Cobegin_absint.Analyzer.Intervals, Cobegin_absint.Machine.Control);
+  }
+
 let ladder_tests =
   [
     case "a killed worker degrades jobs 4 -> 1 and completes" (fun () ->
@@ -351,6 +361,31 @@ let ladder_tests =
             and (c', t', f', d', e') = counts clean.Pipeline.stats in
             check_bool "degraded counts <= clean counts" true
               (c <= c' && t <= t' && f <= f' && d <= d' && e <= e')));
+    case "a crash at abstract.pop is retried into a clean run's report"
+      (fun () ->
+        let clean = Pipeline.analyze_source ~options:abstract peterson in
+        with_chaos "crash@abstract.pop:20" (fun () ->
+            let r = Pipeline.analyze_source ~options:abstract peterson in
+            (match r.Pipeline.recovery with
+            | [ { Pipeline.r_stage = "exploration";
+                  r_action = Pipeline.Retry;
+                  _
+                } ] ->
+                ()
+            | _ -> Alcotest.fail "expected exactly one Retry rung");
+            check_string "everything but the recovery"
+              (Report.to_json clean)
+              (Report.to_json { r with Pipeline.recovery = [] })));
+    case "retries=0: a crash at abstract.pop is an honest DEGRADED report"
+      (fun () ->
+        with_chaos "crash@abstract.pop:20" (fun () ->
+            let r =
+              Pipeline.analyze_source
+                ~options:{ abstract with retries = 0 }
+                peterson
+            in
+            check_bool "degraded" true r.Pipeline.degraded;
+            check_int "exit code" 5 (Report.report_exit_code r)));
     case "a non-result stage that keeps crashing stays non-fatal" (fun () ->
         with_chaos "crash@pipeline.lifetimes:1,crash@pipeline.lifetimes:2"
           (fun () ->

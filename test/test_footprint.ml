@@ -199,7 +199,7 @@ let replay_finish_tests =
         let r = Exec.run_leftmost ctx in
         let prefix =
           List.rev r.Exec.trace |> List.filteri (fun i _ -> i < 3)
-          |> List.map (fun e -> e.Exec.chosen)
+          |> List.map (fun e -> Replay.Run e.Exec.chosen)
         in
         match Replay.replay_then_finish ctx prefix with
         | Exec.Terminated _ -> ()

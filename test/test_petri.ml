@@ -149,4 +149,63 @@ let random_tests =
           = List.sort compare (List.map Array.to_list s.Reach.deadlock_markings));
   ]
 
-let suite = unit_tests @ philosophers_tests @ random_tests
+(* Reachability on the exploration kernel: philosophers 2-6, full and
+   stubborn, uncapped and at 10 and 100 states, against counts pinned
+   from the worklist it replaced: (states, edges, deadlocks,
+   max_frontier). *)
+let kernel_tests =
+  let pins =
+    [
+      (2, "full", None, (6, 8, 1, 3));
+      (2, "full", Some 10, (6, 8, 1, 3));
+      (2, "full", Some 100, (6, 8, 1, 3));
+      (2, "stubborn", None, (6, 8, 1, 3));
+      (2, "stubborn", Some 10, (6, 8, 1, 3));
+      (2, "stubborn", Some 100, (6, 8, 1, 3));
+      (3, "full", None, (14, 27, 1, 7));
+      (3, "full", Some 10, (10, 12, 0, 6));
+      (3, "full", Some 100, (14, 27, 1, 7));
+      (3, "stubborn", None, (14, 21, 1, 6));
+      (3, "stubborn", Some 10, (10, 9, 0, 5));
+      (3, "stubborn", Some 100, (14, 21, 1, 6));
+      (4, "full", None, (34, 88, 1, 14));
+      (4, "full", Some 10, (10, 11, 0, 7));
+      (4, "full", Some 100, (34, 88, 1, 14));
+      (4, "stubborn", None, (26, 40, 1, 9));
+      (4, "stubborn", Some 10, (10, 10, 0, 6));
+      (4, "stubborn", Some 100, (26, 40, 1, 9));
+      (5, "full", None, (82, 265, 1, 31));
+      (5, "full", Some 10, (10, 10, 0, 5));
+      (5, "full", Some 100, (82, 265, 1, 31));
+      (5, "stubborn", None, (42, 65, 1, 11));
+      (5, "stubborn", Some 10, (10, 9, 0, 6));
+      (5, "stubborn", Some 100, (42, 65, 1, 11));
+      (6, "full", None, (198, 768, 1, 67));
+      (6, "full", Some 10, (10, 10, 0, 6));
+      (6, "full", Some 100, (100, 213, 0, 59));
+      (6, "stubborn", None, (62, 96, 1, 13));
+      (6, "stubborn", Some 10, (10, 10, 0, 7));
+      (6, "stubborn", Some 100, (62, 96, 1, 13));
+    ]
+  in
+  [
+    case "philosophers nets keep their pinned counts" (fun () ->
+        List.iter
+          (fun (n, strategy, max_states, counts) ->
+            let net = Cobegin_models.Philosophers.net n in
+            let r =
+              if strategy = "full" then Reach.full ?max_states net
+              else Reach.stubborn ?max_states net
+            in
+            let s = r.Reach.stats in
+            check_bool
+              (Printf.sprintf "phil%d %s %s" n strategy
+                 (match max_states with
+                 | None -> "uncapped"
+                 | Some m -> string_of_int m))
+              true
+              (counts = Reach.(s.states, s.edges, s.deadlocks, s.max_frontier)))
+          pins);
+  ]
+
+let suite = unit_tests @ philosophers_tests @ random_tests @ kernel_tests

@@ -251,19 +251,53 @@ let manifest_tests =
         check_string "\"a\"" "af63dc4c8601ec8c"
           (Printf.sprintf "%016Lx" (Manifest.fnv1a64 "a")));
     case "key: deterministic, sensitive to every component" (fun () ->
-        let key = Manifest.key ~program_digest:"p" ~options_fingerprint:"o" in
+        let key =
+          Manifest.key ~analyzer:"a" ~program_digest:"p"
+            ~options_fingerprint:"o"
+        in
         let k = key ~memory_model:"sc" in
         check_string "stable" k (key ~memory_model:"sc");
         check_int "16 hex chars" 16 (String.length k);
         check_bool "model changes it" true (k <> key ~memory_model:"tso");
         check_bool "digest changes it" true
           (k
-          <> Manifest.key ~program_digest:"q" ~options_fingerprint:"o"
-               ~memory_model:"sc");
+          <> Manifest.key ~analyzer:"a" ~program_digest:"q"
+               ~options_fingerprint:"o" ~memory_model:"sc");
         check_bool "fingerprint changes it" true
           (k
-          <> Manifest.key ~program_digest:"p" ~options_fingerprint:"x"
-               ~memory_model:"sc"));
+          <> Manifest.key ~analyzer:"a" ~program_digest:"p"
+               ~options_fingerprint:"x" ~memory_model:"sc");
+        check_bool "analyzer changes it" true
+          (k
+          <> Manifest.key ~analyzer:"b" ~program_digest:"p"
+               ~options_fingerprint:"o" ~memory_model:"sc"));
+    case "the run key covers the running analyzer build" (fun () ->
+        let a = Manifest.analyzer () in
+        check_int "hex digest of the executable" 32 (String.length a);
+        check_string "read once" a (Manifest.analyzer ());
+        let prog = Pipeline.load_source Cobegin_models.Figures.fig2 in
+        let o = Pipeline.default_options in
+        let k = Pipeline.run_key o prog in
+        check_string "stable within a process" k (Pipeline.run_key o prog);
+        check_string "the manifest key of this build"
+          (Manifest.key ~analyzer:a
+             ~program_digest:(Report.program_digest prog)
+             ~options_fingerprint:(Pipeline.options_fingerprint o)
+             ~memory_model:"sc")
+          k;
+        let m =
+          Manifest.make ~program_digest:"p" ~options_fingerprint:"o"
+            ~memory_model:"sc" ~status:"complete" ~exit_code:0 ~elapsed_s:0.
+            ()
+        in
+        check_bool "the manifest records it" true
+          (contains (Manifest.to_json m) ("\"analyzer\":\"" ^ a ^ "\""));
+        check_bool "another build, another key" true
+          (m.Manifest.mf_key
+          <> (Manifest.make ~analyzer:"other" ~program_digest:"p"
+                ~options_fingerprint:"o" ~memory_model:"sc" ~status:"complete"
+                ~exit_code:0 ~elapsed_s:0. ())
+               .Manifest.mf_key));
     case "manifest JSON is valid, embeds raw metrics, nulls absences"
       (fun () ->
         let m =
