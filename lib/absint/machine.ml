@@ -846,8 +846,9 @@ module Make (N : Lattice.NUMERIC) = struct
       { keys = Key_pool.create 256; nodes = Tbl.create 256; fold = run.folding }
 
     (* A new key records the offered node; a known one returns the node
-       recorded under it, for [merge] to join into. *)
-    let intern p n =
+       recorded under it, for [merge] to join into.  The parent does not
+       help: a key folds the whole configuration. *)
+    let intern p ?parent:_ n =
       let _, k = Key_pool.intern p.keys (key_of ~folding:p.fold n.cfg) in
       match Tbl.find_opt p.nodes k with
       | Some recorded -> (recorded, k)

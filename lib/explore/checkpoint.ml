@@ -40,15 +40,17 @@ let default_cadence = { every_configs = 4096; every_s = None }
 
 let magic = "COBEGIN-CKPT\n"
 
-(* Version 5: the payload is the kernel state with its own interner,
-   whole pools and ids, and a deduplicated event log.  Version 4 saved
-   the process-wide pools' entries the visited set used, for re-keying
-   on restore, and the remainder of an expansion a configuration budget
-   cut short.  Version 3 made the payload the kernel state (Space.state)
-   itself.  Version 2 added per-process store buffers (TSO/PSO) and
-   bound the memory model into the identity hash.  Older files are
-   refused with [Corrupt]. *)
-let version = 5
+(* Version 6: the frontier's entries and the remainder carry their
+   configurations' keys, the parents their successors are interned
+   from.  Version 5 made the payload the kernel state with its own
+   interner, whole pools and ids, and a deduplicated event log.  Version
+   4 saved the process-wide pools' entries the visited set used, for
+   re-keying on restore, and the remainder of an expansion a
+   configuration budget cut short.  Version 3 made the payload the
+   kernel state (Space.state) itself.  Version 2 added per-process
+   store buffers (TSO/PSO) and bound the memory model into the identity
+   hash.  Older files are refused with [Corrupt]. *)
+let version = 6
 
 type header = { hd_version : int; hd_program_hash : int }
 

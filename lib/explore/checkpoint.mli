@@ -26,8 +26,9 @@
     produced it (a full-width hash of the marshaled AST, combined with
     the model name, is stored in the header); resuming under a
     different program or model, a different format version, or a torn
-    file raises {!Corrupt}.  Format version 5: the payload is the
-    kernel state itself, interner included; older files are refused.
+    file raises {!Corrupt}.  Format version 6: the payload is the
+    kernel state itself, interner included, with a key in each
+    frontier entry; older files are refused.
     Telemetry: [checkpoint.saves] / [checkpoint.restores] counters,
     [checkpoint.save_ms] / [checkpoint.restore_ms] histograms. *)
 

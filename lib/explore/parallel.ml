@@ -12,7 +12,9 @@
        the others (round-robin scan) when its own runs dry;
      - one interner, created shared for the run, serves every worker,
        so a configuration one worker admits is rebuilt from the pools
-       the others' successors hit;
+       the others' successors hit; a work item carries its digest, and
+       its successors are interned from it (Config.intern ~parent), so
+       a worker takes the pools' mutex only for what an action changed;
      - each worker keeps its own terminals and event log, merged after
        the join;
      - global progress — admitted configurations, fired transitions,
@@ -68,12 +70,13 @@ type shard = { s_lock : Mutex.t; s_tbl : unit Config.Digest_tbl.t }
 let shard_of shards d =
   shards.(Config.digest_hash d land (num_shards - 1))
 
-(* Per-worker deque (plain FIFO under a mutex; pops and steals both
-   take from the front — BFS-ish order, which keeps the frontier
-   shallow like the sequential engine's). *)
-type wq = { q_lock : Mutex.t; q : Config.t Queue.t }
+(* Per-worker deque of admitted configurations with their digests
+   (plain FIFO under a mutex; pops and steals both take from the front
+   — BFS-ish order, which keeps the frontier shallow like the
+   sequential engine's). *)
+type wq = { q_lock : Mutex.t; q : (Config.t * Config.digest) Queue.t }
 
-let wq_push w c = Mutex.protect w.q_lock (fun () -> Queue.add c w.q)
+let wq_push w item = Mutex.protect w.q_lock (fun () -> Queue.add item w.q)
 let wq_pop w = Mutex.protect w.q_lock (fun () -> Queue.take_opt w.q)
 
 let rec atomic_max cell v =
@@ -143,7 +146,7 @@ let full ?(max_configs = 1_000_000) ?budget ?spans ~jobs ctx : Space.result =
     Atomic.incr pending;
     Atomic.incr queued;
     atomic_max max_frontier 1;
-    wq_push queues.(0) c0;
+    wq_push queues.(0) (c0, d0);
     let worker w () =
       let acc = accs.(w) in
       let my = queues.(w) in
@@ -154,22 +157,22 @@ let full ?(max_configs = 1_000_000) ?budget ?spans ~jobs ctx : Space.result =
         if stopping () then None
         else
           match wq_pop my with
-          | Some c ->
+          | Some item ->
               Atomic.decr queued;
-              Some c
+              Some item
           | None ->
               let rec scan k =
                 if k >= jobs then None
                 else
                   match wq_pop queues.((w + k) mod jobs) with
-                  | Some c ->
+                  | Some item ->
                       Atomic.decr queued;
                       Metrics.incr m_steals;
-                      Some c
+                      Some item
                   | None -> scan (k + 1)
               in
               (match scan 1 with
-              | Some c -> Some c
+              | Some item -> Some item
               | None ->
                   if Atomic.get pending = 0 then None
                   else begin
@@ -177,7 +180,7 @@ let full ?(max_configs = 1_000_000) ?budget ?spans ~jobs ctx : Space.result =
                     next ()
                   end)
       in
-      let process c =
+      let process (c, d) =
         match Space.Instance.classify ctx acc.terminals c with
         | [] -> ()
         | enabled ->
@@ -188,7 +191,7 @@ let full ?(max_configs = 1_000_000) ?budget ?spans ~jobs ctx : Space.result =
                   Metrics.incr m_transitions;
                   let c', evs = Step.fire_action ctx c a in
                   Step.record acc.log evs;
-                  let c', d' = Config.intern interner c' in
+                  let c', d' = Config.intern interner ~parent:(c, d) c' in
                   let shard = shard_of shards d' in
                   let verdict =
                     Mutex.protect shard.s_lock (fun () ->
@@ -212,7 +215,7 @@ let full ?(max_configs = 1_000_000) ?budget ?spans ~jobs ctx : Space.result =
                       Atomic.incr pending;
                       atomic_max max_frontier
                         (Atomic.fetch_and_add queued 1 + 1);
-                      wq_push my c');
+                      wq_push my (c', d'));
                   if Atomic.get stop = None then fire_each rest
             in
             fire_each enabled
@@ -239,9 +242,9 @@ let full ?(max_configs = 1_000_000) ?budget ?spans ~jobs ctx : Space.result =
           | None -> (
               match next () with
               | None -> ()
-              | Some c ->
+              | Some item ->
                   Fault.worker_pop w;
-                  process c;
+                  process item;
                   Atomic.decr pending;
                   loop ())
         end
@@ -305,7 +308,7 @@ let full ?(max_configs = 1_000_000) ?budget ?spans ~jobs ctx : Space.result =
       else
         Space.drain ctx merged
           (Seq.concat_map
-             (fun wq -> Seq.map (fun c -> (c, ())) (Queue.to_seq wq.q))
+             (fun wq -> Seq.map (fun (c, _) -> (c, ())) (Queue.to_seq wq.q))
              (Array.to_seq queues))
     in
     t.finals <- sort_canonical t.finals;

@@ -46,13 +46,16 @@ let no_terminals () = { finals = []; deadlocks = []; errors = [] }
 (* The operations of a state space.  [intern p c] is the key of [c] and
    the configuration the run keeps for it: [c] rebuilt from the pools
    (plain data, so a kernel state marshals), or the one already
-   recorded under that key.  [classify ctx t c] records a terminal [c]
-   in [t] and returns [[]], else the actions enabled at [c].  [fire]
-   returns a list: an abstract action may branch both ways.  On a
-   revisit, [merge] folds the offered successor into the configuration
-   recorded under its key, and is true when that one grew and must be
-   expanded again.  [events] is what one transition performed, or what
-   a whole run did ([logged]). *)
+   recorded under that key.  Every successor is interned with
+   [~parent]: the kept configuration it was fired from and that one's
+   key, so a space can reuse what the action did not change; only an
+   initial configuration is interned without.  [classify ctx t c]
+   records a terminal [c] in [t] and returns [[]], else the actions
+   enabled at [c].  [fire] returns a list: an abstract action may
+   branch both ways.  On a revisit, [merge] folds the offered successor
+   into the configuration recorded under its key, and is true when that
+   one grew and must be expanded again.  [events] is what one
+   transition performed, or what a whole run did ([logged]). *)
 module type SPACE = sig
   type ctx
   type config
@@ -64,7 +67,7 @@ module type SPACE = sig
   type pools
 
   val new_pools : ctx -> pools
-  val intern : pools -> config -> config * key
+  val intern : pools -> ?parent:config * key -> config -> config * key
   val pool_sizes : pools -> (string * int) list
 
   type events
@@ -136,6 +139,7 @@ module Make (S : SPACE) = struct
      actions have several, and abstract runs never resume. *)
   type 'a remainder = {
     r_config : S.config; (* the configuration being expanded *)
+    r_key : S.key; (* its key *)
     r_refused : S.config * 'a; (* its refused successor, already fired *)
     r_actions : (S.action * 'a) list; (* its actions still to fire *)
   }
@@ -146,7 +150,9 @@ module Make (S : SPACE) = struct
   type 'a state = {
     interner : S.pools; (* every admitted configuration is kept from them *)
     visited : 'a S.Tbl.t; (* every admitted key with its annotation *)
-    queue : (S.config * 'a) Queue.t; (* the frontier, front first *)
+    queue : (S.config * S.key * 'a) Queue.t;
+        (* the frontier, front first: each admitted configuration with
+           its key, the parent its successors are interned from *)
     terminals : S.config terminals; (* classified popped configurations *)
     mutable transitions : int;
     mutable max_frontier : int;
@@ -164,7 +170,7 @@ module Make (S : SPACE) = struct
     let visited = S.Tbl.create 1024 and queue = Queue.create () in
     let c0, k0 = S.intern interner (S.init ctx) in
     S.Tbl.replace visited k0 a;
-    Queue.add (c0, a) queue;
+    Queue.add (c0, k0, a) queue;
     {
       interner;
       visited;
@@ -218,51 +224,59 @@ module Make (S : SPACE) = struct
     let configurations () = S.Tbl.length st.visited in
     let stop = ref None in
     let pops = ref 0 in
-    (* Fire [(action, annotation)] pairs in order; break out as soon as
-       the budget stops the run: the remaining actions must not fire,
-       or transitions and event logs inflate past the stop. *)
-    let rec fire_each c = function
+    (* Fire [(action, annotation)] pairs at [c], whose key is [k], in
+       order; break out as soon as the budget stops the run: the
+       remaining actions must not fire, or transitions and event logs
+       inflate past the stop. *)
+    let rec fire_each c k = function
       | [] -> ()
       | (action, a') :: rest ->
           st.transitions <- st.transitions + 1;
           if log then Metrics.incr m_transitions;
           let succs, evs = S.fire ctx c action in
           if log then S.record st.events evs;
-          offer c succs a' rest
+          offer c k succs a' rest
     (* Admit the successors of one action of [c] in turn, kept from the
-       pools, then fire [rest].  When the budget refuses one, the state
-       keeps it and [rest] as the remainder of [c]'s expansion, for a
-       resumed run to finish. *)
-    and offer c succs a' rest =
+       pools with [c] as their parent, then fire [rest].  When the
+       budget refuses one, the state keeps it and [rest] as the
+       remainder of [c]'s expansion, for a resumed run to finish. *)
+    and offer c k succs a' rest =
       match succs with
-      | [] -> fire_each c rest
+      | [] -> fire_each c k rest
       | c' :: more ->
-          let pooled, k = S.intern st.interner c' in
-          (match S.Tbl.find_opt st.visited k with
+          let pooled, k' = S.intern st.interner ~parent:(c, k) c' in
+          (match S.Tbl.find_opt st.visited k' with
           | Some recorded -> (
               let grew = S.merge ctx ~into:pooled c' in
               match admit recorded a' with
               | Some merged ->
-                  S.Tbl.replace st.visited k merged;
-                  Queue.add (pooled, merged) st.queue
-              | None when grew -> Queue.add (pooled, recorded) st.queue
+                  S.Tbl.replace st.visited k' merged;
+                  Queue.add (pooled, k', merged) st.queue
+              | None when grew -> Queue.add (pooled, k', recorded) st.queue
               | None -> if log then Metrics.incr m_digest_hits)
           | None -> (
               match Budget.config_guard budget ~configs:(configurations ()) with
               | Some r ->
                   stop := Some r;
                   st.remainder <-
-                    Some { r_config = c; r_refused = (c', a'); r_actions = rest }
+                    Some
+                      {
+                        r_config = c;
+                        r_key = k;
+                        r_refused = (c', a');
+                        r_actions = rest;
+                      }
               | None ->
                   if log then Metrics.incr m_admitted;
-                  S.Tbl.replace st.visited k a';
-                  Queue.add (pooled, a') st.queue));
-          if !stop = None then offer c more a' rest
+                  S.Tbl.replace st.visited k' a';
+                  Queue.add (pooled, k', a') st.queue));
+          if !stop = None then offer c k more a' rest
     in
     Option.iter
       (fun r ->
         st.remainder <- None;
-        offer r.r_config [ fst r.r_refused ] (snd r.r_refused) r.r_actions)
+        offer r.r_config r.r_key [ fst r.r_refused ] (snd r.r_refused)
+          r.r_actions)
       st.remainder;
     while !stop = None && not (Queue.is_empty st.queue) do
       match
@@ -281,14 +295,18 @@ module Make (S : SPACE) = struct
               [ ("pops", Journal.Int !pops) ];
           if log then Metrics.incr m_expansions;
           st.max_frontier <- max st.max_frontier (Queue.length st.queue);
-          let c, a = Queue.pop st.queue in
+          let c, k, a = Queue.pop st.queue in
           let enabled = S.classify ctx st.terminals c in
           visit c a enabled;
-          match enabled with [] -> () | _ -> fire_each c (expand c a enabled))
+          match enabled with
+          | [] -> ()
+          | _ -> fire_each c k (expand c a enabled))
     done;
     let terminals =
       if !stop = None then st.terminals
-      else drain ~visit ctx st.terminals (Queue.to_seq st.queue)
+      else
+        drain ~visit ctx st.terminals
+          (Seq.map (fun (c, _, a) -> (c, a)) (Queue.to_seq st.queue))
     in
     if Journal.enabled () then
       Journal.emit (site ^ ".done")

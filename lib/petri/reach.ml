@@ -55,7 +55,7 @@ module Markings = struct
   type pools = unit
 
   let new_pools _ = ()
-  let intern () m = (m, m)
+  let intern () ?parent:_ m = (m, m)
   let pool_sizes () = []
 
   include Kernel.No_log

@@ -41,7 +41,7 @@ let frame_similar f1 f2 =
   | Fbranch a, Fbranch b -> a.cob = b.cob && a.idx = b.idx
   | (Fcall _ | Fbranch _), _ -> false
 
-let equal = List.equal frame_equal
+let equal p q = p == q || List.equal frame_equal p q
 let similar = List.equal frame_similar
 
 let compare_frame f1 f2 =

@@ -23,7 +23,7 @@ type t = {
 
 let make ~procs ~store ~counters ~error = { procs; store; counters; error }
 
-let processes c = List.map snd (PidMap.bindings c.procs)
+let processes c = List.rev (PidMap.fold (fun _ p acc -> p :: acc) c.procs [])
 let find_proc pid c = PidMap.find_opt pid c.procs
 let num_procs c = PidMap.cardinal c.procs
 let is_error c = Option.is_some c.error
@@ -41,7 +41,6 @@ let next_seq ~pid ~site c =
 
 let update_proc p c = { c with procs = PidMap.add p.Proc.pid p c.procs }
 let remove_proc pid c = { c with procs = PidMap.remove pid c.procs }
-let add_proc p c = { c with procs = PidMap.add p.Proc.pid p c.procs }
 let with_store store c = { c with store }
 let with_error msg c = { c with error = Some msg }
 
@@ -72,32 +71,73 @@ type digest = {
   d_hash : int; (* precomputed full-width hash of the tuple *)
 }
 
-(* One pass over the processes, in pid order ([PidMap.map] applies its
-   function in increasing key order): intern each, record its id, and
-   keep the pooled instance.  Of the store only the cells are replaced
-   (Store.adopt_cells): births, heap, exposure and blocks are not
-   compared by Store.equal, so the pooled store's may differ. *)
-let intern st c =
+(* Interning a configuration probes the pools once per component, in a
+   fixed order: the processes in pid order, the store, the counters, the
+   error.  With a parent (an admitted configuration and its digest), a
+   component of [c] that is physically the parent's is the pooled
+   instance already, because admitted configurations are rebuilt from
+   the pools.  Its id is therefore the parent's, and it is not probed.
+   Of the store only the cells decide ([Store.equal]) and are replaced
+   ([Store.adopt_cells]): births, heap, exposure and blocks are not
+   compared, so the pooled store's may differ. *)
+let intern st ?parent c =
   let d_procs = Array.make (PidMap.cardinal c.procs) 0 in
   let i = ref 0 in
-  let procs =
-    PidMap.map
-      (fun p ->
-        let pooled, id = Intern.proc st p in
-        d_procs.(!i) <- id;
-        incr i;
-        pooled)
-      c.procs
+  let probe p =
+    let pooled, id = Intern.proc st p in
+    d_procs.(!i) <- id;
+    incr i;
+    pooled
   in
-  let pooled_store, d_store = Intern.store st c.store in
-  let counters, d_counters = Intern.counters st c.counters in
-  let d_error = Intern.error_id st c.error in
-  ( {
-      procs;
-      store = Store.adopt_cells ~pooled:pooled_store c.store;
-      counters;
-      error = c.error;
-    },
+  let procs =
+    match parent with
+    | None ->
+        (* [PidMap.map] applies its function in increasing key order *)
+        PidMap.map probe c.procs
+    | Some (pc, pd) ->
+        (* Walk the parent's bindings alongside [c]'s, both in pid order.
+           Only a probed process that is not its own pooled instance is
+           swapped into [c]'s map. *)
+        let parent = Array.of_list (PidMap.bindings pc.procs) in
+        let j = ref 0 in
+        PidMap.fold
+          (fun pid p procs ->
+            while
+              !j < Array.length parent
+              && Value.compare_pid (fst parent.(!j)) pid < 0
+            do
+              incr j
+            done;
+            if !j < Array.length parent && snd parent.(!j) == p then begin
+              d_procs.(!i) <- pd.d_procs.(!j);
+              incr i;
+              procs
+            end
+            else
+              let pooled = probe p in
+              if pooled == p then procs else PidMap.add pid pooled procs)
+          c.procs c.procs
+  in
+  let store, d_store =
+    match parent with
+    | Some (pc, pd) when Store.same_cells c.store pc.store ->
+        (c.store, pd.d_store)
+    | _ ->
+        let pooled, id = Intern.store st c.store in
+        (Store.adopt_cells ~pooled c.store, id)
+  in
+  let counters, d_counters =
+    match parent with
+    | Some (pc, pd) when c.counters == pc.counters ->
+        (c.counters, pd.d_counters)
+    | _ -> Intern.counters st c.counters
+  in
+  let d_error =
+    match parent with
+    | Some (pc, pd) when c.error == pc.error -> pd.d_error
+    | _ -> Intern.error_id st c.error
+  in
+  ( { procs; store; counters; error = c.error },
     {
       d_procs;
       d_store;

@@ -35,7 +35,6 @@ val next_seq : pid:Value.pid -> site:int -> t -> int * t
 
 val update_proc : Proc.t -> t -> t
 val remove_proc : Value.pid -> t -> t
-val add_proc : Proc.t -> t -> t
 val with_store : Store.t -> t -> t
 val with_error : string -> t -> t
 
@@ -60,16 +59,26 @@ type digest = {
     {!Counters.hash}), so no canonical form is built and no component
     is walked unless a lookup must compare two equal-hashing values. *)
 
-val intern : Intern.state -> t -> t * digest
+val intern : Intern.state -> ?parent:t * digest -> t -> t * digest
 (** [intern st c] is [c] rebuilt from the components pooled in [st],
     and its digest.  Each process and the counter map are replaced by
     their pooled instances; the store keeps its own metadata and takes
-    the pooled store's cell map ({!Store.adopt_cells}).  Successors of
-    a configuration admitted this way share its untouched components
-    physically with the pools, so their own lookups hit on [==].
-    Cost: one hash for each process built since its last lookup, a
-    comparison per pool hit that is not physically the pooled value,
-    and O(#procs) to assemble the tuple and the process map. *)
+    the pooled store's cell map ({!Store.adopt_cells}).
+
+    [parent] is a configuration this function returned under [st], with
+    its digest, of which [c] is a successor.  A process, cell map,
+    counter map or error of [c] that is physically the parent's is not
+    looked up: it is the pooled instance, and its id is the parent's.
+    Only the other components are looked up, and only the processes
+    among them that are not their own pooled instance are swapped into
+    [c]'s process map.  The result and the digest are those of the call
+    without [parent], and the pools are left in the same state.  Only
+    initial configurations are interned without one.
+
+    Cost: a lookup per changed component (one hash for a process built
+    since its last lookup, a comparison on a hit that is not physically
+    the pooled value), and O(#procs) to walk the parent's processes and
+    assemble the tuple. *)
 
 val digest_equal : digest -> digest -> bool
 val digest_hash : digest -> int

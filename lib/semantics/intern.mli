@@ -32,7 +32,8 @@
 
     Telemetry: the counter [intern.memo_hits] counts process, store and
     counter-map lookups that found an existing id, [intern.memo_misses]
-    lookups that added one. *)
+    lookups that added one.  {!Config.intern} from a parent looks up
+    only the components the action changed, so they count only those. *)
 
 type state
 (** An interner: one pool per component kind. *)

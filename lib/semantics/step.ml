@@ -93,7 +93,16 @@ let hash_event label loc pstr =
 module Access_tbl = Hashtbl.Make (struct
   type t = access
 
-  let equal = ( = )
+  (* Structural equality, field by field: the pid and the procedure
+     string of one process's accesses are shared, and compare on [==]. *)
+  let equal a b =
+    a == b
+    || a.a_label = b.a_label
+       && a.a_kind == b.a_kind
+       && Value.compare_loc a.a_loc b.a_loc = 0
+       && Value.compare_pid a.a_pid b.a_pid = 0
+       && Pstring.equal a.a_pstr b.a_pstr
+
   let hash a = hash_event a.a_label a.a_loc a.a_pstr
 end)
 
@@ -244,13 +253,15 @@ let rec normalize_proc (p : Proc.t) : Proc.t option =
   | Proc.Ipop env :: rest -> normalize_proc (Proc.update ~env ~stack:rest p)
   | (Proc.Istmt _ | Proc.Iret _ | Proc.Ijoin _) :: _ -> Some p
 
+(* [c] with [p] normalized into it, or without [p] once it has
+   terminated. *)
+let settle (p : Proc.t) (c : Config.t) : Config.t =
+  match normalize_proc p with
+  | Some p' -> Config.update_proc p' c
+  | None -> Config.remove_proc p.Proc.pid c
+
 let normalize (c : Config.t) : Config.t =
-  Config.PidMap.fold
-    (fun pid p acc ->
-      match normalize_proc p with
-      | Some p' -> Config.update_proc p' acc
-      | None -> Config.remove_proc pid acc)
-    c.Config.procs c
+  Config.PidMap.fold (fun _ p acc -> settle p acc) c.Config.procs c
 
 (* --- initial configuration --- *)
 
@@ -560,7 +571,9 @@ let exec_simple ctx (p : Proc.t) (env, c, evs) (s : Ast.stmt) =
 
 (* Fire the next action of process [p] in configuration [c].  The caller
    must have checked [enabled_proc].  Returns the successor configuration
-   (normalized) and the instrumentation events of the action. *)
+   (normalized) and the instrumentation events of the action.  [c] is
+   normalized, so only [p] and the children a cobegin spawns can need
+   it: each is [settle]d, and every other process is left alone. *)
 let fire ctx (c : Config.t) (p : Proc.t) : Config.t * events =
   let pid = p.Proc.pid and pstr = p.Proc.pstr in
   let store = c.Config.store in
@@ -570,8 +583,7 @@ let fire ctx (c : Config.t) (p : Proc.t) : Config.t * events =
     | [] -> invalid_arg "Step.fire: terminated process"
     | Proc.Ipop _ :: _ -> invalid_arg "Step.fire: unnormalized configuration"
     | Proc.Ijoin _ :: rest ->
-        ( normalize (Config.update_proc (Proc.update ~stack:rest p) c),
-          no_events )
+        (settle (Proc.update ~stack:rest p) c, no_events)
     | Proc.Iret { dest; saved_env; site } :: rest ->
         (* fall off the end of a procedure: return the default value.
            The destination write belongs to the caller, at the call
@@ -597,7 +609,7 @@ let fire ctx (c : Config.t) (p : Proc.t) : Config.t * events =
           Proc.update ~env:saved_env ~stack:rest
             ~pstr:(Pstring.exit_frame pstr) p
         in
-        (normalize (Config.update_proc p' c), evs)
+        (settle p' c, evs)
     | Proc.Istmt s :: rest -> (
         let label = s.Ast.label in
         match s.Ast.kind with
@@ -618,22 +630,19 @@ let fire ctx (c : Config.t) (p : Proc.t) : Config.t * events =
                 allocs = [];
               }
             in
-            ( normalize
-                (Config.update_proc
-                   (Proc.update ~stack:rest ~buf:(p.Proc.buf @ [ (l, v) ]) p)
-                   c),
+            ( settle
+                (Proc.update ~stack:rest ~buf:(p.Proc.buf @ [ (l, v) ]) p)
+                c,
               evs )
         | Ast.Sskip | Ast.Sfence | Ast.Sdecl _ | Ast.Sassign _ | Ast.Sassert _
           ->
             let env, c, evs = exec_simple ctx p (p.env, c, no_events) s in
-            ( normalize (Config.update_proc (Proc.update ~env ~stack:rest p) c),
-              evs )
+            (settle (Proc.update ~env ~stack:rest p) c, evs)
         | Ast.Satomic ss ->
             let env, c, evs =
               List.fold_left (exec_simple ctx p) (p.env, c, no_events) ss
             in
-            ( normalize (Config.update_proc (Proc.update ~env ~stack:rest p) c),
-              evs )
+            (settle (Proc.update ~env ~stack:rest p) c, evs)
         | Ast.Smalloc (lv, e) ->
             let reads = ref LS.empty in
             let size =
@@ -675,9 +684,7 @@ let fire ctx (c : Config.t) (p : Proc.t) : Config.t * events =
                 allocs;
               }
             in
-            ( normalize
-                (Config.update_proc (Proc.update ~stack:rest p)
-                   (Config.with_store store c)),
+            ( settle (Proc.update ~stack:rest p) (Config.with_store store c),
               evs )
         | Ast.Sfree e -> (
             let reads = ref LS.empty in
@@ -702,9 +709,9 @@ let fire ctx (c : Config.t) (p : Proc.t) : Config.t * events =
                         allocs = [];
                       }
                     in
-                    ( normalize
-                        (Config.update_proc (Proc.update ~stack:rest p)
-                           (Config.with_store store c)),
+                    ( settle
+                        (Proc.update ~stack:rest p)
+                        (Config.with_store store c),
                       evs ))
             | Value.Vloc _ -> error "free of an interior pointer"
             | v -> error "free of a %s value" (Value.type_name v))
@@ -765,8 +772,7 @@ let fire ctx (c : Config.t) (p : Proc.t) : Config.t * events =
                 allocs;
               }
             in
-            ( normalize (Config.update_proc p' (Config.with_store store c)),
-              evs )
+            (settle p' (Config.with_store store c), evs)
         | Ast.Sreturn e_opt ->
             let reads = ref LS.empty in
             let v =
@@ -805,13 +811,13 @@ let fire ctx (c : Config.t) (p : Proc.t) : Config.t * events =
             let evs =
               { accesses = wevs @ read_events ~label ~pstr ~pid !reads; allocs = [] }
             in
-            (normalize (Config.update_proc p' c), evs)
+            (settle p' c, evs)
         | Ast.Sif (e, s1, s2) ->
             let reads = ref LS.empty in
             let b = eval_bool ctx p.env rstore reads e in
             let chosen = if b then s1 else s2 in
             let p' = Proc.update ~stack:(Proc.Istmt chosen :: rest) p in
-            ( normalize (Config.update_proc p' c),
+            ( settle p' c,
               { accesses = read_events ~label ~pstr ~pid !reads; allocs = [] } )
         | Ast.Swhile (e, body) ->
             let reads = ref LS.empty in
@@ -819,7 +825,7 @@ let fire ctx (c : Config.t) (p : Proc.t) : Config.t * events =
             let stack =
               if b then Proc.Istmt body :: Proc.Istmt s :: rest else rest
             in
-            ( normalize (Config.update_proc (Proc.update ~stack p) c),
+            ( settle (Proc.update ~stack p) c,
               { accesses = read_events ~label ~pstr ~pid !reads; allocs = [] } )
         | Ast.Scobegin bs ->
             let seq, c = Config.next_seq ~pid ~site:label c in
@@ -845,13 +851,13 @@ let fire ctx (c : Config.t) (p : Proc.t) : Config.t * events =
                   :: rest)
                 p
             in
-            let c = List.fold_left (fun c ch -> Config.add_proc ch c) c children in
-            (normalize (Config.update_proc parent c), no_events)
+            let c = List.fold_left (fun c ch -> settle ch c) c children in
+            (settle parent c, no_events)
         | Ast.Sawait e ->
             let reads = ref LS.empty in
             let b = eval_bool ctx p.env rstore reads e in
             if not b then invalid_arg "Step.fire: await not enabled";
-            ( normalize (Config.update_proc (Proc.update ~stack:rest p) c),
+            ( settle (Proc.update ~stack:rest p) c,
               { accesses = read_events ~label ~pstr ~pid !reads; allocs = [] } )
         | Ast.Sacquire x -> (
             match Env.find x p.env with
@@ -860,9 +866,9 @@ let fire ctx (c : Config.t) (p : Proc.t) : Config.t * events =
                 match Store.find l store with
                 | Some (Value.Vint 0) ->
                     let store = Store.set l (Value.Vint 1) store in
-                    ( normalize
-                        (Config.update_proc (Proc.update ~stack:rest p)
-                           (Config.with_store store c)),
+                    ( settle
+                        (Proc.update ~stack:rest p)
+                        (Config.with_store store c),
                       {
                         accesses =
                           [
@@ -885,9 +891,9 @@ let fire ctx (c : Config.t) (p : Proc.t) : Config.t * events =
             | Some l ->
                 if not (Store.mem l store) then error "unlock of a freed location";
                 let store = Store.set l (Value.Vint 0) store in
-                ( normalize
-                    (Config.update_proc (Proc.update ~stack:rest p)
-                       (Config.with_store store c)),
+                ( settle
+                    (Proc.update ~stack:rest p)
+                    (Config.with_store store c),
                   {
                     accesses = [ write_event ~label ~pstr ~pid l ];
                     allocs = [];
@@ -916,9 +922,7 @@ let fire_flush _ctx (c : Config.t) (p : Proc.t) (l : Value.loc) :
     (* the cell was freed while the write sat in the buffer *)
     (Config.with_error "flush to a freed location" c, no_events)
   else
-    ( normalize
-        (Config.update_proc p'
-           (Config.with_store (Store.set l v c.Config.store) c)),
+    ( settle p' (Config.with_store (Store.set l v c.Config.store) c),
       no_events )
 
 (* One scheduling alternative: run a process's next statement-level

@@ -108,6 +108,8 @@ let equal a b =
      && (a.cells == b.cells
         || Value.LocMap.equal Value.equal_value a.cells b.cells)
 
+let same_cells a b = a.cells == b.cells
+
 (* Only the cells: the metadata is not what [equal] compares, so a
    pooled store's metadata may differ from this one's. *)
 let adopt_cells ~pooled st =

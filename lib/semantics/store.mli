@@ -49,6 +49,10 @@ val equal : t -> t -> bool
 (** Same cells (locations and values); compares {!hash} first, then
     the cell maps' physical identity. *)
 
+val same_cells : t -> t -> bool
+(** The two stores hold physically the same cell map, so they are
+    {!equal}. *)
+
 val adopt_cells : pooled:t -> t -> t
 (** [adopt_cells ~pooled st] is [st] holding [pooled]'s cell map, which
     must be equal to its own ([equal pooled st]); the metadata stays

@@ -15,10 +15,16 @@ type pid = (int * int) list (* (cobegin label, branch index) path *)
 let root_pid : pid = []
 let child_pid (p : pid) ~cob ~idx : pid = p @ [ (cob, idx) ]
 
-let compare_pid : pid -> pid -> int =
-  List.compare (fun (a, b) (c, d) ->
-      let x = Int.compare a c in
-      if x <> 0 then x else Int.compare b d)
+(* Successors share their processes' pids with the parent, so two pids
+   that compare are often one. *)
+let compare_pid (p : pid) (q : pid) =
+  if p == q then 0
+  else
+    List.compare
+      (fun (a, b) (c, d) ->
+        let x = Int.compare a c in
+        if x <> 0 then x else Int.compare b d)
+      p q
 
 let hash_pid (p : pid) =
   Cobegin_hash.hash_list (fun (cob, idx) -> Cobegin_hash.combine cob idx) p

@@ -30,6 +30,35 @@ let seed_gen = QCheck2.Gen.int_range 1 1_000_000
 let random_program ?(cfg = Cobegin_models.Generator.default_cfg) seed =
   Cobegin_models.Generator.program ~cfg ~seed ()
 
+(* Every transition of [prog]'s state space under [model], breadth
+   first: [f st (c, d) c'] for each action fired at an admitted
+   configuration [c], kept by [Config.intern st] with digest [d], whose
+   successor is [c'].  Successors are admitted by [Config.intern st]
+   without a parent, at most [cap] of them. *)
+let iter_transitions ?(model = Cobegin_semantics.Step.Sc) ?(cap = max_int)
+    prog f =
+  let open Cobegin_semantics in
+  let ctx = Step.make_ctx ~model prog in
+  let st = Intern.create () in
+  let seen = Config.Digest_tbl.create 64 and queue = Queue.create () in
+  let admit ((_, d) as cd) =
+    if Config.Digest_tbl.length seen < cap && not (Config.Digest_tbl.mem seen d)
+    then begin
+      Config.Digest_tbl.replace seen d ();
+      Queue.add cd queue
+    end
+  in
+  admit (Config.intern st (Step.init ctx));
+  while not (Queue.is_empty queue) do
+    let ((c, _) as parent) = Queue.pop queue in
+    List.iter
+      (fun a ->
+        let c' = fst (Step.fire_action ctx c a) in
+        f st parent c';
+        admit (Config.intern st c'))
+      (Step.enabled_actions ctx c)
+  done
+
 (* Sorted outcome multiset of an exploration: final stores canonically. *)
 let final_reprs (r : Cobegin_explore.Space.result) =
   Cobegin_explore.Space.final_store_reprs r

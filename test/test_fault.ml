@@ -475,7 +475,7 @@ let refused_with_version v =
       close_in ic;
       let pos = String.length magic in
       let (version, program_hash) : int * int = Marshal.from_string body pos in
-      check_int "this build writes format 5" 5 version;
+      check_int "this build writes format 6" 6 version;
       let header = Marshal.to_string (v, program_hash) [] in
       let rest =
         let skip = pos + Marshal.total_size (Bytes.of_string body) pos in
@@ -603,6 +603,8 @@ let ckpt_tests =
         refused_with_version 3);
     case "a format-4 checkpoint is refused" (fun () ->
         refused_with_version 4);
+    case "a format-5 checkpoint is refused" (fun () ->
+        refused_with_version 5);
     case "a checkpoint is bound to its program" (fun () ->
         let phil2_ctx = ctx_of phil2_src in
         let phil3_ctx =

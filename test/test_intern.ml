@@ -115,6 +115,47 @@ let digest_tests =
         check_bool "pools stay small" true (Intern.distinct_procs st <= 1))
   ]
 
+(* Interning a successor from its parent must give what interning it
+   from scratch gives: the same digest, and the same pooled processes,
+   cell map and counter map.  The parent goes first, so a component it
+   wrongly kept the parent's id for shows as a different digest. *)
+let same_from_parent st parent c' =
+  let from_parent, d1 = Config.intern st ~parent c' in
+  let from_scratch, d2 = Config.intern st c' in
+  Config.digest_equal d1 d2
+  && Config.digest_hash d1 = Config.digest_hash d2
+  && Config.PidMap.equal ( == ) from_parent.Config.procs
+       from_scratch.Config.procs
+  && Store.same_cells from_parent.Config.store from_scratch.Config.store
+  && from_parent.Config.counters == from_scratch.Config.counters
+
+let all_from_parent ?model ?cap prog =
+  let ok = ref true and n = ref 0 in
+  iter_transitions ?model ?cap prog (fun st parent c' ->
+      incr n;
+      if not (same_from_parent st parent c') then ok := false);
+  (!ok, !n)
+
+let parent_tests =
+  [
+    case "interning from the parent equals interning from scratch (corpus, \
+          sc/tso/pso)" (fun () ->
+        List.iter
+          (fun (name, src) ->
+            List.iter
+              (fun model ->
+                let ok, n = all_from_parent ~model (parse src) in
+                check_bool
+                  (Printf.sprintf "%s under %s: %d transitions" name
+                     (Step.model_name model) n)
+                  true ok)
+              [ Step.Sc; Step.Tso; Step.Pso ])
+          Cobegin_models.Corpus.all);
+    qtest ~count:30 "interning from the parent equals interning from scratch \
+                     (random)" seed_gen (fun seed ->
+        fst (all_from_parent ~cap:1500 (random_program seed)));
+  ]
+
 let distribution_tests =
   [
     case "full-width hash spreads the philosophers state space" (fun () ->
@@ -321,4 +362,5 @@ let repr_audit_tests =
   ]
 
 let suite =
-  digest_tests @ distribution_tests @ hash_law_tests @ repr_audit_tests
+  digest_tests @ parent_tests @ distribution_tests @ hash_law_tests
+  @ repr_audit_tests

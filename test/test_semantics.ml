@@ -289,10 +289,127 @@ let value_order_tests =
     qtest ~count:200 "compare_value zero iff equal_value"
       (pair value_gen value_gen) (fun (a, b) ->
         Value.compare_value a b = 0 = Value.equal_value a b);
+    qtest ~count:300 "compare_pid orders pids like the generic compare"
+      (let pid =
+         list_size (int_range 0 3) (pair (int_range 0 2) (int_range 0 2))
+       in
+       pair pid pid)
+      (fun (a, b) ->
+        sign (Value.compare_pid a b) = sign (compare a b)
+        && Value.compare_pid a a = 0);
+  ]
+
+(* [Step.fire] settles only the process it fired and the children a
+   cobegin spawned; every configuration it returns must still be in
+   normal form: normalizing it again changes nothing, down to the
+   physical processes. *)
+let normalized c =
+  let n = Step.normalize c in
+  Config.repr n = Config.repr c
+  && Config.PidMap.equal ( == ) n.Config.procs c.Config.procs
+
+let all_normalized ?model ?cap prog =
+  let ok = ref true in
+  iter_transitions ?model ?cap prog (fun _ _ c' ->
+      if not (normalized c') then ok := false);
+  !ok
+
+(* The configuration where the root's next statement is its cobegin,
+   and the root. *)
+let rec before_fork ctx c =
+  match Config.processes c with
+  | [ p ] -> (
+      match Proc.next_stmt p with
+      | Some { Cobegin_lang.Ast.kind = Cobegin_lang.Ast.Scobegin _; _ } ->
+          (c, p)
+      | _ -> before_fork ctx (fst (Step.fire ctx c p)))
+  | _ -> Alcotest.fail "no cobegin on the root's path"
+
+(* The configuration just after the fork, and its first branch. *)
+let forked ctx =
+  let c, root = before_fork ctx (Step.init ctx) in
+  let c = fst (Step.fire ctx c root) in
+  match
+    List.find_opt (fun (p : Proc.t) -> p.Proc.pid <> []) (Config.processes c)
+  with
+  | Some p -> (c, p)
+  | None -> Alcotest.fail "no branch after the fork"
+
+let two_writers =
+  "proc main() { var x = 0; cobegin { x = 1; } { x = 2; } coend; }"
+
+let normal_form_tests =
+  [
+    case "fire returns normalized configurations (corpus, sc/tso/pso)"
+      (fun () ->
+        List.iter
+          (fun (name, src) ->
+            List.iter
+              (fun model ->
+                check_bool
+                  (Printf.sprintf "%s under %s" name (Step.model_name model))
+                  true
+                  (all_normalized ~model (parse src)))
+              [ Step.Sc; Step.Tso; Step.Pso ])
+          Cobegin_models.Corpus.all);
+    qtest ~count:30 "fire returns normalized configurations (random)" seed_gen
+      (fun seed -> all_normalized ~cap:1500 (random_program seed));
+    case "a cobegin unfolds its block branches and drops an empty one"
+      (fun () ->
+        let ctx =
+          ctx_of
+            "proc main() { var x = 0; cobegin { { x = 1; } } { } { var y = \
+             2; x = y; } coend; }"
+        in
+        let c, root = before_fork ctx (Step.init ctx) in
+        let c' = fst (Step.fire ctx c root) in
+        check_bool "normalized" true (normalized c');
+        check_int "root and two live branches" 3 (Config.num_procs c');
+        List.iter
+          (fun (p : Proc.t) ->
+            check_bool "a branch starts at a statement, not a block" true
+              (match Proc.next_stmt p with
+              | Some { Cobegin_lang.Ast.kind = Cobegin_lang.Ast.Sblock _; _ }
+                ->
+                  false
+              | Some _ -> true
+              | None -> false))
+          (List.filter
+             (fun (p : Proc.t) -> p.Proc.pid <> [])
+             (Config.processes c')));
+    case "a branch that terminates with an empty buffer is removed"
+      (fun () ->
+        let ctx = ctx_of two_writers in
+        let c, p = forked ctx in
+        let c' = fst (Step.fire ctx c p) in
+        check_bool "normalized" true (normalized c');
+        check_bool "removed" true (Config.find_proc p.Proc.pid c' = None));
+    case "a branch that terminates with a pending TSO buffer is kept"
+      (fun () ->
+        let ctx = Step.make_ctx ~model:Step.Tso (parse two_writers) in
+        let c, p = forked ctx in
+        let c' = fst (Step.fire ctx c p) in
+        check_bool "normalized" true (normalized c');
+        match Config.find_proc p.Proc.pid c' with
+        | None -> Alcotest.fail "a branch with a pending write was removed"
+        | Some p' ->
+            check_bool "its stack is empty" true (p'.Proc.stack = []);
+            check_int "one pending write" 1 (List.length p'.Proc.buf);
+            let flush =
+              List.find
+                (function
+                  | Step.Aflush (q, _) -> q.Proc.pid = p'.Proc.pid
+                  | Step.Arun _ -> false)
+                (Step.enabled_actions ctx c')
+            in
+            let flushed = fst (Step.fire_action ctx c' flush) in
+            check_bool "flushed: normalized" true (normalized flushed);
+            check_bool "flushed: removed" true
+              (Config.find_proc p.Proc.pid flushed = None));
   ]
 
 let suite =
   eval_tests @ memory_tests @ proc_tests @ concurrency_tests
-  @ determinism_tests @ value_order_tests
+  @ determinism_tests @ value_order_tests @ normal_form_tests
 
 let _ = final_int_of
