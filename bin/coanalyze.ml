@@ -528,9 +528,9 @@ let explore_cmd =
                   | None -> Budget.Complete)))
         in
         if Budget.is_complete status then begin
+          let finals = Cobegin_explore.Space.final_store_reprs in
           Format.printf "final stores agree: %b@."
-            (Cobegin_explore.Space.final_store_reprs full
-            = Cobegin_explore.Space.final_store_reprs stub);
+            (finals stub = finals full && finals slp = finals full);
           match par with
           | None -> ()
           | Some p ->
@@ -562,7 +562,7 @@ let explore_cmd =
   in
   Cmd.v
     (Cmd.info "explore"
-       ~doc:"Compare full and stubborn-set state-space generation.")
+       ~doc:"Compare full, stubborn-set and sleep-set state-space generation.")
     Term.(
       const run $ file_arg
       $ Cli.options

@@ -58,16 +58,10 @@ let stmt_label_of (p : Proc.t) =
 
 type result = { races : RaceSet.t; status : Budget.status }
 
-(* synchronization operations (lock/unlock/await) contend by design;
-   their accesses are not anomalies *)
-let is_sync (p : Proc.t) =
-  match Proc.next_stmt p with
-  | Some { Ast.kind = Ast.Sacquire _ | Ast.Srelease _ | Ast.Sawait _; _ } ->
-      true
-  | _ -> false
-
 (* The pair scan of one configuration: every two enabled processes whose
-   next-action footprints conflict.  Flushes are left out — a flush
+   next-action footprints conflict.  Synchronization ([Access.is_sync])
+   contends by design: its accesses are not anomalies and are left out
+   (a fence's footprint is empty anyway).  Flushes are left out — a flush
    publishes a write already charged (and scanned) at its issue point —
    but the exploration still fires them: under TSO/PSO flush
    interleavings reach configurations (stale reads) the process-only
@@ -76,9 +70,11 @@ let scan ctx races c () enabled =
   let with_fp =
     List.filter_map
       (function
-        | Step.Arun p when not (is_sync p) ->
-            Some (p, Step.action_footprint ctx c p)
-        | Step.Arun _ | Step.Aflush _ -> None)
+        | Step.Arun p -> (
+            match Proc.next_stmt p with
+            | Some s when Access.is_sync s -> None
+            | _ -> Some (p, Step.action_footprint ctx c p))
+        | Step.Aflush _ -> None)
       enabled
   in
   let rec pairs = function

@@ -244,8 +244,8 @@ let pp_report ppf r =
    (labels preserved), so exploring the original and the transformed
    program yields directly comparable final stores. *)
 
-let split_segment ?(intra = []) (delays : arc list) (stmts : Ast.stmt list) :
-    Ast.stmt list list =
+let split_segment ?(intra = []) access (delays : arc list)
+    (stmts : Ast.stmt list) : Ast.stmt list list =
   let delayed a b =
     List.exists (fun d -> d.from_stmt = a && d.to_stmt = b) delays
   in
@@ -261,13 +261,8 @@ let split_segment ?(intra = []) (delays : arc list) (stmts : Ast.stmt list) :
       Ast.StringSet.empty s
   in
   let uses (s : Ast.stmt) =
-    let sum =
-      Cobegin_lang.Access.stmt_summary
-        ~effects:(fun _ -> None)
-        ~any:Cobegin_lang.Access.no_effects s
-    in
-    Ast.StringSet.union sum.Cobegin_lang.Access.rvars
-      sum.Cobegin_lang.Access.wvars
+    let sum = Access.summary access s in
+    Ast.StringSet.union sum.Access.rvars sum.Access.wvars
   in
   let glued prefix suffix =
     (* (a) scoping: a later run must not use a name declared earlier *)
@@ -315,6 +310,7 @@ let split_segment ?(intra = []) (delays : arc list) (stmts : Ast.stmt list) :
    (process identity keys statements by label) and the result is a
    function of the program and the report alone. *)
 let apply (prog : Ast.program) (r : report) : Ast.program =
+  let access = Access.of_program prog in
   let next = ref (List.fold_left max 0 (Ast.labels prog)) in
   let block run =
     incr next;
@@ -326,7 +322,8 @@ let apply (prog : Ast.program) (r : report) : Ast.program =
         let stmts =
           match b.Ast.kind with Ast.Sblock ss -> ss | _ -> [ b ]
         in
-        List.map block (split_segment ~intra:r.intra_conflicts r.delays stmts))
+        List.map block
+          (split_segment ~intra:r.intra_conflicts access r.delays stmts))
       bs
   in
   let seen_first = ref false in

@@ -58,9 +58,14 @@ val critical_cycle_arcs : segment list -> (int * int) list -> arc list
 val analyze : Ast.program -> Event.log -> report
 
 val split_segment :
-  ?intra:(int * int) list -> arc list -> Ast.stmt list -> Ast.stmt list list
+  ?intra:(int * int) list ->
+  Access.t ->
+  arc list ->
+  Ast.stmt list ->
+  Ast.stmt list list
 (** Maximal runs not crossed by a delay arc, an intra-segment dependence
-    or a scope dependence. *)
+    or a scope dependence (a name a later run uses, by
+    {!Access.summary}, that an earlier run declares). *)
 
 val apply : Ast.program -> report -> Ast.program
 (** Rewrite the entry cobegin so every delay-free run becomes its own

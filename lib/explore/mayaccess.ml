@@ -33,25 +33,14 @@ module Memo = Hashtbl.Make (struct
   let hash = Proc.hash
 end)
 
-(* Program-level context: procedure effect summaries, and the summaries
+(* Program-level context: the program's access model, and the summaries
    of the processes seen so far.  The memo belongs to one exploration,
    never to the whole OS process: [Proc.equal] identifies statements by
    label, and two programs number their labels alike. *)
-type ctx = {
-  effects : string -> Access.proc_effects option;
-  any : Access.proc_effects;
-  memo : t Memo.t;
-}
+type ctx = { access : Access.t; memo : t Memo.t }
 
 let make_ctx (prog : Ast.program) : ctx =
-  let effects = Access.proc_effects_of_program prog in
-  let any =
-    List.fold_left
-      (fun acc p -> Access.union_effects acc (effects p.Ast.pname))
-      Access.no_effects prog.Ast.procs
-  in
-  let effects_opt f = if Ast.has_proc prog f then Some (effects f) else None in
-  { effects = effects_opt; any; memo = Memo.create 64 }
+  { access = Access.of_program prog; memo = Memo.create 64 }
 
 let resolve env names =
   SS.fold
@@ -73,8 +62,7 @@ let summarize ctx (p : Proc.t) : t =
   let rec go env acc = function
     | [] -> acc
     | Proc.Istmt s :: rest ->
-        let sum = Access.stmt_summary ~effects:ctx.effects ~any:ctx.any s in
-        go env (add_summary env sum acc) rest
+        go env (add_summary env (Access.summary ctx.access s) acc) rest
     | Proc.Ipop e :: rest -> go e acc rest
     | Proc.Iret { dest; saved_env; _ } :: rest ->
         let acc =

@@ -22,8 +22,8 @@ type t = {
 val empty : t
 
 type ctx
-(** Per-exploration context: transitive procedure effect summaries and
-    the memo of {!of_process}.  Build one per exploration: the memo
+(** Per-exploration context: the program's {!Cobegin_lang.Access} model
+    and the memo of {!of_process}.  Build one per exploration: the memo
     identifies processes by {!Proc.equal}, which identifies statements
     by label, so it must not outlive its program. *)
 

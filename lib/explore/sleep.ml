@@ -19,24 +19,11 @@
    stubborn-only count (the harness's E3/E7 tables report both). *)
 
 open Cobegin_semantics
-module LS = Value.LocSet
 module Metrics = Cobegin_obs.Metrics
 
 (* Telemetry: transitions skipped because the process slept.  No-op (one
    branch) while telemetry is disabled. *)
 let m_pruned = Metrics.counter "sleep.pruned"
-
-(* Independence of two concrete footprints: no location conflicts. *)
-let independent (f1 : Step.footprint) (f2 : Step.footprint) =
-  LS.is_empty (LS.inter f1.Step.fwrites (LS.union f2.Step.freads f2.Step.fwrites))
-  && LS.is_empty (LS.inter f2.Step.fwrites f1.Step.freads)
-
-type stats = {
-  mutable pruned_by_sleep : int; (* transitions skipped thanks to sleep *)
-  mutable explored_transitions : int;
-}
-
-let new_stats () = { pruned_by_sleep = 0; explored_transitions = 0 }
 
 module PidSet = Set.Make (struct
   type t = Value.pid
@@ -51,7 +38,7 @@ let awake = PidSet.empty
 (* The expansion of persistent sets + sleep sets: the persistent set at
    [c], minus the processes asleep there, each fired action carrying the
    sleep set its successor is offered under. *)
-let expansion ?stats ctx =
+let expansion ctx =
   let mctx = Mayaccess.make_ctx ctx.Step.prog in
   (* The sleep-set bookkeeping tracks processes by pid, which is only
      meaningful while a process has exactly one action alternative —
@@ -66,11 +53,8 @@ let expansion ?stats ctx =
         List.filter (fun a -> not (PidSet.mem (Step.action_pid a) sleep)) chosen
       else chosen
     in
-    let pruned = List.length chosen - List.length awake in
-    Option.iter
-      (fun s -> s.pruned_by_sleep <- s.pruned_by_sleep + pruned)
-      stats;
-    if Metrics.enabled () then Metrics.add m_pruned pruned;
+    if Metrics.enabled () then
+      Metrics.add m_pruned (List.length chosen - List.length awake);
     (* successor sleeps: inherited sleepers still independent of the
        fired action, plus earlier awake siblings independent of it (SC
        only — see above); if everything chosen is asleep the state is
@@ -78,7 +62,8 @@ let expansion ?stats ctx =
     let keep_sleeping fp_a pid =
       match Config.find_proc pid c with
       | None -> false
-      | Some q -> independent fp_a (Step.action_footprint ctx c q)
+      | Some q ->
+          not (Step.footprint_conflict fp_a (Step.action_footprint ctx c q))
     in
     let rec annotate earlier = function
       | [] -> []
@@ -92,8 +77,8 @@ let expansion ?stats ctx =
                 (PidSet.of_list
                    (List.filter_map
                       (fun (b, fb) ->
-                        if independent fp_a fb then Some (Step.action_pid b)
-                        else None)
+                        if Step.footprint_conflict fp_a fb then None
+                        else Some (Step.action_pid b))
                       earlier))
           in
           (a, sleep') :: annotate ((a, fp_a) :: earlier) rest
@@ -108,14 +93,6 @@ let admit recorded sleep' =
   if PidSet.subset recorded sleep' then None
   else Some (PidSet.inter recorded sleep')
 
-let explore ?max_configs ?budget ?stats ctx : Space.result =
-  let r =
-    Space.generate ?max_configs ?budget ~site:"sleep" ~admit
-      ~expand:(expansion ?stats ctx) ctx (Space.start ctx awake)
-  in
-  Option.iter
-    (fun s ->
-      s.explored_transitions <-
-        s.explored_transitions + r.Space.stats.Space.transitions)
-    stats;
-  r
+let explore ?max_configs ?budget ctx : Space.result =
+  Space.generate ?max_configs ?budget ~site:"sleep" ~admit
+    ~expand:(expansion ctx) ctx (Space.start ctx awake)

@@ -9,17 +9,6 @@
 
 open Cobegin_semantics
 
-type stats = {
-  mutable pruned_by_sleep : int;
-      (** transitions skipped because the process slept *)
-  mutable explored_transitions : int;
-}
-
-val new_stats : unit -> stats
-
-val independent : Step.footprint -> Step.footprint -> bool
-(** No read/write conflict between the two concrete footprints. *)
-
 type sleep
 (** A sleep set: the processes whose next action need not fire. *)
 
@@ -27,7 +16,6 @@ val awake : sleep
 (** The empty sleep set, the initial configuration's. *)
 
 val expansion :
-  ?stats:stats ->
   Step.ctx ->
   Config.t ->
   sleep ->
@@ -44,12 +32,7 @@ val admit : sleep -> sleep -> sleep option
     again with a sleep set that is not a superset of the recorded one,
     under their intersection. *)
 
-val explore :
-  ?max_configs:int ->
-  ?budget:Budget.t ->
-  ?stats:stats ->
-  Step.ctx ->
-  Space.result
+val explore : ?max_configs:int -> ?budget:Budget.t -> Step.ctx -> Space.result
 (** Persistent-set + sleep-set exploration: {!Space.generate} with
     {!expansion} and {!admit}.  Stops cleanly at budget exhaustion and
     returns the partial result (see {!Space.full}). *)

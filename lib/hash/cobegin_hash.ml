@@ -20,10 +20,6 @@ let hash_string s =
 let hash_list hash_elt l =
   List.fold_left (fun h x -> combine h (hash_elt x)) (hash_int (List.length l)) l
 
-let hash_option hash_elt = function
-  | None -> 0x4f
-  | Some x -> combine 0x536f6d65 (hash_elt x)
-
 let hash_int_array a =
   Array.fold_left combine (hash_int (Array.length a)) a
 

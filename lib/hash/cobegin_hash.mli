@@ -25,8 +25,6 @@ val hash_list : ('a -> int) -> 'a list -> int
 (** Folds over every element; the length is mixed in, so a prefix never
     hashes like the whole. *)
 
-val hash_option : ('a -> int) -> 'a option -> int
-
 val hash_int_array : int array -> int
 (** Full fold over the array — the replacement for
     [Hashtbl.hash (Array.to_list m)] truncated at ~10 elements. *)

@@ -56,8 +56,3 @@ let run_round_robin ?max_steps ctx : run =
    SC, the least pid). *)
 let run_leftmost ?max_steps ctx : run =
   run ?max_steps ctx ~pick:(fun enabled -> List.hd enabled)
-
-let all_events r =
-  List.fold_left
-    (fun acc e -> Step.merge_events acc e.events)
-    Step.no_events (List.rev r.trace)

@@ -36,5 +36,3 @@ val run_leftmost : ?max_steps:int -> Step.ctx -> run
 (** Deterministic: always the first enabled action (under SC, the least
     pid). *)
 
-val all_events : run -> Step.events
-(** The merged instrumentation of the whole run, in execution order. *)

@@ -147,8 +147,6 @@ let repr p =
 let next_stmt p =
   match p.stack with Istmt s :: _ -> Some s | _ -> None
 
-let is_terminated p = p.stack = [] && p.buf = []
-
 let pp_item ppf = function
   | Istmt s -> Format.fprintf ppf "stmt:%d" s.Ast.label
   | Ipop _ -> Format.pp_print_string ppf "pop"

@@ -81,9 +81,5 @@ val repr : t -> repr
 val next_stmt : t -> Ast.stmt option
 (** The statement the process executes next, when its top item is one. *)
 
-val is_terminated : t -> bool
-(** The process has run to completion: no continuation left {e and} no
-    buffered write still awaiting a flush. *)
-
 val pp_item : Format.formatter -> item -> unit
 val pp : Format.formatter -> t -> unit

@@ -70,9 +70,6 @@ type events = { accesses : access list; allocs : alloc list }
 
 let no_events = { accesses = []; allocs = [] }
 
-let merge_events a b =
-  { accesses = a.accesses @ b.accesses; allocs = a.allocs @ b.allocs }
-
 (* Event logs: the distinct events of an exploration.  A state space
    repeats the same access at every configuration that reaches it, and
    the analyses read only which events occur, so an exploration keeps

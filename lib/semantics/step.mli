@@ -58,7 +58,6 @@ type alloc = {
 type events = { accesses : access list; allocs : alloc list }
 
 val no_events : events
-val merge_events : events -> events -> events
 
 (** The distinct events of an exploration.  Every configuration that
     reaches an access repeats it; the analyses of section 5 read only

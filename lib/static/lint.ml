@@ -18,7 +18,7 @@
        variable, where no branch of any enclosing cobegin can write any
        of those variables (by visible name, or through a pointer for
        address-taken ones — branch summaries come from
-       [Access.stmt_summary], closing over callees).  Once the
+       [Access.summary], closing over callees).  Once the
        condition is false the process can never be woken.  The check is
        conservative in the quiet direction: any syntactic parallel
        writer silences it, even one that never executes. *)
@@ -86,20 +86,12 @@ let await_findings (mhp : Mhp.t) =
     fold_program
       (fun acc s ->
         match s.kind with
-        | Sawait e -> (s.label, SS.of_list (expr_vars e)) :: acc
+        | Sawait _ -> (s.label, (Access.action s).rvars) :: acc
         | _ -> acc)
       [] prog
   in
-  let eff = Access.proc_effects_of_program prog in
-  let any =
-    List.fold_left
-      (fun a p -> Access.union_effects a (eff p.pname))
-      Access.no_effects prog.procs
-  in
   let branch_summary (b : Mhp.branch) =
-    Access.stmt_summary
-      ~effects:(fun f -> if Ast.has_proc prog f then Some (eff f) else None)
-      ~any b.b_stmt
+    Access.summary (Mhp.access mhp) b.b_stmt
   in
   (* a writer for [vars] among the branches of context [c]: a visible
      name written by some branch, or an address-taken name while some

@@ -1,7 +1,8 @@
 (** May-Happen-in-Parallel from the nested cobegin structure and the
     interprocedural call graph — polynomial in program size, no
     exploration.  Two labels are MHP iff they are reachable (closing
-    over calls; indirect calls reach every procedure) from two distinct
+    over calls by {!Access.callees}: indirect calls, and calls through
+    a name a variable may shadow, reach every procedure) from two distinct
     branches of some cobegin; a procedure reachable from two branches is
     MHP with itself.
 
@@ -16,8 +17,8 @@ module SS = Ast.StringSet
 type site = {
   s_label : int;
   s_sync : bool;
-      (** await / lock / unlock — excluded from race candidates, like
-          the dynamic detector's [is_sync] filter *)
+      (** {!Access.is_sync} (await, lock, unlock, fence) — excluded from
+          race candidates, like the dynamic detector's *)
   s_vr : SS.t;  (** reads of names visible at the generating cobegin *)
   s_vw : SS.t;  (** writes of such names *)
   s_ar : SS.t;  (** reads of address-taken names, any scope *)
@@ -36,14 +37,17 @@ type context = {
 
 type call_site = {
   k_label : int;
-  k_proc : string;  (** procedure containing the call *)
-  k_callees : SS.t;  (** procedures the call may invoke *)
+  k_callees : SS.t;  (** procedures the call may invoke ({!Access.callees}) *)
 }
 
 type t
 
 val of_program : Ast.program -> t
 val program : t -> Ast.program
+
+val access : t -> Access.t
+(** The call graph and procedure effects the sites were built from. *)
+
 val contexts : t -> context list
 
 val may_happen_parallel : t -> int -> int -> bool
@@ -56,5 +60,3 @@ val call_sites : t -> call_site list
 val callable_procs : t -> SS.t
 (** Procedures some call site may invoke (callers of the entry kill
     lock-stability, see [Lockset]). *)
-
-val proc_of_label : t -> int -> string option

@@ -7,10 +7,12 @@
    We approximate "may be accessed by another thread" syntactically: for
    every cobegin in the program and every pair of distinct branches, the
    *free* variable names accessed by both (with a write on at least one
-   side) are conflicting.  Heap accesses (dereferences, frees) are tracked
-   by a single memory token; procedure calls contribute their transitive
-   memory effects.  A name bound inside a branch is local to it and never
-   conflicts under that cobegin. *)
+   side) are conflicting.  Branch summaries are [Access.summary]: heap
+   accesses (dereferences, frees) are tracked by a single memory token,
+   procedure calls contribute their transitive memory effects, and a name
+   bound inside a branch is local to it and never conflicts under that
+   cobegin.  An address-taken name conflicts with the other branch's
+   pointer accesses too. *)
 
 open Cobegin_lang
 open Ast
@@ -23,128 +25,50 @@ type conflicts = {
 
 let no_conflicts = { names = SS.empty; mem = false }
 
-(* Free-access summary of a statement: like [Access.stmt_summary] but
-   names declared within the statement are excluded (block scoping). *)
-let free_summary ~effects ~any (s : stmt) : Access.summary =
-  let acc = ref Access.empty in
-  let add_reads bound e =
-    let names = SS.diff (SS.of_list (expr_vars e)) bound in
-    acc :=
-      Access.union !acc
-        { Access.empty with rvars = names; mem_read = expr_derefs e }
-  in
-  let add_write bound = function
-    | Lvar x ->
-        if not (SS.mem x bound) then
-          acc := Access.union !acc { Access.empty with wvars = SS.singleton x }
-    | Lderef e ->
-        add_reads bound e;
-        acc := Access.union !acc { Access.empty with mem_write = true }
-  in
-  let add_mem ~r ~w =
-    acc :=
-      Access.union !acc { Access.empty with mem_read = r; mem_write = w }
-  in
-  (* returns the bound set extended with this statement's declarations *)
-  let rec go bound (s : stmt) : SS.t =
-    match s.kind with
-    | Sskip | Sfence | Sreturn None -> bound
-    | Sdecl (x, e) ->
-        add_reads bound e;
-        SS.add x bound
-    | Sassign (lv, e) | Smalloc (lv, e) ->
-        add_write bound lv;
-        add_reads bound e;
-        bound
-    | Sfree e ->
-        add_reads bound e;
-        add_mem ~r:false ~w:true;
-        bound
-    | Sreturn (Some e) | Sassert e | Sawait e ->
-        add_reads bound e;
-        bound
-    | Sacquire x ->
-        if not (SS.mem x bound) then
-          acc :=
-            Access.union !acc
-              {
-                Access.empty with
-                rvars = SS.singleton x;
-                wvars = SS.singleton x;
-              };
-        bound
-    | Srelease x ->
-        if not (SS.mem x bound) then
-          acc := Access.union !acc { Access.empty with wvars = SS.singleton x };
-        bound
-    | Scall (lv, callee, args) ->
-        Option.iter (add_write bound) lv;
-        List.iter (add_reads bound) args;
-        (match callee with
-        | Evar f when Option.is_some (effects f) ->
-            let e : Access.proc_effects = Option.get (effects f) in
-            add_mem ~r:e.eff_mem_read ~w:e.eff_mem_write
-        | e ->
-            add_reads bound e;
-            add_mem ~r:any.Access.eff_mem_read ~w:any.Access.eff_mem_write);
-        bound
-    | Sblock ss | Satomic ss ->
-        ignore (List.fold_left go bound ss);
-        bound
-    | Scobegin bs ->
-        List.iter (fun b -> ignore (go bound b)) bs;
-        bound
-    | Sif (c, s1, s2) ->
-        add_reads bound c;
-        ignore (go bound s1);
-        ignore (go bound s2);
-        bound
-    | Swhile (c, b) ->
-        add_reads bound c;
-        ignore (go bound b);
-        bound
-  in
-  ignore (go SS.empty s);
-  !acc
-
-(* Conflicting accesses between two summaries: w1 against r2∪w2 and
-   w2 against r1. *)
-let summary_conflicts (a : Access.summary) (b : Access.summary) : conflicts =
-  let names =
+(* Conflicting accesses between two summaries: w1 against r2∪w2 and w2
+   against r1 by name, and, as [Lockset] pairs the memory token with
+   address-taken names, a pointer write against an address-taken name
+   the other side reads or writes, and a pointer read against one it
+   writes. *)
+let summary_conflicts ~addr_taken (a : Access.summary) (b : Access.summary) :
+    conflicts =
+  let by_name =
     SS.union
       (SS.inter a.wvars (SS.union b.rvars b.wvars))
       (SS.inter b.wvars a.rvars)
   in
+  let through_pointer (a : Access.summary) (b : Access.summary) =
+    SS.inter addr_taken
+      (SS.union
+         (if a.mem_write then SS.union b.rvars b.wvars else SS.empty)
+         (if a.mem_read then b.wvars else SS.empty))
+  in
+  let aliased = SS.union (through_pointer a b) (through_pointer b a) in
   let mem =
     (a.mem_write && (b.mem_read || b.mem_write))
     || (b.mem_write && a.mem_read)
+    || not (SS.is_empty aliased)
   in
-  { names; mem }
+  { names = SS.union by_name aliased; mem }
 
 let union_conflicts a b = { names = SS.union a.names b.names; mem = a.mem || b.mem }
 
 (* All cross-branch conflicts of a program. *)
 let of_program (prog : program) : conflicts =
-  let effects = Access.proc_effects_of_program prog in
-  let any =
-    List.fold_left
-      (fun acc p -> Access.union_effects acc (effects p.pname))
-      Access.no_effects prog.procs
-  in
-  let effects_opt f = if has_proc prog f then Some (effects f) else None in
+  let access = Access.of_program prog in
+  let addr_taken = addr_taken_of_program prog in
   fold_program
     (fun acc s ->
       match s.kind with
       | Scobegin bs ->
-          let sums =
-            List.map (free_summary ~effects:effects_opt ~any) bs
-          in
+          let sums = List.map (Access.summary access) bs in
           let rec pairs acc = function
             | [] -> acc
             | x :: rest ->
                 let acc =
                   List.fold_left
-                    (fun acc y -> union_conflicts acc (summary_conflicts x y))
+                    (fun acc y ->
+                      union_conflicts acc (summary_conflicts ~addr_taken x y))
                     acc rest
                 in
                 pairs acc rest

@@ -3,7 +3,9 @@
     write.  Approximated syntactically: for every cobegin and every pair
     of branches, the free names accessed by both with a write on at
     least one side conflict; heap accesses conflict through a single
-    memory token; calls contribute their transitive memory effects. *)
+    memory token; calls contribute their transitive memory effects
+    ({!Access.summary}); an address-taken name conflicts with the other
+    branch's pointer accesses. *)
 
 open Cobegin_lang
 
@@ -14,15 +16,15 @@ type conflicts = {
 
 val no_conflicts : conflicts
 
-val free_summary :
-  effects:(string -> Access.proc_effects option) ->
-  any:Access.proc_effects ->
-  Ast.stmt ->
-  Access.summary
-(** Like {!Access.stmt_summary} but names bound inside the statement are
-    excluded (block scoping): the accesses visible from outside. *)
+val summary_conflicts :
+  addr_taken:Ast.StringSet.t -> Access.summary -> Access.summary -> conflicts
+(** The conflicts between two branch summaries: a name one side writes
+    and the other reads or writes; memory when one side writes through
+    a pointer and the other accesses memory; and, against the
+    [addr_taken] names, a pointer write and a name the other side reads
+    or writes, or a pointer read and a name it writes — such a name
+    conflicts, and so does memory. *)
 
-val summary_conflicts : Access.summary -> Access.summary -> conflicts
 val union_conflicts : conflicts -> conflicts -> conflicts
 
 val of_program : Ast.program -> conflicts

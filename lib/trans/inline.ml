@@ -4,8 +4,9 @@
    the parallelization application to compare summary-based analysis with
    analysis after expansion.
 
-   A call  [lv =] f(e1..en)  is inlinable when f is a statically known,
-   non-recursive procedure whose body contains either no return or a
+   A call  [lv =] f(e1..en)  is inlinable when the call graph of
+   [Access] resolves it to exactly one procedure f, non-recursive,
+   whose body contains either no return or a
    single trailing  return e;.  Locals and parameters are freshened to
    avoid capture.  Inlining iterates bottom-up on the call graph up to
    [depth] rounds. *)
@@ -21,30 +22,27 @@ let gensym_for_program () =
     incr n;
     Printf.sprintf "%s__i%d" base !n
 
-(* Direct callees of a procedure body. *)
-let callees (s : stmt) =
-  fold_stmt
-    (fun acc s ->
-      match s.kind with
-      | Scall (_, Evar f, _) -> StringSet.add f acc
-      | _ -> acc)
-    StringSet.empty s
+(* The procedure a call statement invokes, when the call graph resolves
+   it to exactly one. *)
+let target access (s : stmt) =
+  match StringSet.elements (Access.callees access s) with
+  | [ f ] -> Some f
+  | _ -> None
 
-(* Is [f] (transitively) recursive? *)
-let recursive prog f =
-  let rec reach seen g =
-    if StringSet.mem g seen then seen
-    else
-      match find_proc prog g with
-      | None -> seen
-      | Some p -> StringSet.fold (fun h s -> reach s h) (callees p.body) (StringSet.add g seen)
+(* Is [f] (transitively) recursive through calls [target] resolves? *)
+let recursive access prog f =
+  let next g =
+    match find_proc prog g with
+    | None -> StringSet.empty
+    | Some p ->
+        fold_stmt
+          (fun acc s ->
+            match target access s with
+            | Some h -> StringSet.add h acc
+            | None -> acc)
+          StringSet.empty p.body
   in
-  match find_proc prog f with
-  | None -> false
-  | Some p ->
-      StringSet.exists
-        (fun g -> StringSet.mem f (reach StringSet.empty g))
-        (callees p.body)
+  StringSet.mem f (Access.reach_procs next (next f))
 
 (* Split a body into (statements, trailing return expression option);
    None when the body is not inlinable (an inner return). *)
@@ -129,12 +127,12 @@ and rename_stmts gensym ren ss =
   (ren, List.rev rev)
 
 (* Expand one call site.  Returns None when not inlinable. *)
-let expand gensym prog (lv : lvalue option) f (args : expr list) :
+let expand gensym access prog (lv : lvalue option) f (args : expr list) :
     stmt list option =
   match find_proc prog f with
   | None -> None
   | Some p ->
-      if recursive prog f then None
+      if recursive access prog f then None
       else if List.length args <> List.length p.params then None
       else
         match splittable_body p.body with
@@ -157,35 +155,36 @@ let expand gensym prog (lv : lvalue option) f (args : expr list) :
             (* wrap in a block so callee locals do not leak *)
             Some [ Ast.mk (Sblock (decls @ body' @ tail)) ]
 
-let rec inline_stmt gensym prog (s : stmt) : stmt list =
-  let inline = inline_stmt gensym prog in
-  match s.kind with
-  | Scall (lv, Evar f, args) when has_proc prog f -> (
-      match expand gensym prog lv f args with
+let rec inline_stmt gensym access prog (s : stmt) : stmt list =
+  let inline = inline_stmt gensym access prog in
+  match (s.kind, target access s) with
+  | Scall (lv, _, args), Some f -> (
+      match expand gensym access prog lv f args with
       | Some ss -> ss
       | None -> [ s ])
-  | Sblock ss -> [ { s with kind = Sblock (List.concat_map inline ss) } ]
-  | Scobegin bs ->
+  | Sblock ss, _ -> [ { s with kind = Sblock (List.concat_map inline ss) } ]
+  | Scobegin bs, _ ->
       [
         {
           s with
           kind = Scobegin (List.map (fun b -> Ast.block (inline b)) bs);
         };
       ]
-  | Sif (c, a, b) ->
+  | Sif (c, a, b), _ ->
       [ { s with kind = Sif (c, Ast.block (inline a), Ast.block (inline b)) } ]
-  | Swhile (c, b) -> [ { s with kind = Swhile (c, Ast.block (inline b)) } ]
+  | Swhile (c, b), _ -> [ { s with kind = Swhile (c, Ast.block (inline b)) } ]
   | _ -> [ s ]
 
 (* Inline up to [depth] rounds, then relabel so labels stay unique. *)
 let program ?(depth = 3) (prog : program) : program =
   let gensym = gensym_for_program () in
   let step prog =
+    let access = Access.of_program prog in
     {
       procs =
         List.map
           (fun p ->
-            { p with body = Ast.block (inline_stmt gensym prog p.body) })
+            { p with body = Ast.block (inline_stmt gensym access prog p.body) })
           prog.procs;
     }
   in

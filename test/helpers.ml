@@ -117,3 +117,28 @@ let lines_written f =
       f oc;
       close_out oc;
       read_lines path)
+
+(* The regression programs of test/programs, as (file name, source)
+   sorted by name: read from the copy dune makes beside the test
+   executable (the [deps] of test/dune), or from the source tree when the
+   executable runs from the repository root.  Fails when none is found,
+   so a case over them cannot pass vacuously. *)
+let regression_programs () =
+  let dirs =
+    [
+      Filename.concat (Filename.dirname Sys.executable_name) "programs";
+      "test/programs";
+    ]
+  in
+  let files dir =
+    if Sys.file_exists dir && Sys.is_directory dir then
+      Sys.readdir dir |> Array.to_list
+      |> List.filter (fun f -> Filename.check_suffix f ".cob")
+      |> List.sort compare
+      |> List.map (fun f -> (f, Filename.concat dir f))
+    else []
+  in
+  match List.find_opt (fun fs -> fs <> []) (List.map files dirs) with
+  | None -> Alcotest.fail "no test/programs/*.cob found"
+  | Some fs ->
+      List.map (fun (f, path) -> (f, String.concat "\n" (read_lines path))) fs

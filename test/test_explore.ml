@@ -74,7 +74,7 @@ let all_figures_agree =
             check_bool (name ^ " no bigger") true
               (stub.Space.stats.Space.configurations
               <= full.Space.stats.Space.configurations))
-          figures);
+          (figures @ regression_programs ()));
   ]
 
 let gen_cfg =
@@ -453,7 +453,7 @@ let sleep_tests =
               (name ^ " deadlocks")
               full.Space.stats.Space.deadlocks
               slp.Space.stats.Space.deadlocks)
-          figures);
+          (figures @ regression_programs ()));
     case "sleep sets cut transitions below stubborn on fig5" (fun () ->
         let stub = explore_stubborn Cobegin_models.Figures.fig5 in
         let slp = Sleep.explore (ctx_of Cobegin_models.Figures.fig5) in
@@ -608,6 +608,49 @@ let witness_tests =
         | _ -> Alcotest.fail "expected Pid_not_enabled at step 1");
   ]
 
+(* The premise of the stubborn reduction's soundness (docs/INTERNALS.md
+   §1): at every configuration the full engine reaches under SC, every
+   live process's may-access covers the existing locations its next
+   action touches.  A read must be a future read or write, a write a
+   future write, or either memory-covered while the summary may read
+   (write) through a pointer.  The number of process-configurations
+   where that fails. *)
+let uncovered_next_actions ?max_configs prog =
+  let module Sem = Cobegin_semantics in
+  let module LS = Sem.Value.LocSet in
+  let ctx = Sem.Step.make_ctx prog in
+  let mctx = Mayaccess.make_ctx prog in
+  let misses = ref 0 in
+  let visit c () _ =
+    let store = c.Sem.Config.store in
+    List.iter
+      (fun p ->
+        let fp = Sem.Step.action_footprint ctx c p in
+        let fut = Mayaccess.of_process mctx p in
+        let covered ~by ~mem l =
+          (not (Sem.Store.mem l store))
+          || LS.mem l by
+          || (mem && Sem.Store.is_mem_covered l store)
+        in
+        let reads_covered =
+          LS.for_all
+            (covered
+               ~by:(LS.union fut.Mayaccess.freads fut.Mayaccess.fwrites)
+               ~mem:fut.Mayaccess.mem_read)
+            fp.Sem.Step.freads
+        and writes_covered =
+          LS.for_all
+            (covered ~by:fut.Mayaccess.fwrites ~mem:fut.Mayaccess.mem_write)
+            fp.Sem.Step.fwrites
+        in
+        if not (reads_covered && writes_covered) then incr misses)
+      (Sem.Config.processes c)
+  in
+  ignore
+    (Space.generate ?max_configs ~visit ~site:"space" ~admit:Space.no_revisits
+       ~expand:Space.all_actions ctx (Space.start ctx ()));
+  !misses
+
 (* Continuation summaries (Mayaccess): the soundness ingredient of the
    stubborn reduction. *)
 let mayaccess_tests =
@@ -688,6 +731,21 @@ let mayaccess_tests =
         let fp = Sem.Step.action_footprint ctx c reader in
         check_bool "read of the address-taken cell conflicts" true
           (Mayaccess.conflicts_footprint c.Sem.Config.store fp summary));
+    case "a process's may-access covers its next action" (fun () ->
+        let named =
+          List.map
+            (fun (name, src) -> (name, parse src))
+            (Cobegin_models.Corpus.all @ regression_programs ())
+        and generated =
+          List.init 50 (fun i ->
+              ( Printf.sprintf "generator seed %d" (i + 1),
+                random_program (i + 1) ))
+        in
+        List.iter
+          (fun (name, prog) ->
+            check_int (name ^ " uncovered") 0
+              (uncovered_next_actions ~max_configs:20_000 prog))
+          (named @ generated));
   ]
 
 (* The kernel's visitor contract: with an admission policy that never

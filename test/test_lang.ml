@@ -251,38 +251,61 @@ let access_tests =
             "proc w(p) { *p = 1; } proc v(p) { w(p); } proc main() { var a = \
              malloc(1); v(a); }"
         in
-        let eff = Access.proc_effects_of_program p in
-        check_bool "v writes memory" true (eff "v").Access.eff_mem_write;
-        check_bool "w writes memory" true (eff "w").Access.eff_mem_write;
-        check_bool "w does not read memory" false (eff "w").Access.eff_mem_read);
+        let eff = Access.effects (Access.of_program p) in
+        check_bool "v writes memory" true (eff "v").Access.mem_write;
+        check_bool "w writes memory" true (eff "w").Access.mem_write;
+        check_bool "w does not read memory" false (eff "w").Access.mem_read);
     case "indirect calls use the any-procedure effect" (fun () ->
+        (* a computed callee, and [f], which a variable also names: both
+           may invoke every procedure, so they may write memory *)
+        List.iter
+          (fun src ->
+            let p = parse src in
+            let access = Access.of_program p in
+            let call =
+              Ast.fold_program
+                (fun acc s ->
+                  match s.Ast.kind with Ast.Scall _ -> Some s | _ -> acc)
+                None p
+              |> Option.get
+            in
+            check_int "may invoke every procedure"
+              (List.length p.Ast.procs)
+              (Ast.StringSet.cardinal (Access.callees access call));
+            check_bool "writes memory" true
+              (Access.summary access call).Access.mem_write)
+          [
+            "proc w(p) { *p = 1; } proc main() { var g = w; var a = \
+             malloc(1); (g)(a); }";
+            "proc f(p) { return 0; } proc w(p) { *p = 1; return 0; } proc \
+             main() { var f = w; var a = malloc(1); var r = f(a); }";
+          ]);
+    case "stmt summary collects variables" (fun () ->
         let p =
           parse
-            "proc w(p) { *p = 1; } proc main() { var g = w; var a = \
-             malloc(1); (g)(a); }"
+            "proc main() { var x = 0; var y = 0; x = y + 1; { var t = x; x = \
+             t; } atomic { var u = x; x = u; } }"
         in
-        let eff = Access.proc_effects_of_program p in
-        ignore eff;
-        let any =
-          List.fold_left
-            (fun acc pr -> Access.union_effects acc (eff pr.Ast.pname))
-            Access.no_effects p.Ast.procs
-        in
-        check_bool "any writes" true any.Access.eff_mem_write);
-    case "stmt summary collects variables" (fun () ->
-        let p = parse "proc main() { var x = 0; var y = 0; x = y + 1; }" in
-        let body =
+        let access = Access.of_program p in
+        let nth i =
           match (List.hd p.Ast.procs).Ast.body.Ast.kind with
-          | Ast.Sblock ss -> List.nth ss 2
+          | Ast.Sblock ss -> List.nth ss i
           | _ -> assert false
         in
-        let sum =
-          Access.stmt_summary
-            ~effects:(fun _ -> None)
-            ~any:Access.no_effects body
-        in
-        check_bool "reads y" true (Ast.StringSet.mem "y" sum.Access.rvars);
-        check_bool "writes x" true (Ast.StringSet.mem "x" sum.Access.wvars));
+        let mem x set = Ast.StringSet.mem x set in
+        let sum = Access.summary access (nth 2) in
+        check_bool "reads y" true (mem "y" sum.Access.rvars);
+        check_bool "writes x" true (mem "x" sum.Access.wvars);
+        (* names declared inside are fresh cells, left out; an atomic
+           block scopes its own declarations *)
+        let block = Access.summary access (nth 3) in
+        check_bool "block writes x" true (mem "x" block.Access.wvars);
+        check_bool "block's own t left out" false (mem "t" block.Access.rvars);
+        let atomic = Access.summary access (nth 4) in
+        check_bool "atomic's own u left out" false
+          (mem "u" atomic.Access.rvars);
+        check_bool "the atomic action reads u" true
+          (mem "u" (Access.action (nth 4)).Access.rvars));
     case "address-taken set" (fun () ->
         let p = parse "proc main() { var x = 0; var p = &x; *p = 1; }" in
         let at = Ast.addr_taken_of_program p in

@@ -272,6 +272,16 @@ let lint_rule_tests =
              (List.exists
                 (fun (fd : Report.finding) -> fd.f_rule = "await-no-writer")
                 r.Lint.findings)));
+    case "await satisfied through a shadowed call is quiet" (fun () ->
+        (* [f] holds [g], which writes [x] through the pointer *)
+        let src =
+          List.assoc "shadowed_call_await.cob" (regression_programs ())
+        in
+        check_bool "no await finding" true
+          (not
+             (List.exists
+                (fun (fd : Report.finding) -> fd.f_rule = "await-no-writer")
+                (lint src).Lint.findings)));
     case "await satisfied through a pointer writer is quiet" (fun () ->
         let r =
           lint

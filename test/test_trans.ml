@@ -165,16 +165,23 @@ let inline_tests =
           "proc sq(a) { return a * a; } proc main() { var s = 0; cobegin { \
            s = sq(3); } { s = sq(4); } coend; }"
         in
-        let prog = parse src in
-        let inlined = Inline.program prog in
-        let ctx p = Cobegin_semantics.Step.make_ctx p in
-        let before = Cobegin_explore.Space.full (ctx prog) in
-        let after = Cobegin_explore.Space.full (ctx inlined) in
-        (* final stores differ structurally (different locations) but the
-           outcome count must match *)
-        check_int "same number of outcomes"
-          before.Cobegin_explore.Space.stats.Cobegin_explore.Space.finals
-          after.Cobegin_explore.Space.stats.Cobegin_explore.Space.finals);
+        List.iter
+          (fun (name, src) ->
+            let prog = parse src in
+            let inlined = Inline.program prog in
+            let ctx p = Cobegin_semantics.Step.make_ctx p in
+            let before = Cobegin_explore.Space.full (ctx prog) in
+            let after = Cobegin_explore.Space.full (ctx inlined) in
+            (* final stores differ structurally (different locations) but
+               the outcome counts must match *)
+            let counts (r : Cobegin_explore.Space.result) =
+              let s = r.Cobegin_explore.Space.stats in
+              Cobegin_explore.Space.[ s.finals; s.deadlocks; s.errors ]
+            in
+            Alcotest.(check (list int))
+              (name ^ ": finals, deadlocks, errors")
+              (counts before) (counts after))
+          (("sq", src) :: regression_programs ()));
     case "no capture: locals are freshened" (fun () ->
         let prog =
           parse
@@ -191,4 +198,34 @@ let inline_tests =
         | _ -> Alcotest.fail "inlined program misbehaves");
   ]
 
-let suite = critical_tests @ coarsen_tests @ inline_tests
+(* The regression programs: calls through a name a variable shadows,
+   and a pointer write to an address-taken variable another branch
+   reads by name. *)
+let regression_tests =
+  [
+    case "coarsening keeps full's final stores on the regression programs"
+      (fun () ->
+        List.iter
+          (fun (name, src) ->
+            let prog = parse src in
+            let conf = Critical.of_program prog in
+            let critical x = Ast.StringSet.mem x conf.Critical.names in
+            (match name with
+            | "shadowed_call.cob" | "shadowed_call_coarsen.cob" ->
+                check_bool (name ^ ": f is critical") true (critical "f")
+            | "addr_taken_coarsen.cob" ->
+                check_bool (name ^ ": x is critical") true (critical "x");
+                check_bool (name ^ ": memory is critical") true
+                  conf.Critical.mem
+            | _ -> ());
+            let ctx p = Cobegin_semantics.Step.make_ctx p in
+            let before = Cobegin_explore.Space.full (ctx prog) in
+            let after =
+              Cobegin_explore.Space.full (ctx (Coarsen.program prog))
+            in
+            check_bool (name ^ ": same final stores") true
+              (final_reprs before = final_reprs after))
+          (regression_programs ()));
+  ]
+
+let suite = critical_tests @ coarsen_tests @ inline_tests @ regression_tests
