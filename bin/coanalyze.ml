@@ -36,24 +36,6 @@ open Cmdliner
 open Cobegin_core
 open Cobegin_absint
 
-let read_program path =
-  try Ok (Pipeline.load_file path) with
-  | Cobegin_lang.Parser.Error (msg, pos) ->
-      Error
-        (Format.asprintf "%a" Cobegin_lang.Parser.pp_error (msg, pos))
-  | Cobegin_lang.Lexer.Error (msg, pos) ->
-      (* load_file folds lexer errors into Parser.Error; this arm covers
-         any that escape a different path *)
-      Error
-        (Format.asprintf "%a" Cobegin_lang.Parser.pp_error
-           ("lexical error: " ^ msg, pos))
-  | Cobegin_lang.Check.Ill_formed diags ->
-      Error
-        (Format.asprintf "@[<v>%a@]"
-           (Format.pp_print_list Cobegin_lang.Check.pp_diagnostic)
-           diags)
-  | Sys_error e -> Error e
-
 (* The truncation banner and the exit-code convention shared by every
    analysis subcommand.  The banner carries the wall time and the peak
    heap so a truncated run is diagnosable from the CLI alone. *)
@@ -325,7 +307,7 @@ let analyze_cmd =
         1
     | Ok () -> (
         if debug then Printexc.record_backtrace true;
-        match read_program file with
+        match Pipeline.read_program file with
         | Error e ->
             Format.eprintf "%s@." e;
             1
@@ -450,7 +432,7 @@ let explore_cmd =
         Format.eprintf "%s@." e;
         1
     | Ok () -> (
-    match read_program file with
+    match Pipeline.read_program file with
     | Error e ->
         Format.eprintf "%s@." e;
         1
@@ -579,7 +561,7 @@ let races_cmd =
         Format.eprintf "%s@." e;
         1
     | Ok () -> (
-        match read_program file with
+        match Pipeline.read_program file with
         | Error e ->
             Format.eprintf "%s@." e;
             1
@@ -641,7 +623,7 @@ let interfere_cmd =
           "domain must be intervals, constants, signs, parity or \
            interval-parity"
     in
-    let print ppf d = Format.pp_print_string ppf (Report.domain_name d) in
+    let print ppf d = Format.pp_print_string ppf (Analyzer.domain_name d) in
     Arg.(
       value
       & opt (conv' (parse, print)) Analyzer.Intervals
@@ -656,7 +638,7 @@ let interfere_cmd =
         Format.eprintf "%s@." e;
         1
     | Ok () -> (
-        match read_program file with
+        match Pipeline.read_program file with
         | Error e ->
             Format.eprintf "%s@." e;
             1
@@ -746,7 +728,7 @@ let interfere_cmd =
 
 let parallel_cmd =
   let run file options =
-    match read_program file with
+    match Pipeline.read_program file with
     | Error e ->
         Format.eprintf "%s@." e;
         1

@@ -11,21 +11,6 @@
 open Cmdliner
 open Cobegin_semantics
 
-let read_program path =
-  try Ok (Cobegin_core.Pipeline.load_file path) with
-  | Cobegin_lang.Parser.Error (msg, pos) ->
-      Error (Format.asprintf "%a" Cobegin_lang.Parser.pp_error (msg, pos))
-  | Cobegin_lang.Lexer.Error (msg, pos) ->
-      Error
-        (Format.asprintf "%a" Cobegin_lang.Parser.pp_error
-           ("lexical error: " ^ msg, pos))
-  | Cobegin_lang.Check.Ill_formed diags ->
-      Error
-        (Format.asprintf "@[<v>%a@]"
-           (Format.pp_print_list Cobegin_lang.Check.pp_diagnostic)
-           diags)
-  | Sys_error e -> Error e
-
 type sched = Leftmost | Random | Round_robin
 
 let sched_conv =
@@ -91,7 +76,7 @@ let run_cmd =
              reaching it, replay it, and exit 2 if one exists.")
   in
   let run file sched seed fuel trace witness_error =
-    match read_program file with
+    match Cobegin_core.Pipeline.read_program file with
     | Error e ->
         Format.eprintf "%s@." e;
         1

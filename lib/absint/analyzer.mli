@@ -1,21 +1,33 @@
-(** Ready-made instantiations of the abstract machine, and a
-    domain-agnostic driver whose result ({!Alog.t} + counts) feeds the
+(** The numeric domains, listed once, and a domain-agnostic driver of
+    the abstract machine whose result ({!Alog.t} + counts) feeds the
     analyses of Cobegin_analysis unchanged. *)
 
 open Cobegin_domains
-
-module Interval_machine : module type of Machine.Make (Interval)
-module Const_machine : module type of Machine.Make (Const)
-module Sign_machine : module type of Machine.Make (Sign)
-module Parity_machine : module type of Machine.Make (Parity)
-module Int_parity_machine : module type of Machine.Make (Int_parity)
 
 (** The numeric domain of the abstract values (paper section 3: each
     choice induces a different analysis). *)
 type domain = Intervals | Constants | Signs | Parities | Interval_parity
 
+type row = {
+  domain : domain;
+  name : string;
+      (** stable ASCII spelling: reports, [-e abstract/NAME],
+          [interfere --domain NAME] *)
+  display : string;  (** text summaries, e.g. ["interval×parity"] *)
+  aliases : string list;  (** further spellings {!domain_of_string} takes *)
+  lattice : (module Lattice.NUMERIC);
+      (** what both engines are instantiated with *)
+}
+
+val domains : row list
+(** One row per domain, in declaration order. *)
+
+val domain_name : domain -> string
+val lattice : domain -> (module Lattice.NUMERIC)
 val pp_domain : Format.formatter -> domain -> unit
+
 val domain_of_string : string -> domain option
+(** A row's [name] or one of its [aliases], case-sensitive. *)
 
 type summary = {
   domain : domain;
@@ -38,15 +50,16 @@ val pp_summary : Format.formatter -> summary -> unit
 val analyze :
   ?domain:domain ->
   ?folding:Machine.folding ->
-  ?widen_after:int ->
   ?max_configs:int ->
   ?budget:Budget.t ->
   ?k_pstring:int ->
   ?max_call_depth:int ->
   Cobegin_lang.Ast.program ->
   summary
-(** Run the abstract machine.  Defaults: intervals, Control folding,
-    widening after 3 revisits, k_pstring = 8, call depth 64.
+(** Run the abstract machine, [Machine.Make] applied to the domain's
+    [lattice].  Defaults: intervals, Control folding, k_pstring = 8,
+    call depth 64; joins into a key become widenings after
+    {!Machine.widen_after} (3) growing joins.
     [budget] (which subsumes [max_configs]) bounds the run; exhaustion
     never raises — the summary comes back with its partial counts, the
     queued terminals drained in, and [status = Truncated _]. *)

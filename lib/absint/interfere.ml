@@ -49,6 +49,11 @@ let m_widenings = Obs_metrics.counter "interfere.widenings"
 let m_visits = Obs_metrics.counter "interfere.stmt_visits"
 let g_ivars = Obs_metrics.gauge "interfere.interference_vars"
 
+(* Fixpoint rounds (and loop-head iterations) before joins become
+   widenings, and the rounds after which a run stops as [Fuel]. *)
+let widen_after = 2
+let max_rounds = 200
+
 type verdicts = {
   assert_may_fail : int list;
   never_proceeds : int list;
@@ -179,46 +184,14 @@ let compute_protection ls ~shared ~addr_taken =
 (* --- the per-domain engine --- *)
 
 module Make (N : Lattice.NUMERIC) = struct
-  (* One abstract value per cell: a product of the numeric domain, a
-     three-valued boolean, and may-be-pointer / may-be-procedure flags —
-     mirrors the concrete [Value.t] sum. *)
-  type aval = { num : N.t; bool3 : Bool3.t; ptr : bool; fn : bool }
+  (* One abstract value per cell: [Aval]'s product with may-be-pointer /
+     may-be-procedure flags — mirrors the concrete [Value.t] sum. *)
+  module V = Aval.Make (N) (Aval.Flag) (Aval.Flag)
 
-  let vbot = { num = N.bottom; bool3 = Bool3.Bot; ptr = false; fn = false }
-  let vnum n = { vbot with num = n }
-  let vint n = vnum (N.of_int n)
-  let vbool b = { vbot with bool3 = Bool3.of_bool b }
-  let vb3 b = { vbot with bool3 = b }
-  let vptr = { vbot with ptr = true }
-  let vfun = { vbot with fn = true }
-
-  let is_vbot v =
-    N.is_bottom v.num && Bool3.is_bottom v.bool3 && (not v.ptr) && not v.fn
-
-  let vjoin a b =
-    {
-      num = N.join a.num b.num;
-      bool3 = Bool3.join a.bool3 b.bool3;
-      ptr = a.ptr || b.ptr;
-      fn = a.fn || b.fn;
-    }
-
-  let vleq a b =
-    N.leq a.num b.num
-    && Bool3.leq a.bool3 b.bool3
-    && ((not a.ptr) || b.ptr)
-    && ((not a.fn) || b.fn)
-
-  let vwiden wid a b =
-    {
-      num = wid a.num b.num;
-      bool3 = Bool3.join a.bool3 b.bool3;
-      ptr = a.ptr || b.ptr;
-      fn = a.fn || b.fn;
-    }
+  type aval = V.t = { num : N.t; bool3 : Bool3.t; ptrs : bool; funs : bool }
 
   let pp_aval ppf v =
-    if is_vbot v then Format.pp_print_string ppf "_|_"
+    if V.is_bottom v then Format.pp_print_string ppf "_|_"
     else begin
       let first = ref true in
       let sep () =
@@ -233,11 +206,11 @@ module Make (N : Lattice.NUMERIC) = struct
       | b ->
           sep ();
           Format.fprintf ppf "bool:%a" Bool3.pp b);
-      if v.ptr then begin
+      if v.ptrs then begin
         sep ();
         Format.pp_print_string ppf "ptr"
       end;
-      if v.fn then begin
+      if v.funs then begin
         sep ();
         Format.pp_print_string ppf "fn"
       end
@@ -245,13 +218,13 @@ module Make (N : Lattice.NUMERIC) = struct
 
   type state = Bot | St of aval SM.t
 
-  let sm_get m x = match SM.find_opt x m with Some v -> v | None -> vbot
+  let sm_get m x = match SM.find_opt x m with Some v -> v | None -> V.bottom
 
   let st_join s1 s2 =
     match (s1, s2) with
     | Bot, x | x, Bot -> x
     | St m1, St m2 ->
-        St (SM.union (fun _ v1 v2 -> Some (vjoin v1 v2)) m1 m2)
+        St (SM.union (fun _ v1 v2 -> Some (V.join v1 v2)) m1 m2)
 
   let st_leq s1 s2 =
     match (s1, s2) with
@@ -260,7 +233,7 @@ module Make (N : Lattice.NUMERIC) = struct
     | St m1, St m2 ->
         SM.for_all
           (fun x v ->
-            match SM.find_opt x m2 with Some v2 -> vleq v v2 | None -> false)
+            match SM.find_opt x m2 with Some v2 -> V.leq v v2 | None -> false)
           m1
 
   (* Static context of one analysis. *)
@@ -272,8 +245,6 @@ module Make (N : Lattice.NUMERIC) = struct
     prot : string SM.t; (* protected variable -> its lock *)
     prot_by : SS.t SM.t; (* lock -> the variables it protects *)
     cands : SS.t IM.t; (* call label -> candidate procedures *)
-    widen_num : N.t -> N.t -> N.t;
-    widen_after : int;
   }
 
   (* Mutable cross-process accumulators, iterated to a fixpoint. *)
@@ -300,8 +271,8 @@ module Make (N : Lattice.NUMERIC) = struct
     {
       interf = SM.empty;
       inv = SM.empty;
-      i_at = vbot;
-      heap = vbot;
+      i_at = V.bottom;
+      heap = V.bottom;
       vals = SM.empty;
       args = SM.empty;
       rets = SM.empty;
@@ -318,21 +289,21 @@ module Make (N : Lattice.NUMERIC) = struct
 
   (* Join [v] into an accumulator cell, marking the round dirty on growth
      and widening the chain once the widening rounds begin. *)
-  let bump a c old_ v =
-    if vleq v old_ then old_
+  let bump c old_ v =
+    if V.leq v old_ then old_
     else begin
       c.dirty <- true;
       if c.wround then begin
         c.widenings <- c.widenings + 1;
         Obs_metrics.incr m_widenings;
-        vwiden a.widen_num old_ (vjoin old_ v)
+        V.widen old_ (V.join old_ v)
       end
-      else vjoin old_ v
+      else V.join old_ v
     end
 
-  let bump_map a c m x v =
+  let bump_map c m x v =
     let old_ = sm_get m x in
-    let nv = bump a c old_ v in
+    let nv = bump c old_ v in
     if nv == old_ then m else SM.add x nv m
 
   let holding a label lock = SS.mem lock (Lockset.must_held a.ls label)
@@ -342,17 +313,17 @@ module Make (N : Lattice.NUMERIC) = struct
      address-taken variables additionally join every pointer write. *)
   let read_var a c label m x =
     match SM.find_opt x m with
-    | None -> if Ast.has_proc a.prog x then vfun else vbot
+    | None -> if Ast.has_proc a.prog x then V.of_funs true else V.bottom
     | Some v ->
         let v =
           if SS.mem x a.shared then
             match SM.find_opt x a.prot with
             | Some l when holding a label l -> v
-            | Some _ -> vjoin v (vjoin (sm_get c.interf x) (sm_get c.inv x))
-            | None -> vjoin v (sm_get c.interf x)
+            | Some _ -> V.join v (V.join (sm_get c.interf x) (sm_get c.inv x))
+            | None -> V.join v (sm_get c.interf x)
           else v
         in
-        if SS.mem x a.at then vjoin v c.i_at else v
+        if SS.mem x a.at then V.join v c.i_at else v
 
   (* Write of a name: strong update of the local state; shared variables
      feed the interference unless written inside their own critical
@@ -362,149 +333,110 @@ module Make (N : Lattice.NUMERIC) = struct
      the entry procedure's code outside every cobegin never runs in
      parallel with the branches, so its writes are not interference. *)
   let write_var a c ~br label m x v =
-    c.vals <- bump_map a c c.vals x v;
+    c.vals <- bump_map c c.vals x v;
     (if br && SS.mem x a.shared then
        let in_crit =
          match SM.find_opt x a.prot with
          | Some l -> holding a label l
          | None -> false
        in
-       if not in_crit then c.interf <- bump_map a c c.interf x v);
+       if not in_crit then c.interf <- bump_map c c.interf x v);
     SM.add x v m
 
   (* A dereference may read any heap cell or any address-taken cell. *)
   let deref_read a c =
     SS.fold
-      (fun x acc -> vjoin acc (sm_get c.vals x))
+      (fun x acc -> V.join acc (sm_get c.vals x))
       a.at
-      (vjoin c.heap c.i_at)
+      (V.join c.heap c.i_at)
 
-  let may_non_int v =
-    (not (Bool3.is_bottom v.bool3)) || v.ptr || v.fn
-
-  let may_non_bool v = (not (N.is_bottom v.num)) || v.ptr || v.fn
-
-  (* Three-valued equality over the value product: join the verdicts of
-     every kind both sides may inhabit; two different kinds compare
-     unequal (the concrete [Eq] never errors). *)
-  let eq_bool3 v1 v2 =
-    let pieces = ref Bool3.Bot in
-    let addp b = pieces := Bool3.join !pieces b in
-    if (not (N.is_bottom v1.num)) && not (N.is_bottom v2.num) then
-      addp (Bool3.of_option (N.cmp_eq v1.num v2.num));
-    if (not (Bool3.is_bottom v1.bool3)) && not (Bool3.is_bottom v2.bool3)
-    then
-      addp
-        (match (v1.bool3, v2.bool3) with
-        | Bool3.True, Bool3.True | Bool3.False, Bool3.False -> Bool3.True
-        | Bool3.True, Bool3.False | Bool3.False, Bool3.True -> Bool3.False
-        | _ -> Bool3.Either);
-    if v1.ptr && v2.ptr then addp Bool3.Either;
-    if v1.fn && v2.fn then addp Bool3.Either;
-    let kinds v =
-      [ not (N.is_bottom v.num); not (Bool3.is_bottom v.bool3); v.ptr; v.fn ]
-    in
-    let k1 = kinds v1 and k2 = kinds v2 in
-    let cross_kind =
-      List.exists
-        (fun i ->
-          List.nth k1 i
-          && List.exists (fun j -> j <> i && List.nth k2 j) [ 0; 1; 2; 3 ])
-        [ 0; 1; 2; 3 ]
-    in
-    if cross_kind then addp Bool3.False;
-    !pieces
+  let may_non_int v = (not (Bool3.is_bottom v.bool3)) || v.ptrs || v.funs
+  let may_non_bool v = (not (N.is_bottom v.num)) || v.ptrs || v.funs
 
   let rec eval a c label m err e : aval =
     match e with
-    | Ast.Eint n -> vint n
-    | Ast.Ebool b -> vbool b
+    | Ast.Eint n -> V.of_int n
+    | Ast.Ebool b -> V.of_bool b
     | Ast.Evar x ->
         let v = read_var a c label m x in
-        if is_vbot v then err := true;
+        if V.is_bottom v then err := true;
         v
     | Ast.Eaddr x ->
         if not (SM.mem x m) then err := true;
-        vptr
+        V.of_ptrs true
     | Ast.Ederef e1 ->
         let p = eval a c label m err e1 in
-        if not p.ptr then begin
+        if not p.ptrs then begin
           err := true;
-          vbot
+          V.bottom
         end
         else begin
-          if (not (N.is_bottom p.num)) || (not (Bool3.is_bottom p.bool3)) || p.fn
+          if
+            (not (N.is_bottom p.num))
+            || (not (Bool3.is_bottom p.bool3))
+            || p.funs
           then err := true;
           deref_read a c
         end
     | Ast.Eunop (Ast.Not, e1) ->
         let v = eval a c label m err e1 in
         if may_non_bool v then err := true;
-        vb3 (Bool3.not_ v.bool3)
+        V.not_ v
     | Ast.Eunop (Ast.Neg, e1) ->
         let v = eval a c label m err e1 in
         if may_non_int v then err := true;
-        vnum (N.neg v.num)
+        V.neg v
     | Ast.Ebinop (op, e1, e2) ->
         let v1 = eval a c label m err e1 in
         let v2 = eval a c label m err e2 in
         binop err op v1 v2
 
+  (* The error each operator may raise, and the pointer rule of [+]/[-]:
+     a pointer plus or minus an integer stays a pointer. *)
   and binop err op v1 v2 =
     match op with
     | Ast.Add ->
         if
           (not (Bool3.is_bottom v1.bool3))
-          || v1.fn
+          || v1.funs
           || (not (Bool3.is_bottom v2.bool3))
-          || v2.fn
-          || (v1.ptr && v2.ptr)
+          || v2.funs
+          || (v1.ptrs && v2.ptrs)
         then err := true;
         {
-          vbot with
-          num = N.add v1.num v2.num;
-          ptr =
-            (v1.ptr && not (N.is_bottom v2.num))
-            || (v2.ptr && not (N.is_bottom v1.num));
+          (V.add v1 v2) with
+          ptrs =
+            (v1.ptrs && not (N.is_bottom v2.num))
+            || (v2.ptrs && not (N.is_bottom v1.num));
         }
     | Ast.Sub ->
         if
           (not (Bool3.is_bottom v1.bool3))
-          || v1.fn
+          || v1.funs
           || (not (Bool3.is_bottom v2.bool3))
-          || v2.fn || v2.ptr
+          || v2.funs || v2.ptrs
         then err := true;
-        {
-          vbot with
-          num = N.sub v1.num v2.num;
-          ptr = v1.ptr && not (N.is_bottom v2.num);
-        }
+        { (V.sub v1 v2) with ptrs = v1.ptrs && not (N.is_bottom v2.num) }
     | Ast.Mul ->
         if may_non_int v1 || may_non_int v2 then err := true;
-        vnum (N.mul v1.num v2.num)
+        V.mul v1 v2
     | Ast.Div ->
         if may_non_int v1 || may_non_int v2 || N.contains v2.num 0 then
           err := true;
-        vnum (N.div v1.num v2.num)
-    | Ast.Eq -> vb3 (eq_bool3 v1 v2)
-    | Ast.Ne -> vb3 (Bool3.not_ (eq_bool3 v1 v2))
+        V.div v1 v2
+    | Ast.Eq -> V.cmp_eq v1 v2
+    | Ast.Ne -> V.cmp_ne v1 v2
     | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge ->
         if may_non_int v1 || may_non_int v2 then err := true;
-        if N.is_bottom v1.num || N.is_bottom v2.num then vbot
-        else
-          vb3
-            (Bool3.of_option
-               (match op with
-               | Ast.Lt -> N.cmp_lt v1.num v2.num
-               | Ast.Le -> N.cmp_le v1.num v2.num
-               | Ast.Gt -> N.cmp_lt v2.num v1.num
-               | Ast.Ge -> N.cmp_le v2.num v1.num
-               | _ -> assert false))
+        (match op with
+        | Ast.Lt -> V.cmp_lt
+        | Ast.Le -> V.cmp_le
+        | Ast.Gt -> V.cmp_gt
+        | _ -> V.cmp_ge)
+          v1 v2
     | Ast.And | Ast.Or ->
         if may_non_bool v1 || may_non_bool v2 then err := true;
-        vb3
-          (if op = Ast.And then Bool3.and_ v1.bool3 v2.bool3
-           else Bool3.or_ v1.bool3 v2.bool3)
+        (if op = Ast.And then V.and_ else V.or_) v1 v2
 
   (* --- branch refinement --- *)
 
@@ -542,7 +474,8 @@ module Make (N : Lattice.NUMERIC) = struct
         | Ast.Evar x, _ ->
             let v = read_var a c label m x in
             let b = Bool3.meet v.bool3 (Bool3.of_bool truth) in
-            if Bool3.is_bottom b then Bot else St (SM.add x (vb3 b) m)
+            if Bool3.is_bottom b then Bot
+            else St (SM.add x { V.bottom with bool3 = b } m)
         | ( Ast.Ebinop
               ( ((Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge) as op),
                 Ast.Evar x,
@@ -570,35 +503,38 @@ module Make (N : Lattice.NUMERIC) = struct
           | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge ->
               (* int-only comparison: on the surviving path both sides
                  are integers *)
-              if N.is_bottom v2.num then vbot
+              if N.is_bottom v2.num then V.bottom
               else
-                vnum
-                  ((match op with
-                   | Ast.Lt -> N.assume_lt
-                   | Ast.Le -> N.assume_le
-                   | Ast.Gt -> N.assume_gt
-                   | Ast.Ge -> N.assume_ge
-                   | _ -> assert false)
-                     vx.num v2.num)
+                {
+                  V.bottom with
+                  num =
+                    (match op with
+                    | Ast.Lt -> N.assume_lt
+                    | Ast.Le -> N.assume_le
+                    | Ast.Gt -> N.assume_gt
+                    | Ast.Ge -> N.assume_ge
+                    | _ -> assert false)
+                      vx.num v2.num;
+                }
           | Ast.Eq ->
               {
                 num = N.assume_eq vx.num v2.num;
                 bool3 = Bool3.meet vx.bool3 v2.bool3;
-                ptr = vx.ptr && v2.ptr;
-                fn = vx.fn && v2.fn;
+                ptrs = vx.ptrs && v2.ptrs;
+                funs = vx.funs && v2.funs;
               }
           | Ast.Ne ->
               (* only sound when e2 is definitely an integer *)
-              if Bool3.is_bottom v2.bool3 && (not v2.ptr) && not v2.fn then
+              if Bool3.is_bottom v2.bool3 && (not v2.ptrs) && not v2.funs then
                 { vx with num = N.assume_ne vx.num v2.num }
               else vx
           | _ -> assert false
         in
-        if is_vbot v' then Bot else St (SM.add x v' m)
+        if V.is_bottom v' then Bot else St (SM.add x v' m)
 
   (* --- per-statement widening for loop heads --- *)
 
-  let st_widen a c s1 s2 =
+  let st_widen c s1 s2 =
     match (s1, s2) with
     | Bot, x | x, Bot -> x
     | St m1, St m2 ->
@@ -609,11 +545,11 @@ module Make (N : Lattice.NUMERIC) = struct
                | None, n -> n
                | o, None -> o
                | Some ov, Some nv ->
-                   if vleq nv ov then Some ov
+                   if V.leq nv ov then Some ov
                    else begin
                      c.widenings <- c.widenings + 1;
                      Obs_metrics.incr m_widenings;
-                     Some (vwiden a.widen_num ov nv)
+                     Some (V.widen ov nv)
                    end)
              m1 m2)
 
@@ -641,19 +577,19 @@ module Make (N : Lattice.NUMERIC) = struct
         | Ast.Sskip | Ast.Sfence -> St m
         | Ast.Sdecl (x, e) ->
             let v = eval a c label m err e in
-            if is_vbot v then begin
+            if V.is_bottom v then begin
               err := true;
               finish Bot
             end
             else begin
               (* a fresh cell: records its initial value but feeds no
                  interference (the binding predates any sharing) *)
-              c.vals <- bump_map a c c.vals x v;
+              c.vals <- bump_map c c.vals x v;
               finish (St (SM.add x v m))
             end
         | Ast.Sassign (Ast.Lvar x, e) ->
             let v = eval a c label m err e in
-            if is_vbot v || not (SM.mem x m) then begin
+            if V.is_bottom v || not (SM.mem x m) then begin
               err := true;
               finish Bot
             end
@@ -661,7 +597,7 @@ module Make (N : Lattice.NUMERIC) = struct
         | Ast.Sassign (Ast.Lderef pe, e) ->
             let p = eval a c label m err pe in
             let v = eval a c label m err e in
-            if (not p.ptr) || is_vbot v then begin
+            if (not p.ptrs) || V.is_bottom v then begin
               err := true;
               finish Bot
             end
@@ -669,9 +605,9 @@ module Make (N : Lattice.NUMERIC) = struct
               if
                 (not (N.is_bottom p.num))
                 || (not (Bool3.is_bottom p.bool3))
-                || p.fn
+                || p.funs
               then err := true;
-              c.i_at <- bump a c c.i_at v;
+              c.i_at <- bump c c.i_at v;
               finish (St m)
             end
         | Ast.Smalloc (lv, e) ->
@@ -682,29 +618,29 @@ module Make (N : Lattice.NUMERIC) = struct
             end
             else begin
               if may_non_int sz then err := true;
-              c.heap <- bump a c c.heap (vint 0);
+              c.heap <- bump c c.heap (V.of_int 0);
               match lv with
               | Ast.Lvar x ->
                   if SM.mem x m then
-                    finish (St (write_var a c ~br label m x vptr))
+                    finish (St (write_var a c ~br label m x (V.of_ptrs true)))
                   else begin
                     err := true;
                     finish Bot
                   end
               | Ast.Lderef pe ->
                   let p = eval a c label m err pe in
-                  if not p.ptr then begin
+                  if not p.ptrs then begin
                     err := true;
                     finish Bot
                   end
                   else begin
-                    c.i_at <- bump a c c.i_at vptr;
+                    c.i_at <- bump c c.i_at (V.of_ptrs true);
                     finish (St m)
                   end
             end
         | Ast.Sfree e ->
             let p = eval a c label m err e in
-            if not p.ptr then begin
+            if not p.ptrs then begin
               err := true;
               finish Bot
             end
@@ -712,13 +648,13 @@ module Make (N : Lattice.NUMERIC) = struct
               if
                 (not (N.is_bottom p.num))
                 || (not (Bool3.is_bottom p.bool3))
-                || p.fn
+                || p.funs
               then err := true;
               finish (St m)
             end
         | Ast.Scall (dest, callee, args) ->
             let cv = eval a c label m err callee in
-            if not cv.fn then begin
+            if not cv.funs then begin
               err := true;
               finish Bot
             end
@@ -726,10 +662,10 @@ module Make (N : Lattice.NUMERIC) = struct
               if
                 (not (N.is_bottom cv.num))
                 || (not (Bool3.is_bottom cv.bool3))
-                || cv.ptr
+                || cv.ptrs
               then err := true;
               let argvs = List.map (eval a c label m err) args in
-              if List.exists is_vbot argvs then begin
+              if List.exists V.is_bottom argvs then begin
                 err := true;
                 finish Bot
               end
@@ -763,18 +699,18 @@ module Make (N : Lattice.NUMERIC) = struct
                         match SM.find_opt f c.args with
                         | Some arr -> arr
                         | None ->
-                            let arr = Array.make nargs vbot in
+                            let arr = Array.make nargs V.bottom in
                             if nargs > 0 then c.args <- SM.add f arr c.args;
                             arr
                       in
-                      List.iteri (fun i v -> arr.(i) <- bump a c arr.(i) v) argvs)
+                      List.iteri (fun i v -> arr.(i) <- bump c arr.(i) v) argvs)
                     matching;
                   let rv =
                     SS.fold
-                      (fun f acc -> vjoin acc (sm_get c.rets f))
-                      matching vbot
+                      (fun f acc -> V.join acc (sm_get c.rets f))
+                      matching V.bottom
                   in
-                  if is_vbot rv then
+                  if V.is_bottom rv then
                     (* no candidate can return (yet): the caller blocks;
                        later rounds revisit once a summary appears *)
                     finish Bot
@@ -790,12 +726,12 @@ module Make (N : Lattice.NUMERIC) = struct
                         end
                     | Some (Ast.Lderef pe) ->
                         let p = eval a c label m err pe in
-                        if not p.ptr then begin
+                        if not p.ptrs then begin
                           err := true;
                           finish Bot
                         end
                         else begin
-                          c.i_at <- bump a c c.i_at rv;
+                          c.i_at <- bump c c.i_at rv;
                           finish (St m)
                         end
                 end
@@ -805,12 +741,12 @@ module Make (N : Lattice.NUMERIC) = struct
             let v =
               match e_opt with
               | Some e -> eval a c label m err e
-              | None -> vint 0
+              | None -> V.of_int 0
             in
             match proc with
             | Some f when not br ->
-                if is_vbot v then err := true
-                else c.rets <- bump_map a c c.rets f v;
+                if V.is_bottom v then err := true
+                else c.rets <- bump_map c c.rets f v;
                 finish Bot
             | _ ->
                 (* return in the entry procedure or crossing a cobegin
@@ -883,7 +819,7 @@ module Make (N : Lattice.NUMERIC) = struct
                   if st_leq next head then head
                   else
                     go (i + 1)
-                      (if i >= a.widen_after then st_widen a c head next
+                      (if i >= widen_after then st_widen c head next
                        else next)
             in
             match go 0 (St m) with
@@ -927,12 +863,12 @@ module Make (N : Lattice.NUMERIC) = struct
             end
         | Ast.Sacquire x ->
             let v = read_var a c label m x in
-            if is_vbot v then begin
+            if V.is_bottom v then begin
               err := true;
               finish Bot
             end
             else if N.contains v.num 0 then begin
-              let m = write_var a c ~br label m x (vint 1) in
+              let m = write_var a c ~br label m x (V.of_int 1) in
               (* entering the critical sections this lock guards:
                  re-import the published lock invariants *)
               let m =
@@ -944,7 +880,7 @@ module Make (N : Lattice.NUMERIC) = struct
                         match SM.find_opt y mm with
                         | None -> mm
                         | Some vy ->
-                            SM.add y (vjoin vy (sm_get c.inv y)) mm)
+                            SM.add y (V.join vy (sm_get c.inv y)) mm)
                       ys m
               in
               finish (St m)
@@ -968,9 +904,9 @@ module Make (N : Lattice.NUMERIC) = struct
                     (fun y ->
                       match SM.find_opt y m with
                       | None -> ()
-                      | Some vy -> c.inv <- bump_map a c c.inv y vy)
+                      | Some vy -> c.inv <- bump_map c c.inv y vy)
                     ys);
-              finish (St (write_var a c ~br label m x (vint 0)))
+              finish (St (write_var a c ~br label m x (V.of_int 0)))
             end
         | Ast.Sassert cond ->
             let cv = eval a c label m err cond in
@@ -1007,7 +943,7 @@ module Make (N : Lattice.NUMERIC) = struct
                     let v = arr.(i) in
                     (* parameter cells are allocation sites too: feed the
                        soundness oracle *)
-                    c.vals <- bump_map a c c.vals x v;
+                    c.vals <- bump_map c c.vals x v;
                     (i + 1, SM.add x v mm))
                   (0, SM.empty) p.Ast.params
               in
@@ -1016,12 +952,11 @@ module Make (N : Lattice.NUMERIC) = struct
               | St _ ->
                   (* fall-through return yields 0, as in the concrete
                      machine *)
-                  c.rets <- bump_map a c c.rets f (vint 0)
+                  c.rets <- bump_map c c.rets f (V.of_int 0)
             end)
       c.called
 
-  let analyze ?(widen = N.widen) ?(locksets = true) ?(widen_after = 2)
-      ?(max_rounds = 200) ?budget ~domain (ls : Lockset.t) : summary =
+  let analyze ~locksets ?budget ~domain (ls : Lockset.t) : summary =
     let mhp = Lockset.mhp ls in
     let prog = Mhp.program mhp in
     let at = Mhp.addr_taken mhp in
@@ -1035,10 +970,7 @@ module Make (N : Lattice.NUMERIC) = struct
         (fun acc (k : Mhp.call_site) -> IM.add k.Mhp.k_label k.Mhp.k_callees acc)
         IM.empty (Mhp.call_sites mhp)
     in
-    let a =
-      { prog; ls; shared; at; prot; prot_by; cands; widen_num = widen;
-        widen_after }
-    in
+    let a = { prog; ls; shared; at; prot; prot_by; cands } in
     let c = init_acc () in
     let rec rounds r =
       Fault.hit "interfere.iter";
@@ -1065,7 +997,7 @@ module Make (N : Lattice.NUMERIC) = struct
           else begin
             Obs_metrics.incr m_rounds;
             c.dirty <- false;
-            c.wround <- r >= a.widen_after;
+            c.wround <- r >= widen_after;
             run_pass a c ~record:false;
             Obs_metrics.set g_ivars (SM.cardinal c.interf);
             if c.dirty then rounds (r + 1) else (r, Budget.Complete)
@@ -1078,10 +1010,10 @@ module Make (N : Lattice.NUMERIC) = struct
     (* fold the pointer-mediated writes into the per-name results *)
     let vals =
       SS.fold
-        (fun x acc -> SM.add x (vjoin (sm_get acc x) c.i_at) acc)
+        (fun x acc -> SM.add x (V.join (sm_get acc x) c.i_at) acc)
         a.at c.vals
     in
-    let heap = vjoin c.heap c.i_at in
+    let heap = V.join c.heap c.i_at in
     let verdicts =
       {
         assert_may_fail = IS.elements c.v_assert;
@@ -1124,8 +1056,8 @@ module Make (N : Lattice.NUMERIC) = struct
       | Value.Vbool b ->
           if b then Bool3.may_be_true av.bool3
           else Bool3.may_be_false av.bool3
-      | Value.Vloc _ -> av.ptr
-      | Value.Vfun _ -> av.fn
+      | Value.Vloc _ -> av.ptrs
+      | Value.Vfun _ -> av.funs
     in
     let check bindings =
       List.filter
@@ -1168,13 +1100,7 @@ module Make (N : Lattice.NUMERIC) = struct
     }
 end
 
-(* --- ready-made instantiations and the domain-erased driver --- *)
-
-module I_interval = Make (Interval)
-module I_const = Make (Const)
-module I_sign = Make (Sign)
-module I_parity = Make (Parity)
-module I_int_parity = Make (Int_parity)
+(* --- the domain-erased driver --- *)
 
 (* Widening thresholds: the program's integer constants (and their
    negations), so interference fixpoints land on the constants loops
@@ -1212,22 +1138,22 @@ let harvest_thresholds (prog : Ast.program) =
              List.fold_left consts (consts acc callee) args)
        [ 0; 1 ] prog)
 
-let run ?(domain = Analyzer.Intervals) ?(locksets = true) ?(widen_after = 2)
-    ?(max_rounds = 200) ?budget (ls : Lockset.t) : summary =
+let run ?(domain = Analyzer.Intervals) ?(locksets = true) ?budget
+    (ls : Lockset.t) : summary =
   (* intervals widen with thresholds; every other domain with its own *)
-  let analyze =
+  let (module N : Lattice.NUMERIC) =
     match domain with
     | Analyzer.Intervals ->
-        I_interval.analyze
-          ~widen:
-            (Interval.widen_thresholds
-               (harvest_thresholds (Mhp.program (Lockset.mhp ls))))
-    | Analyzer.Constants -> I_const.analyze ?widen:None
-    | Analyzer.Signs -> I_sign.analyze ?widen:None
-    | Analyzer.Parities -> I_parity.analyze ?widen:None
-    | Analyzer.Interval_parity -> I_int_parity.analyze ?widen:None
+        let thresholds = harvest_thresholds (Mhp.program (Lockset.mhp ls)) in
+        (module struct
+          include Interval
+
+          let widen = Interval.widen_thresholds thresholds
+        end)
+    | d -> Analyzer.lattice d
   in
-  analyze ~locksets ~widen_after ~max_rounds ?budget ~domain ls
+  let module I = Make (N) in
+  I.analyze ~locksets ?budget ~domain ls
 
 let pp_summary ppf s =
   Format.fprintf ppf

@@ -87,16 +87,16 @@ type summary = {
 val run :
   ?domain:Analyzer.domain ->
   ?locksets:bool ->
-  ?widen_after:int ->
-  ?max_rounds:int ->
   ?budget:Budget.t ->
   Cobegin_static.Lockset.t ->
   summary
 (** Analyzes the program of a static base
     ({!Cobegin_static.Lockset.of_program}), whose MHP contexts, locksets
-    and lock-suppressed races it reads.
-    Defaults: intervals (with widening thresholds harvested from the
-    program's integer constants), locksets on, widening from round 2,
-    at most 200 rounds (then [Truncated (Fuel _)]). *)
+    and lock-suppressed races it reads, over {!Aval} with flag pointer
+    and procedure components and the domain's [Analyzer] lattice.
+    Defaults: intervals (whose widening lands on thresholds harvested
+    from the program's integer constants), locksets on.  Joins widen
+    from round 2 (and a loop head after 2 growing iterations); a run
+    stops after 200 rounds with [Truncated (Fuel 200)]. *)
 
 val pp_summary : Format.formatter -> summary -> unit

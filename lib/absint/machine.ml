@@ -32,12 +32,15 @@ module Obs_journal = Cobegin_obs.Journal
 let m_widenings = Obs_metrics.counter "abstract.widenings"
 let m_fold_hits = Obs_metrics.counter "abstract.fold_hits"
 
+(* Growing joins into one folding key before joins become widenings. *)
+let widen_after = 3
+
 let pp_folding ppf f =
   Format.pp_print_string ppf
     (match f with Exact -> "exact" | Control -> "control" | Clan -> "clan")
 
 module Make (N : Lattice.NUMERIC) = struct
-  module V = Aval.Make (N)
+  module V = Aval.Make (N) (Aval.Alocs) (Aval.Funs)
   module SM = Map.Make (String)
   module AM = Map.Make (Aloc.Ordered)
 
@@ -160,14 +163,15 @@ module Make (N : Lattice.NUMERIC) = struct
     | Ast.Evar x ->
         let alocs = env_find x env in
         if Aloc.Set.is_bottom alocs then
-          if Ast.has_proc ctx.prog x then V.of_fun x else V.bottom
+          if Ast.has_proc ctx.prog x then V.of_funs (Aval.Funs.singleton x)
+          else V.bottom
         else begin
           reads := Aloc.Set.union alocs !reads;
           Aloc.Set.fold (fun l acc -> V.join acc (store_find l store)) alocs V.bottom
         end
     | Ast.Eaddr x ->
         let alocs = env_find x env in
-        if Aloc.Set.is_bottom alocs then V.bottom else V.of_alocs alocs
+        if Aloc.Set.is_bottom alocs then V.bottom else V.of_ptrs alocs
     | Ast.Ederef e1 ->
         let v1 = eval ctx env store reads e1 in
         let targets = v1.V.ptrs in
@@ -424,7 +428,9 @@ module Make (N : Lattice.NUMERIC) = struct
               log_reads ctx ~label ~apstr !reads;
               log_writes ctx ~label ~apstr targets;
               log_alloc ctx ~aloc ~site:label ~birth:apstr;
-              let store = write targets (V.of_aloc aloc) multi store in
+              let store =
+                write targets (V.of_ptrs (Aloc.Set.singleton aloc)) multi store
+              in
               [ commit apid { sh with stack = rest } { c with store; multi } ]
             end
         | Ast.Sfree e ->
@@ -446,7 +452,7 @@ module Make (N : Lattice.NUMERIC) = struct
             else
             let reads = ref Aloc.Set.bottom in
             let cv = eval ctx sh.env store reads callee in
-            let fnames = V.FunSet.elements cv.V.funs in
+            let fnames = Aval.Funs.elements cv.V.funs in
             log_reads ctx ~label ~apstr !reads;
             match fnames with
             | [] -> [ err_config c ]
@@ -818,11 +824,10 @@ module Make (N : Lattice.NUMERIC) = struct
      under its key so far, and how many of those joins grew it. *)
   type node = { mutable cfg : config; mutable visits : int }
 
-  (* One run: its folding, the widening delay and the revisit counts. *)
+  (* One run: its folding and the revisit counts. *)
   type run = {
     ctx : ctx;
     folding : folding;
-    widen_after : int;
     mutable revisits : int; (* joins into an existing key *)
     mutable widenings : int;
   }
@@ -896,7 +901,7 @@ module Make (N : Lattice.NUMERIC) = struct
       if config_leq joined into.cfg then false
       else begin
         into.cfg <-
-          (if into.visits >= run.widen_after then begin
+          (if into.visits >= widen_after then begin
              run.widenings <- run.widenings + 1;
              Obs_metrics.incr m_widenings;
              widen_config into.cfg joined
@@ -924,9 +929,9 @@ module Make (N : Lattice.NUMERIC) = struct
      Exhausting the budget stops the run cleanly; the table accumulated
      so far is still a valid under-approximation of the abstract graph
      and the log a valid (partial) instrumentation. *)
-  let explore ?(folding = Control) ?(widen_after = 3)
-      ?(max_configs = 100_000) ?budget ctx : result =
-    let run = { ctx; folding; widen_after; revisits = 0; widenings = 0 } in
+  let explore ?(folding = Control) ?(max_configs = 100_000) ?budget ctx :
+      result =
+    let run = { ctx; folding; revisits = 0; widenings = 0 } in
     let r =
       K.generate ~max_configs ?budget ~log:false ~site:"abstract"
         ~admit:K.no_revisits ~expand:K.all_actions run (K.start run ())

@@ -403,13 +403,18 @@ let load_source src =
     (* surface lexical errors with their position, like syntax errors *)
     raise (Parser.Error ("lexical error: " ^ msg, pos))
 
-let load_file path =
-  try
-    let prog = Parser.parse_file path in
-    Check.check_exn prog;
-    prog
-  with Lexer.Error (msg, pos) ->
-    raise (Parser.Error ("lexical error: " ^ msg, pos))
+let read_program path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error e -> Error e
+  | src -> (
+      try Ok (load_source src) with
+      | Parser.Error (msg, pos) ->
+          Error (Format.asprintf "%a" Parser.pp_error (msg, pos))
+      | Check.Ill_formed diags ->
+          Error
+            (Format.asprintf "@[<v>%a@]"
+               (Format.pp_print_list Check.pp_diagnostic)
+               diags))
 
 let transform (opts : options) prog =
   let prog = if opts.inline then Inline.program prog else prog in
@@ -575,7 +580,8 @@ let analyze ?(options = default_options) ?spans (prog : Ast.program) :
   (* Supervised stage: up to [1 + retries] attempts; every failed
      attempt is a recovery rung, only the final one (the give-up) is a
      stage failure, so a retried-and-completed stage reports clean
-     results plus its ladder. *)
+     results plus its ladder.  A give-up's value is [default] of its
+     diagnostic. *)
   let stage name ~default f =
     let attempts = 1 + max 0 options.retries in
     let rec go attempt =
@@ -590,7 +596,7 @@ let analyze ?(options = default_options) ?spans (prog : Ast.program) :
         else begin
           record_rung ~stage:name ~attempt ~action:Give_up e bt;
           record_failure ~stage:name e bt;
-          default
+          default (Printexc.to_string e)
         end
     in
     go 1
@@ -612,7 +618,7 @@ let analyze ?(options = default_options) ?spans (prog : Ast.program) :
      they are polynomial in program size, so no budget governs them *)
   let static =
     if options.lint then
-      stage "static-lint" ~default:None (fun () ->
+      stage "static-lint" ~default:(fun _ -> None) (fun () ->
           Some (Cobegin_static.Lint.run (static_base ())))
     else None
   in
@@ -626,7 +632,7 @@ let analyze ?(options = default_options) ?spans (prog : Ast.program) :
         | Abstract (d, _) -> d
         | Concrete_full | Concrete_stubborn -> Analyzer.Intervals
       in
-      stage "interfere" ~default:None (fun () ->
+      stage "interfere" ~default:(fun _ -> None) (fun () ->
           Some (Interfere.run ~domain ~budget (static_base ())))
     else None
   in
@@ -687,21 +693,23 @@ let analyze ?(options = default_options) ?spans (prog : Ast.program) :
     go 1 ladder
   in
   let side_effects =
-    stage "side-effects" ~default:[] (fun () ->
+    stage "side-effects" ~default:(fun _ -> []) (fun () ->
         Side_effect.of_program log prog)
   in
   let deps =
-    stage "dependences" ~default:Depend.DepSet.empty (fun () ->
+    stage "dependences" ~default:(fun _ -> Depend.DepSet.empty) (fun () ->
         Depend.of_log log)
   in
   let lifetimes =
-    stage "lifetimes" ~default:[] (fun () -> Lifetime.of_log log)
+    stage "lifetimes" ~default:(fun _ -> []) (fun () -> Lifetime.of_log log)
   in
   let placements =
-    stage "placement" ~default:[] (fun () -> Placement.decide lifetimes)
+    stage "placement" ~default:(fun _ -> []) (fun () ->
+        Placement.decide lifetimes)
   in
   let gc_plan =
-    stage "ctgc" ~default:[] (fun () -> Ctgc.deallocation_plan lifetimes)
+    stage "ctgc" ~default:(fun _ -> []) (fun () ->
+        Ctgc.deallocation_plan lifetimes)
   in
   (* When the exploration ran the race scan as its visitor, this stage
      only hands the set over; otherwise (stubborn, jobs > 1, or an
@@ -712,8 +720,13 @@ let analyze ?(options = default_options) ?spans (prog : Ast.program) :
       | Concrete_full | Concrete_stubborn ->
           let r =
             stage "races"
-              ~default:
-                { Race.races = Race.RaceSet.empty; status = Budget.Complete }
+              ~default:(fun d ->
+                (* a races give-up must not masquerade as a complete
+                   scan *)
+                {
+                  Race.races = Race.RaceSet.empty;
+                  status = Budget.Truncated (Budget.Crash ("races: " ^ d));
+                })
               (fun () ->
                 match explored_races with
                 | Some races -> { Race.races; status }
@@ -721,22 +734,12 @@ let analyze ?(options = default_options) ?spans (prog : Ast.program) :
                     Race.find ~budget
                       (Step.make_ctx ~model:options.memory_model prog))
           in
-          (* a races give-up must not masquerade as a complete scan:
-             tag the status with the crash instead of the default *)
-          let race_status =
-            match
-              List.find_opt (fun f -> f.stage = "races") !failures
-            with
-            | Some f ->
-                Budget.Truncated (Budget.Crash ("races: " ^ f.diagnostic))
-            | None -> r.Race.status
-          in
-          (Some r.Race.races, Budget.combine status race_status)
+          (Some r.Race.races, Budget.combine status r.Race.status)
       | Abstract _ -> (None, status)
     else (None, status)
   in
   let critical =
-    stage "critical" ~default:Critical.no_conflicts (fun () ->
+    stage "critical" ~default:(fun _ -> Critical.no_conflicts) (fun () ->
         Critical.of_program prog)
   in
   let telemetry =

@@ -266,7 +266,10 @@ val load_source : string -> Ast.program
     @raise Cobegin_lang.Parser.Error on lexical or syntax errors
     @raise Cobegin_lang.Check.Ill_formed on static errors *)
 
-val load_file : string -> Ast.program
+val read_program : string -> (Ast.program, string) result
+(** {!load_source} on the contents of a file (or pipe), with the
+    diagnostic of an unreadable file, a lexical or syntax error, or an
+    ill-formed program rendered as the error text. *)
 
 val analyze :
   ?options:options ->

@@ -37,14 +37,7 @@ type engine =
 
 (* Stable machine-readable spellings (ASCII, unlike the
    pretty-printers): the engine's is also what [-e] and a request's
-   "engine" key accept. *)
-let domain_name = function
-  | Analyzer.Intervals -> "intervals"
-  | Analyzer.Constants -> "constants"
-  | Analyzer.Signs -> "signs"
-  | Analyzer.Parities -> "parity"
-  | Analyzer.Interval_parity -> "interval-parity"
-
+   "engine" key accept.  A domain's is its row's in [Analyzer]. *)
 let folding_name = function
   | Machine.Exact -> "exact"
   | Machine.Control -> "control"
@@ -53,7 +46,8 @@ let folding_name = function
 let engine_name = function
   | Concrete_full -> "concrete/full"
   | Concrete_stubborn -> "concrete/stubborn"
-  | Abstract (d, f) -> "abstract/" ^ domain_name d ^ "/" ^ folding_name f
+  | Abstract (d, f) ->
+      "abstract/" ^ Analyzer.domain_name d ^ "/" ^ folding_name f
 
 let engine_of_string s =
   let folding = function
@@ -288,7 +282,7 @@ let add_var_value buf (var, value) =
 
 let add_interference buf (s : Interfere.summary) =
   Buffer.add_string buf "{\"domain\":";
-  add_str buf (domain_name s.Interfere.domain);
+  add_str buf (Analyzer.domain_name s.Interfere.domain);
   Printf.bprintf buf
     ",\"locksets\":%b,\"rounds\":%d,\"widenings\":%d,\"stmt_visits\":%d,\"status\":"
     s.Interfere.locksets s.Interfere.rounds s.Interfere.widenings

@@ -42,7 +42,6 @@ val engine_of_string : string -> engine option
     the domains' short names and the foldings' authors (["taylor"],
     ["mcdowell"]).  [-e] and a request's ["engine"] both use it. *)
 
-val domain_name : Analyzer.domain -> string
 val folding_name : Machine.folding -> string
 
 (** The exploration kernel's counts ({!Kernel.stats}). *)

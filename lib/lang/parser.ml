@@ -424,12 +424,5 @@ let parse_string src : program =
   let st = { toks; next_label = 0 } in
   parse_program_tokens st
 
-let parse_file path : program =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
-  close_in ic;
-  parse_string src
-
 let pp_error ppf (msg, (p : Lexer.pos)) =
   Format.fprintf ppf "parse error at line %d, column %d: %s" p.line p.col msg

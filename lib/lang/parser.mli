@@ -8,7 +8,4 @@ exception Error of string * Lexer.pos
 val parse_string : string -> Ast.program
 (** @raise Error with a source position on syntax errors. *)
 
-val parse_file : string -> Ast.program
-(** @raise Sys_error when the file cannot be read. *)
-
 val pp_error : Format.formatter -> string * Lexer.pos -> unit

@@ -181,7 +181,7 @@ let soundness_tests =
 let machine_unit_tests =
   [
     case "interval machine computes a loop invariant" (fun () ->
-        let module M = Analyzer.Interval_machine in
+        let module M = Machine.Make (Cobegin_domains.Interval) in
         let prog =
           parse "proc main() { var i = 0; while (i < 10) { i = i + 1; } }"
         in

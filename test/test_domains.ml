@@ -73,6 +73,119 @@ module Const_laws = Laws (Const)
 module Bool3_laws = Laws (Bool3)
 module Int_parity_laws = Laws (Int_parity)
 
+(* --- the one abstract value domain, as each engine instantiates it --- *)
+
+module Aval = Cobegin_absint.Aval
+module Aloc = Cobegin_absint.Aloc
+module Value = Cobegin_semantics.Value
+module Machine_value = Aval.Make (Interval) (Aval.Alocs) (Aval.Funs)
+module Interfere_value = Aval.Make (Interval) (Aval.Flag) (Aval.Flag)
+
+let machine_value_gen =
+  let open QCheck2.Gen in
+  let alocs =
+    map Aloc.Set.of_list
+      (list_size (0 -- 2)
+         (oneofl
+            [
+              Aloc.Adecl { site = 1; var = "x" };
+              Aloc.Aparam { proc = "f"; idx = 0; var = "a" };
+              Aloc.Asite { site = 3 };
+            ]))
+  and funs = map Aval.Funs.of_list (list_size (0 -- 2) (oneofl [ "f"; "g" ])) in
+  map2
+    (fun (num, bool3) (ptrs, funs) ->
+      { Machine_value.num; bool3; ptrs; funs })
+    (pair interval_gen bool3_gen) (pair alocs funs)
+
+let interfere_value_gen =
+  let open QCheck2.Gen in
+  map2
+    (fun (num, bool3) (ptrs, funs) ->
+      { Interfere_value.num; bool3; ptrs; funs })
+    (pair interval_gen bool3_gen) (pair bool bool)
+
+module Machine_value_laws = Laws (Machine_value)
+module Interfere_value_laws = Laws (Interfere_value)
+
+(* Equality over joins of abstracted concrete values: [cmp_eq] may be
+   true of every equal pair drawn from the two sides and false of every
+   unequal one, and [cmp_ne] the other way round — across kinds too. *)
+module Equality_law (V : sig
+  type t
+
+  val bottom : t
+  val join : t -> t -> t
+  val cmp_eq : t -> t -> t
+  val cmp_ne : t -> t -> t
+  val truth : t -> Bool3.t
+  val alpha : Value.t -> t
+end) =
+struct
+  let holds us vs =
+    let abs = List.fold_left (fun acc u -> V.join acc (V.alpha u)) V.bottom in
+    let x = abs us and y = abs vs in
+    let eq = V.truth (V.cmp_eq x y) and ne = V.truth (V.cmp_ne x y) in
+    List.for_all
+      (fun a ->
+        List.for_all
+          (fun b ->
+            if Value.equal_value a b then
+              Bool3.may_be_true eq && Bool3.may_be_false ne
+            else Bool3.may_be_false eq && Bool3.may_be_true ne)
+          vs)
+      us
+end
+
+(* Two lists of concrete values, both of one kind or both of any. *)
+let concrete_values_gen =
+  let open QCheck2.Gen in
+  let ints = map (fun n -> Value.Vint n) (int_range (-2) 2)
+  and bools = map (fun b -> Value.Vbool b) bool
+  and locs =
+    map2
+      (fun l_site l_seq ->
+        Value.Vloc { Value.l_pid = []; l_site; l_seq; l_off = 0 })
+      (int_range 1 2) (int_range 0 1)
+  and funs = map (fun f -> Value.Vfun f) (oneofl [ "f"; "g" ]) in
+  oneofl [ ints; bools; locs; funs; oneof [ ints; bools; locs; funs ] ]
+  >>= fun g -> pair (list_size (1 -- 3) g) (list_size (1 -- 3) g)
+
+let equality_law =
+  qtest ~count:200
+    "aval: cmp_eq/cmp_ne agree with concrete equality (both engines' \
+     instances, every domain)"
+    concrete_values_gen
+    (fun (us, vs) ->
+      List.for_all
+        (fun (row : Cobegin_absint.Analyzer.row) ->
+          let module N = (val row.lattice) in
+          let module M = Equality_law (struct
+            include Aval.Make (N) (Aval.Alocs) (Aval.Funs)
+
+            let truth v = v.bool3
+
+            let alpha = function
+              | Value.Vint n -> of_int n
+              | Value.Vbool b -> of_bool b
+              | Value.Vloc l ->
+                  of_ptrs (Aloc.Set.singleton (Aloc.Asite { site = l.l_site }))
+              | Value.Vfun f -> of_funs (Aval.Funs.singleton f)
+          end) in
+          let module I = Equality_law (struct
+            include Aval.Make (N) (Aval.Flag) (Aval.Flag)
+
+            let truth v = v.bool3
+
+            let alpha = function
+              | Value.Vint n -> of_int n
+              | Value.Vbool b -> of_bool b
+              | Value.Vloc _ -> of_ptrs true
+              | Value.Vfun _ -> of_funs true
+          end) in
+          M.holds us vs && I.holds us vs)
+        Cobegin_absint.Analyzer.domains)
+
 (* --- soundness via Galois connections --- *)
 
 let op_sound ?(no_zero_rhs = false) name conn abstract_op concrete_op =
@@ -442,6 +555,9 @@ let suite =
   @ Const_laws.laws ~name:"const" const_gen
   @ Bool3_laws.laws ~name:"bool3" bool3_gen
   @ Int_parity_laws.laws ~name:"interval×parity" int_parity_gen
+  @ Machine_value_laws.laws ~name:"aval (machine)" machine_value_gen
+  @ Interfere_value_laws.laws ~name:"aval (interfere)" interfere_value_gen
+  @ [ equality_law ]
   @ interval_soundness @ sign_soundness @ parity_soundness @ const_soundness
   @ int_parity_soundness
   @ cmp_tests @ assume_tests @ widening_tests @ interval_units

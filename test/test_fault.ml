@@ -432,6 +432,36 @@ let ladder_tests =
           (List.filter
              (fun s -> String.length s > 9 && String.sub s 0 9 = "pipeline.")
              Fault.known_sites));
+    case "retries=0: a races give-up is an honest DEGRADED report"
+      (fun () ->
+        (* the stage crash under the full engine (whose exploration
+           hands the set over), and the standalone scan's own crash
+           under stubborn *)
+        List.iter
+          (fun (engine, spec) ->
+            with_chaos spec (fun () ->
+                let r =
+                  Pipeline.analyze_source
+                    ~options:
+                      { Pipeline.default_options with engine;
+                        find_races = true; retries = 0 }
+                    phil2
+                in
+                check_bool (spec ^ ": degraded") true r.Pipeline.degraded;
+                check_bool (spec ^ ": status names the races crash") true
+                  (r.Pipeline.status
+                  = Budget.Truncated
+                      (Budget.Crash ("races: injected fault: " ^ spec)));
+                check_bool (spec ^ ": no races") true
+                  (match r.Pipeline.races with
+                  | Some races -> Cobegin_analysis.Race.RaceSet.is_empty races
+                  | None -> false);
+                check_int (spec ^ ": exit code") 5
+                  (Report.report_exit_code r)))
+          [
+            (Pipeline.Concrete_full, "crash@pipeline.races:1");
+            (Pipeline.Concrete_stubborn, "crash@races.pop:3");
+          ]);
     case "stage failures carry a backtrace under record_backtrace"
       (fun () ->
         let was = Printexc.backtrace_status () in
